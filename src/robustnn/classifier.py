@@ -25,10 +25,11 @@ c * sqrt(log p) for data with independent components and xi * log p for
 dependent data (natural logarithm).  Z is assigned to the X population
 exactly when T(theta) <= 0.
 
-The scan is evaluated for all breakpoints at once with sorted-array
-searches: the indicator distance between a row v and z at level t counts
-components with min(v,z) <= t < max(v,z), so each row's whole distance
-profile is a difference of two searchsorted calls.
+The scan is evaluated for all breakpoints at once from ranks: one pooled
+``np.unique`` ranks the distinct values, a threshold t becomes a cut point c
+in that order with the values <= t ranked below it, and 1(v > t) is
+1(rank(v) >= c).  Each row's count of components below every cut is a step
+profile, one ``bincount`` of its ranks and a ``cumsum``, with no per-row sort.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
 nearest neighbor on zeroed-below-threshold values v * 1(v > t), and a
@@ -48,11 +49,9 @@ from .errors import ParameterError, ShapeError
 
 __all__ = [
     "Label",
-    "IndicatorVector",
     "ThresholdStatistics",
     "ThresholdTrace",
     "ThresholdDecision",
-    "indicator_transform",
     "compute_T_S",
     "zp_value",
     "threshold_scan",
@@ -108,6 +107,15 @@ def _as_test(z, p: int) -> np.ndarray:
     return z
 
 
+def _require_finite(**arrays: np.ndarray) -> None:
+    """Reject NaN and infinite values, naming the argument and place of the first."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            i = tuple(np.argwhere(~np.isfinite(a))[0])
+            at = f"row {i[0]}, column {i[1]}" if a.ndim == 2 else f"component {i[0]}"
+            raise ParameterError(f"{name} has a non-finite value {float(a[i])!r} at {at}")
+
+
 def _check_inputs(train_x, train_y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     X = _as_training(train_x, "train_x")
     Y = _as_training(train_y, "train_y")
@@ -115,21 +123,9 @@ def _check_inputs(train_x, train_y, z) -> tuple[np.ndarray, np.ndarray, np.ndarr
         raise ShapeError(
             f"train_x has {X.shape[1]} components but train_y has {Y.shape[1]}"
         )
-    return X, Y, _as_test(z, X.shape[1])
-
-
-@dataclass(frozen=True)
-class IndicatorVector:
-    """0-1 exceedance pattern of a vector at a threshold."""
-
-    bits: np.ndarray
-    threshold_used: float
-
-
-def indicator_transform(v, t: float) -> IndicatorVector:
-    """Componentwise strict exceedance indicators 1(v > t)."""
-    v = np.asarray(v, dtype=float)
-    return IndicatorVector(bits=(v > t).astype(np.uint8), threshold_used=float(t))
+    z = _as_test(z, X.shape[1])
+    _require_finite(train_x=X, train_y=Y, z=z)
+    return X, Y, z
 
 
 @dataclass(frozen=True)
@@ -176,17 +172,71 @@ def zp_value(rule: str, p: int, xi_or_c: float) -> float:
     return xi_or_c * math.sqrt(logp)
 
 
-def _distance_profile(row: np.ndarray, z: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    # Indicator disagreement count: components with min(row,z) <= t < max(row,z).
-    lo = np.sort(np.minimum(row, z))
-    hi = np.sort(np.maximum(row, z))
-    return np.searchsorted(lo, ts, side="right") - np.searchsorted(hi, ts, side="right")
+def _step_profiles(ranks: np.ndarray, lo: int, top: int, weights=None) -> np.ndarray:
+    """Per row of ``ranks`` (in [0, top)), the total weight of its entries
+    ranked below each cut c = lo..top, in column c - lo.
+
+    ``weights`` lines up with ``ranks.ravel()``; without it entries count 1.
+    One bincount and one cumsum; ranks below lo share the first bin.
+    ``ranks`` is overwritten with the bin numbers.
+    """
+    rows, width = ranks.shape[0], top + 1 - lo
+    ranks += 1 - lo
+    np.maximum(ranks, 0, out=ranks)
+    ranks += width * np.arange(rows)[:, None]
+    hist = np.bincount(ranks.ravel(), weights, minlength=rows * width).reshape(rows, width)
+    return np.cumsum(hist, axis=1, out=hist)
 
 
-def _count_profile(row: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    # Number of components strictly above each t.
-    s = np.sort(row)
-    return row.size - np.searchsorted(s, ts, side="right")
+def _pooled_ranks(rows: np.ndarray, floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values >= floor in ``rows``, and each component's rank: 1 + its
+    index among them, or 0 below floor.  A threshold t >= floor is the cut
+    c = 1 + #(values <= t), and a component exceeds t when it ranks >= c.
+    """
+    kept = rows >= floor
+    values, inverse = np.unique(rows[kept], return_inverse=True)
+    ranks = np.zeros(rows.shape, dtype=np.intp)
+    ranks[kept] = inverse + 1
+    return values, ranks
+
+
+def _midpoints(values: np.ndarray) -> np.ndarray:
+    """0.5 * (a + b) for consecutive values, or a + 0.5 * (b - a) where a + b overflows."""
+    a, b = values[:-1], values[1:]
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (a + b)
+    over = ~np.isfinite(mid)
+    mid[over] = a[over] + 0.5 * (b[over] - a[over])
+    return mid
+
+
+def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
+    """Grid, T, S^2, i_x, i_y at thresholds ts >= floor (default: breakpoints from floor)."""
+    values, ranks = _pooled_ranks(np.concatenate([X, Y, z[None]]), floor)
+    if ts is None:  # floor, then the midpoints between the values >= floor
+        ts = np.concatenate(([floor], _midpoints(values)))
+    top = values.size + 1
+    cuts = np.searchsorted(values, ts, side="right")
+    del values  # keep only what the profiles need
+    lo = int(cuts.min(initial=top))
+    cuts += 1 - lo  # the column of cut 1 + #(values <= t)
+    # A row and z disagree where the smaller rank is below the cut and the
+    # larger is not, so their distance is 2 #(min below) - #(row below) -
+    # #(z below).  The z term is common to all rows, moves neither the
+    # nearest rows nor T = d_x - d_y, and is left out.
+    ranks = np.concatenate([np.minimum(ranks[:-1], ranks[-1]), ranks[:-1]])
+    below = _step_profiles(ranks, lo, top)
+    del ranks  # the bins
+    r, m = X.shape[0] + Y.shape[0], X.shape[0]
+    dist, count = below[:r], below[r:]
+    dist *= 2
+    dist -= count
+    # Lowest row at each column's minimum, without argmin's transposed copy.
+    i_x = (dist[:m] == dist[:m].min(axis=0)).argmax(axis=0)[cuts]
+    i_y = (dist[m:] == dist[m:].min(axis=0)).argmax(axis=0)[cuts]
+    T = dist[i_x, cuts] - dist[m + i_y, cuts]
+    S2 = 2 * z.size - count[i_x, cuts] - count[m + i_y, cuts]
+    return ts, T, S2, i_x, i_y
 
 
 def threshold_scan(
@@ -199,16 +249,8 @@ def threshold_scan(
     """
     X, Y, z = _check_inputs(train_x, train_y, z)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    dx = np.stack([_distance_profile(row, z, ts) for row in X])
-    dy = np.stack([_distance_profile(row, z, ts) for row in Y])
-    cx = np.stack([_count_profile(row, ts) for row in X])
-    cy = np.stack([_count_profile(row, ts) for row in Y])
-    i_x = dx.argmin(axis=0)
-    i_y = dy.argmin(axis=0)
-    cols = np.arange(ts.size)
-    T = dx[i_x, cols] - dy[i_y, cols]
-    S2 = cx[i_x, cols] + cy[i_y, cols]
-    return T, S2, i_x, i_y
+    # fmin skips NaN thresholds, which exceed no value and so need no rank.
+    return _scan(X, Y, z, np.fmin.reduce(ts, initial=np.inf), ts)[1:]
 
 
 @dataclass(frozen=True)
@@ -249,19 +291,6 @@ class ThresholdDecision:
     trace: ThresholdTrace = field(repr=False)
 
 
-def _scan_grid(X: np.ndarray, Y: np.ndarray, z: np.ndarray, t0: float) -> np.ndarray:
-    """t0 followed by midpoints between consecutive distinct pooled values >= t0."""
-    pooled = np.unique(np.concatenate([X.ravel(), Y.ravel(), z]))
-    upper = pooled[pooled >= t0]
-    if upper.size < 2:
-        return np.array([t0])
-    return np.concatenate(([t0], 0.5 * (upper[:-1] + upper[1:])))
-
-
-def _default_t0(X: np.ndarray, Y: np.ndarray) -> float:
-    return float(np.median(np.concatenate([X.ravel(), Y.ravel()])))
-
-
 def _first_firing(T: np.ndarray, S2: np.ndarray, z_p: float) -> int | None:
     fires = (S2 > 0) & (np.abs(T) > z_p * np.sqrt(S2))
     if not fires.any():
@@ -287,13 +316,12 @@ def select_threshold(
     """
     X, Y, z = _check_inputs(train_x, train_y, z)
     if t0 is None:
-        t0 = _default_t0(X, Y)
+        t0 = np.median(np.concatenate([X.ravel(), Y.ravel()]))
     t0 = float(t0)
     if not math.isfinite(t0):
         raise ParameterError(f"t0 must be finite, got {t0!r}")
     z_p = zp_value(rule, z.size, xi_or_c)
-    ts = _scan_grid(X, Y, z, t0)
-    T, S2, i_x, i_y = threshold_scan(X, Y, z, ts)
+    ts, T, S2, i_x, i_y = _scan(X, Y, z, t0)
     hit = _first_firing(T, S2, z_p)
     if hit is None:
         theta, defaulted, index = t0, True, 0

@@ -42,12 +42,11 @@ from .classifier import (
     MethodSpec,
     RobustMethod,
     StandardNNMethod,
-    _default_t0,
     _first_firing,
-    _scan_grid,
     classify_nn_standard,
     evaluate_method,
     method_id,
+    select_threshold,
     threshold_scan,
     zp_value,
 )
@@ -403,6 +402,21 @@ def _curve_trials(scenario: Scenario, trials: int, base_seed: int) -> Iterable[G
         yield generate(scenario, z_from, rng)
 
 
+def _success_curve(xs, x_name, trials, correct, nn_correct, defaulted_fractions=None):
+    rates = correct / trials
+    nn_rate = nn_correct / trials
+    return SuccessCurve(
+        xs=xs,
+        rates=rates,
+        ses=np.sqrt(rates * (1.0 - rates) / trials),
+        defaulted_fractions=defaulted_fractions,
+        nn_rate=nn_rate,
+        nn_se=math.sqrt(nn_rate * (1.0 - nn_rate) / trials),
+        trials=trials,
+        x_name=x_name,
+    )
+
+
 def success_vs_threshold(
     scenario: Scenario,
     t_grid: Sequence[float],
@@ -427,18 +441,7 @@ def success_vs_threshold(
         labels = np.where(T <= 0, "X", "Y")
         correct += labels == data.z_label
         nn_correct += classify_nn_standard(data.x_samples, data.y_samples, data.z) == data.z_label
-    rates = correct / trials
-    nn_rate = nn_correct / trials
-    return SuccessCurve(
-        xs=props,
-        rates=rates,
-        ses=np.sqrt(rates * (1.0 - rates) / trials),
-        defaulted_fractions=None,
-        nn_rate=nn_rate,
-        nn_se=math.sqrt(nn_rate * (1.0 - nn_rate) / trials),
-        trials=trials,
-        x_name="t_over_shift",
-    )
+    return _success_curve(props, "t_over_shift", trials, correct, nn_correct)
 
 
 def success_vs_c(
@@ -464,29 +467,16 @@ def success_vs_c(
     nn_correct = 0
     for data in _curve_trials(scenario, trials, base_seed):
         X, Y, z = data.x_samples, data.y_samples, data.z
-        start = _default_t0(X, Y) if t0 is None else float(t0)
-        ts = _scan_grid(X, Y, z, start)
-        T, S2, _, _ = threshold_scan(X, Y, z, ts)
+        trace = select_threshold(X, Y, z, rule=rule, xi_or_c=cs[0], t0=t0).trace
         for ci, z_p in enumerate(z_ps):
-            hit = _first_firing(T, S2, z_p)
+            hit = _first_firing(trace.T, trace.S2, z_p)
             if hit is None:
                 defaulted[ci] += 1
                 hit = 0
-            label = "X" if T[hit] <= 0 else "Y"
+            label = "X" if trace.T[hit] <= 0 else "Y"
             correct[ci] += label == data.z_label
         nn_correct += classify_nn_standard(X, Y, z) == data.z_label
-    rates = correct / trials
-    nn_rate = nn_correct / trials
-    return SuccessCurve(
-        xs=cs,
-        rates=rates,
-        ses=np.sqrt(rates * (1.0 - rates) / trials),
-        defaulted_fractions=defaulted / trials,
-        nn_rate=nn_rate,
-        nn_se=math.sqrt(nn_rate * (1.0 - nn_rate) / trials),
-        trials=trials,
-        x_name="c",
-    )
+    return _success_curve(cs, "c", trials, correct, nn_correct, defaulted / trials)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,15 @@ as non-errors.  CV is piecewise constant in t; ``select_threshold_cv``
 evaluates it on a grid covering every constancy interval and reports the
 infimum of the minimizers.
 
+The curve comes from one pooled ``np.unique``: each grid point is a cut in
+the rank order, and the values ranked below it are zeroed.  Component k of
+a pair a, b adds (a_k - b_k)^2 until the smaller value is zeroed, then
+max(a_k, b_k)^2 until the larger is, so the pair's distance at every cut is
+its full distance minus two step profiles (``bincount`` of the change ranks
+weighted by the weight lost there, then ``cumsum``).  Each unordered pair is
+folded once into per-row minima over its own class and over the other, so
+memory is O((m + n) * grid).
+
 ``apriori_success_rate`` predicts the balanced success probability of the
 fixed-threshold indicator classifier when m = n = 1 with independent
 components.  Each component contributes an independent term
@@ -30,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from .classifier import _midpoints, _pooled_ranks, _require_finite, _step_profiles
 from .classifier import compute_T_S, truncate_values
 from .datagen import Independent, Scenario, generate, shift_amount, shift_count
 from .errors import ParameterError, SampleSizeError, ShapeError, UnsupportedSettingError
@@ -45,7 +55,6 @@ __all__ = [
     "apriori_optimal_threshold",
 ]
 
-_CHUNK = 4096
 _TIE_GUARD = 1e-9
 
 
@@ -61,6 +70,7 @@ def _check_cv_inputs(samples_x, samples_y) -> tuple[np.ndarray, np.ndarray]:
     Y = _as_rows(samples_y, "samples_y")
     if X.shape[1] != Y.shape[1]:
         raise ShapeError("samples_x and samples_y must have the same number of components")
+    _require_finite(samples_x=X, samples_y=Y)
     if X.shape[0] < 2 or Y.shape[0] < 2:
         raise SampleSizeError(
             "cross-validation needs at least 2 samples per population, got "
@@ -97,83 +107,50 @@ class CvCurve:
         return [(float(t), float(v)) for t, v in zip(self.ts, self.values)]
 
 
-def _cv_grid(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # One representative t per constancy interval: -inf (no truncation),
-    # midpoints between consecutive distinct pooled values, and the top value
-    # (everything zeroed).
-    pooled = np.unique(np.concatenate([X.ravel(), Y.ravel()]))
-    if pooled.size == 1:
-        return np.array([-np.inf, pooled[0]])
-    return np.concatenate(([-np.inf], 0.5 * (pooled[:-1] + pooled[1:]), [pooled[-1]]))
+def _pair_distances(a, b, rank_a, rank_b, top: int) -> np.ndarray:
+    """Squared distance between zeroed-below-t copies of a and b at cuts 1..top."""
+    lo_rank, hi_rank = np.minimum(rank_a, rank_b), np.maximum(rank_a, rank_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = (a - b) ** 2
+        at_hi = np.maximum(a, b) ** 2  # weight lost as the cut passes the larger value
+        at_lo = full - at_hi  # weight lost as it passes the smaller one
+        lost = _step_profiles(np.stack([lo_rank, hi_rank]), 1, top, np.concatenate([at_lo, at_hi]))
+        d = float(full.sum()) - lost[0] - lost[1]
+        # Overflowed squares leave inf - inf above; sum what is left at those
+        # cuts directly, as cv_error does.  Column j is cut j + 1.
+        for j in np.flatnonzero(~np.isfinite(d)):
+            d[j] = np.where(lo_rank > j, full, np.where(hi_rank > j, at_hi, 0.0)).sum()
+    return d
 
 
-def _pair_profile(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Squared distance between zeroed-below-t copies of a and b, over all ts.
-
-    The component contribution is (a_k - b_k)^2 below min(a_k, b_k), then
-    max(a_k, b_k)^2 once the smaller is zeroed, then 0 once both are zeroed;
-    sorting the two change points with their weight changes turns the whole
-    profile into two prefix-sum lookups.
-    """
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    full = (a - b) ** 2
-    at_lo = full - hi**2  # weight lost when t reaches lo_k
-    at_hi = hi**2  # weight lost when t reaches hi_k
-    order_lo = np.argsort(lo, kind="stable")
-    order_hi = np.argsort(hi, kind="stable")
-    lo_sorted = lo[order_lo]
-    hi_sorted = hi[order_hi]
-    lo_cum = np.concatenate(([0.0], np.cumsum(at_lo[order_lo])))
-    hi_cum = np.concatenate(([0.0], np.cumsum(at_hi[order_hi])))
-    base = float(full.sum())
-    return (
-        base
-        - lo_cum[np.searchsorted(lo_sorted, ts, side="right")]
-        - hi_cum[np.searchsorted(hi_sorted, ts, side="right")]
-    )
+def _error_rate(same: np.ndarray, other: np.ndarray) -> np.ndarray:
+    # Each pair sums its own weights in its own rank order, so distances that
+    # tie in real arithmetic can differ by an ulp; without a guard the strict
+    # > would count such ties as errors.  Gaps below the guard do not
+    # otherwise occur: integer data has gaps >= 1 and continuous draws never
+    # land this close.  One row at a time keeps temporaries one grid long.
+    return sum(s > o + _TIE_GUARD * (1.0 + o) for s, o in zip(same, other)) / len(same)
 
 
 def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     """Evaluate CV on its full breakpoint grid and take the smallest minimizer."""
     X, Y = _check_cv_inputs(samples_x, samples_y)
-    m, n = X.shape[0], Y.shape[0]
-    ts = _cv_grid(X, Y)
-    values = np.empty(ts.size)
-    for start in range(0, ts.size, _CHUNK):
-        chunk = ts[start : start + _CHUNK]
-        dxx = np.stack(
-            [
-                np.stack([_pair_profile(X[i], X[j], chunk) for j in range(m)])
-                for i in range(m)
-            ]
-        )
-        dyy = np.stack(
-            [
-                np.stack([_pair_profile(Y[i], Y[j], chunk) for j in range(n)])
-                for i in range(n)
-            ]
-        )
-        dxy = np.stack(
-            [
-                np.stack([_pair_profile(X[i], Y[j], chunk) for j in range(n)])
-                for i in range(m)
-            ]
-        )
-        idx = np.arange(m)
-        dxx[idx, idx, :] = np.inf
-        idy = np.arange(n)
-        dyy[idy, idy, :] = np.inf
-        # The profile trick accumulates each pair's contributions in its own
-        # sorted order, so distances that tie in real arithmetic can differ
-        # by an ulp here; without a guard the strict > would count such ties
-        # as errors.  Gaps below the guard do not otherwise occur: integer
-        # data has gaps >= 1 and continuous draws never land this close.
-        near_x = dxy.min(axis=1)
-        near_y = dxy.min(axis=0)
-        err_x = (dxx.min(axis=1) > near_x + _TIE_GUARD * (1.0 + near_x)).mean(axis=0)
-        err_y = (dyy.min(axis=0) > near_y + _TIE_GUARD * (1.0 + near_y)).mean(axis=0)
-        values[start : start + _CHUNK] = err_x + err_y
+    m = X.shape[0]
+    rows = np.concatenate([X, Y])
+    pooled, ranks = _pooled_ranks(rows)
+    # One t per constancy interval: -inf (no truncation), the midpoints
+    # between consecutive distinct values, and the top value (all zeroed).
+    ts = np.concatenate(([-np.inf], _midpoints(pooled), pooled[-1:]))
+    # Nearest distance at every cut to a row of the same class and of the other.
+    same = np.full((len(rows), pooled.size + 1), np.inf)
+    other = same.copy()
+    for i, j in zip(*np.triu_indices(len(rows), 1)):
+        near = same if (i < m) == (j < m) else other
+        d = _pair_distances(rows[i], rows[j], ranks[i], ranks[j], pooled.size + 1)
+        for k in (i, j):
+            np.minimum(near[k], d, out=near[k])
+    errors = _error_rate(same[:m], other[:m]) + _error_rate(same[m:], other[m:])
+    values = errors[np.searchsorted(pooled, ts, side="right")]  # column c - 1 holds cut c
     best = values.min()
     minimizers = ts[values == best]
     return CvCurve(ts=ts, values=values, minimizers=minimizers, theta_cv=float(minimizers[0]))

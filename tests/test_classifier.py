@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robustnn import (
     ExtremaMethod,
@@ -24,7 +27,6 @@ from robustnn import (
     classify_robust,
     compute_T_S,
     evaluate_method,
-    indicator_transform,
     select_threshold,
     threshold_scan,
     truncate_values,
@@ -72,12 +74,6 @@ def random_instance(rng):
     Y = rng.integers(0, 6, (n, p)).astype(float)
     z = rng.integers(0, 6, p).astype(float)
     return X, Y, z
-
-
-def test_indicator_transform():
-    out = indicator_transform([0.5, 1.2, 1.2000001, 3.0], 1.2)
-    assert out.bits.tolist() == [0, 0, 1, 1]  # strict exceedance
-    assert out.threshold_used == 1.2
 
 
 def test_truncate_values():
@@ -136,6 +132,84 @@ def test_threshold_scan_matches_pointwise():
             assert (T[k], S2[k], i_x[k], i_y[k]) == (
                 stats.T, stats.S2, stats.i_x, stats.i_y
             )
+
+
+@st.composite
+def tied_instances(draw):
+    """Small integer data with heavy ties, and thresholds that hit the data."""
+    m, n, p = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    values = st.integers(-2, 2).map(float)
+    X = draw(arrays(float, (m, p), elements=values))
+    Y = draw(arrays(float, (n, p), elements=values))
+    z = draw(arrays(float, p, elements=values))
+    pooled = sorted(set(np.concatenate([X.ravel(), Y.ravel(), z]).tolist()))
+    t = st.one_of(
+        st.sampled_from(pooled + [-math.inf, math.inf]),
+        st.floats(-3.0, 3.0, allow_nan=False),
+    )
+    ts = np.array(draw(st.lists(t, min_size=1, max_size=8)))
+    return X, Y, z, ts
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_instances())
+def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance):
+    X, Y, z, ts = instance
+    T, S2, i_x, i_y = threshold_scan(X, Y, z, ts)
+    for k, t in enumerate(ts):
+        stats = compute_T_S(X, Y, z, t)
+        assert (T[k], S2[k], i_x[k], i_y[k]) == (stats.T, stats.S2, stats.i_x, stats.i_y)
+
+
+def test_scan_grid_finite_near_float_max():
+    # 0.5 * (a + b) overflows for neighbors this large; the grid must not.
+    big = np.finfo(float).max
+    X = np.array([[0.90 * big, 1.0, -0.98 * big]])
+    Y = np.array([[0.97 * big, 3.0, -0.93 * big]])
+    z = np.array([0.96 * big, 1.5, -0.99 * big])
+    decision = select_threshold(X, Y, z, t0=-big)
+    ts = decision.trace.ts
+    assert ts.size == 9
+    assert np.isfinite(ts).all() and (np.diff(ts) > 0).all()
+    for k, t in enumerate(ts):
+        assert decision.trace[k] == compute_T_S(X, Y, z, t)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X, Y, z: compute_T_S(X, Y, z, 0.5),
+        lambda X, Y, z: threshold_scan(X, Y, z, [0.5]),
+        lambda X, Y, z: select_threshold(X, Y, z),
+        lambda X, Y, z: classify_robust(X, Y, z),
+        lambda X, Y, z: classify_nn_standard(X, Y, z),
+        lambda X, Y, z: classify_nn_truncated(X, Y, z, 0.5),
+        lambda X, Y, z: classify_extrema(X, Y, z),
+    ],
+    ids=[
+        "compute_T_S",
+        "threshold_scan",
+        "select_threshold",
+        "classify_robust",
+        "classify_nn_standard",
+        "classify_nn_truncated",
+        "classify_extrema",
+    ],
+)
+def test_non_finite_inputs_are_rejected_with_their_position(call):
+    X = np.zeros((2, 3))
+    Y = np.ones((2, 3))
+    z = np.full(3, 0.5)
+    bad_x, bad_y, bad_z = X.copy(), Y.copy(), z.copy()
+    bad_x[1, 2] = np.nan
+    bad_y[0, 1] = -np.inf
+    bad_z[2] = np.inf
+    with pytest.raises(ParameterError, match=r"train_x .* value nan at row 1, column 2"):
+        call(bad_x, Y, z)
+    with pytest.raises(ParameterError, match=r"train_y .* value -inf at row 0, column 1"):
+        call(X, bad_y, z)
+    with pytest.raises(ParameterError, match=r"z has a non-finite value inf at component 2"):
+        call(X, Y, bad_z)
 
 
 def test_zp_value_closed_forms():

@@ -1,7 +1,13 @@
 """Cross-validation threshold selection and the a priori success analysis."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robustnn import (
     Independent,
@@ -130,6 +136,71 @@ def test_select_threshold_cv_random_against_enumeration():
     curve = select_threshold_cv(X, Y)
     want = np.array([enum_cv(t, X, Y) for t in curve.ts])
     np.testing.assert_array_equal(curve.values, want)
+
+
+@st.composite
+def tied_samples(draw):
+    """Two small integer samples with heavy ties."""
+    m, n, p = draw(st.integers(2, 5)), draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    values = st.integers(-2, 2).map(float)
+    X = draw(arrays(float, (m, p), elements=values))
+    return X, draw(arrays(float, (n, p), elements=values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_samples())
+def test_select_threshold_cv_matches_enumeration_with_ties(samples):
+    # Tied change points share one bin and are summed before the prefix
+    # sum; the curve must still equal the enumeration at every grid point.
+    X, Y = samples
+    curve = select_threshold_cv(X, Y)
+    want = np.array([enum_cv(t, X, Y) for t in curve.ts])
+    np.testing.assert_array_equal(curve.values, want)
+
+
+def test_cv_grid_finite_near_float_max():
+    # 0.5 * (a + b) overflows for neighbors this large, and so do the
+    # squared distances between them.
+    big = np.finfo(float).max
+    X = np.array([[0.90 * big, 1.0], [-0.97 * big, 2.0], [0.5, 0.5]])
+    Y = np.array([[0.95 * big, -1.0], [-0.99 * big, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = select_threshold_cv(X, Y)
+    assert curve.ts[0] == -np.inf
+    assert np.isfinite(curve.ts[1:]).all() and (np.diff(curve.ts) > 0).all()
+    with np.errstate(over="ignore"):
+        want = np.array([enum_cv(t, X, Y) for t in curve.ts])
+    assert want.max() > 0
+    np.testing.assert_array_equal(curve.values, want)
+
+
+def test_select_threshold_cv_memory_grows_with_rows_not_pairs():
+    rng = np.random.default_rng(36)
+    X = rng.normal(0, 1, (10, 500))
+    Y = rng.normal(0.5, 1, (10, 500))
+    tracemalloc.start()
+    try:
+        curve = select_threshold_cv(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_by_grid = (X.shape[0] + Y.shape[0]) * curve.ts.size * 8
+    assert peak < 4 * rows_by_grid
+
+
+@pytest.mark.parametrize("call", [lambda X, Y: cv_error(0.0, X, Y), select_threshold_cv],
+                         ids=["cv_error", "select_threshold_cv"])
+def test_cv_non_finite_inputs_are_rejected_with_their_position(call):
+    X = np.zeros((2, 3))
+    Y = np.ones((2, 3))
+    bad_x, bad_y = X.copy(), Y.copy()
+    bad_x[1, 0] = np.nan
+    bad_y[0, 2] = np.inf
+    with pytest.raises(ParameterError, match=r"samples_x .* value nan at row 1, column 0"):
+        call(bad_x, Y)
+    with pytest.raises(ParameterError, match=r"samples_y .* value inf at row 0, column 2"):
+        call(X, bad_y)
 
 
 def test_apriori_above_support_is_half():
