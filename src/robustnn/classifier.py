@@ -367,17 +367,9 @@ def truncate_values(v: np.ndarray, t: float) -> np.ndarray:
     return np.where(v > t, v, 0.0)
 
 
-def classify_nn_truncated(
-    train_x, train_y, z, t: float, mode: str = "zeroed_values"
-) -> Label:
-    """Nearest neighbor after zeroing components at or below t.
-
-    The two documented modes ("zeroed_values", "truncated_standard") describe
-    the same rule, since zeroing is applied identically to training and test
-    vectors; both names dispatch to this single implementation.
-    """
-    if mode not in ("zeroed_values", "truncated_standard"):
-        raise ParameterError(f"unknown truncation mode {mode!r}")
+def classify_nn_truncated(train_x, train_y, z, t: float) -> Label:
+    """Nearest neighbor after zeroing components at or below t, in the
+    training and the test vectors alike."""
     X, Y, z = _check_inputs(train_x, train_y, z)
     return classify_nn_standard(truncate_values(X, t), truncate_values(Y, t), truncate_values(z, t))
 
@@ -411,7 +403,6 @@ class StandardNNMethod:
 @dataclass(frozen=True)
 class TruncatedNNMethod:
     t: float
-    mode: str = "zeroed_values"
     name: str | None = None
 
     default_name: ClassVar[str] = "nn_trunc"
@@ -462,9 +453,7 @@ def evaluate_method(train_x, train_y, z, method: MethodSpec) -> MethodOutcome:
     if isinstance(method, StandardNNMethod):
         return MethodOutcome(label=classify_nn_standard(train_x, train_y, z))
     if isinstance(method, TruncatedNNMethod):
-        return MethodOutcome(
-            label=classify_nn_truncated(train_x, train_y, z, method.t, mode=method.mode)
-        )
+        return MethodOutcome(label=classify_nn_truncated(train_x, train_y, z, method.t))
     if isinstance(method, FixedThresholdMethod):
         stats = compute_T_S(train_x, train_y, z, method.t)
         return MethodOutcome(label="X" if stats.T <= 0 else "Y")

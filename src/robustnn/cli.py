@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from configparser import ConfigParser
 from pathlib import Path
 
 import numpy as np
@@ -142,21 +143,16 @@ def _add_method_flags(sub) -> None:
     sub.add_argument("--t", type=float, default=None, help="threshold for nn_trunc/fixed_threshold")
 
 
-def _load_scenario(args) -> Scenario:
+def _load_scenario(args) -> tuple[ConfigParser | None, Scenario]:
+    """The parsed config file (None without --config) and its scenario."""
     parser = load_config(args.config) if args.config else None
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
-    return scenario_from_config(parser, **overrides)
+    seed = None if args.seed is None else str(args.seed)
+    return parser, scenario_from_config(parser, seed=seed)
 
 
-def _study_value(args, section: str, key: str, cast):
-    parser = load_config(args.config) if args.config else None
-    return cast(get_setting(parser, section, key))
-
-
-def _base_seed(args, scenario: Scenario) -> int:
-    return args.seed if args.seed is not None else scenario.seed
+def _trials(args, parser: ConfigParser | None, section: str) -> int:
+    """--trials, else the section's trials setting."""
+    return args.trials if args.trials is not None else int(get_setting(parser, section, "trials"))
 
 
 def _cmd_classify(args, argv) -> int:
@@ -233,7 +229,7 @@ def _cmd_loo(args, argv) -> int:
 
 
 def _cmd_gen(args, argv) -> int:
-    scenario = _load_scenario(args)
+    _, scenario = _load_scenario(args)
     data = generate(scenario, args.z_from)
     save_dataset(dataset_from_generated(data), args.out)
     config = {"scenario": _scenario_dict(scenario), "z_from": args.z_from}
@@ -246,15 +242,13 @@ def _cmd_gen(args, argv) -> int:
 
 
 def _cmd_sweep(args, argv) -> int:
-    scenario = _load_scenario(args)
-    parser = load_config(args.config) if args.config else None
-    beta_grid = parse_number_list(_study_value(args, "sweep", "beta_grid", str))
-    r_grid = parse_number_list(_study_value(args, "sweep", "r_grid", str))
-    trials = args.trials if args.trials is not None else _study_value(args, "sweep", "trials", int)
+    parser, scenario = _load_scenario(args)
+    beta_grid = parse_number_list(get_setting(parser, "sweep", "beta_grid"))
+    r_grid = parse_number_list(get_setting(parser, "sweep", "r_grid"))
+    trials = _trials(args, parser, "sweep")
     methods = methods_from_config(parser)
-    base_seed = _base_seed(args, scenario)
     grid = sweep_beta_r(
-        beta_grid, r_grid, scenario, methods, trials, base_seed, workers=args.workers
+        beta_grid, r_grid, scenario, methods, trials, scenario.seed, workers=args.workers
     )
     out = Path(args.out)
     dominance_path = out.with_name(out.stem + "_dominance" + out.suffix)
@@ -271,22 +265,17 @@ def _cmd_sweep(args, argv) -> int:
         f"swept {len(grid.beta_axis)}x{len(grid.r_axis)} cells "
         f"({len(grid.skipped)} skipped), {trials} trials each -> {out}"
     )
-    _write_manifest(out, "sweep", argv, config, base_seed, [out, dominance_path])
+    _write_manifest(out, "sweep", argv, config, scenario.seed, [out, dominance_path])
     return 0
 
 
 def _cmd_threshold_dist(args, argv) -> int:
-    scenario = _load_scenario(args)
-    trials = (
-        args.trials
-        if args.trials is not None
-        else _study_value(args, "threshold_dist", "trials", int)
-    )
-    c_value = args.c if args.c is not None else _study_value(args, "threshold_dist", "c", float)
-    bins = _study_value(args, "threshold_dist", "bins", int)
-    base_seed = _base_seed(args, scenario)
+    parser, scenario = _load_scenario(args)
+    trials = _trials(args, parser, "threshold_dist")
+    c_value = args.c if args.c is not None else float(get_setting(parser, "threshold_dist", "c"))
+    bins = int(get_setting(parser, "threshold_dist", "bins"))
     dist = threshold_distribution(
-        scenario, trials, c_value, base_seed, bins=bins, workers=args.workers
+        scenario, trials, c_value, scenario.seed, bins=bins, workers=args.workers
     )
     write_histogram_csv(args.out, dist)
     config = {
@@ -301,20 +290,19 @@ def _cmd_threshold_dist(args, argv) -> int:
         f"threshold histogram -> {args.out} "
         f"(defaulted fraction {dist.defaulted_fraction!r}, shift {dist.shift!r})"
     )
-    _write_manifest(args.out, "threshold-dist", argv, config, base_seed, [args.out])
+    _write_manifest(args.out, "threshold-dist", argv, config, scenario.seed, [args.out])
     return 0
 
 
 def _cmd_curves(args, argv) -> int:
-    scenario = _load_scenario(args)
-    trials = args.trials if args.trials is not None else _study_value(args, "curves", "trials", int)
-    base_seed = _base_seed(args, scenario)
+    parser, scenario = _load_scenario(args)
+    trials = _trials(args, parser, "curves")
     if args.kind == "threshold":
-        grid = parse_number_list(_study_value(args, "curves", "t_grid", str))
-        curve = success_vs_threshold(scenario, grid, trials, base_seed)
+        grid = parse_number_list(get_setting(parser, "curves", "t_grid"))
+        curve = success_vs_threshold(scenario, grid, trials, scenario.seed)
     else:
-        grid = parse_number_list(_study_value(args, "curves", "c_grid", str))
-        curve = success_vs_c(scenario, grid, trials, base_seed)
+        grid = parse_number_list(get_setting(parser, "curves", "c_grid"))
+        curve = success_vs_c(scenario, grid, trials, scenario.seed)
     write_curve_csv(args.out, curve.xs, curve.rates, x_name=curve.x_name)
     out = Path(args.out)
     details_path = out.with_suffix("").as_posix() + ".json"
@@ -339,20 +327,17 @@ def _cmd_curves(args, argv) -> int:
         f"{args.kind} curve over {curve.xs.size} points -> {args.out} "
         f"(best {curve.x_name} = {best!r}, nn reference {curve.nn_rate!r})"
     )
-    _write_manifest(out, "curves", argv, payload, base_seed, [out, details_path])
+    _write_manifest(out, "curves", argv, payload, scenario.seed, [out, details_path])
     return 0
 
 
 def _cmd_apriori(args, argv) -> int:
-    scenario = _load_scenario(args)
-    grid = parse_number_list(_study_value(args, "apriori", "t_grid", str))
-    method = _study_value(args, "apriori", "method", str).strip()
-    trials = (
-        args.trials if args.trials is not None else _study_value(args, "apriori", "trials", int)
-    )
-    base_seed = _base_seed(args, scenario)
+    parser, scenario = _load_scenario(args)
+    grid = parse_number_list(get_setting(parser, "apriori", "t_grid"))
+    method = get_setting(parser, "apriori", "method").strip()
+    trials = _trials(args, parser, "apriori")
     curve = apriori_optimal_threshold(
-        scenario, grid, method, trials=trials, base_seed=base_seed
+        scenario, grid, method, trials=trials, base_seed=scenario.seed
     )
     write_curve_csv(args.out, curve.ts, curve.values, x_name="t")
     best = float(curve.values.max())
@@ -364,21 +349,17 @@ def _cmd_apriori(args, argv) -> int:
         "trials": trials,
     }
     print(f"t_star = {curve.t_star!r} with predicted success {best!r} -> {args.out}")
-    _write_manifest(args.out, "apriori", argv, config, base_seed, [args.out])
+    _write_manifest(args.out, "apriori", argv, config, scenario.seed, [args.out])
     return 0
 
 
 def _cmd_sample_size(args, argv) -> int:
-    scenario = _load_scenario(args)
-    parser = load_config(args.config) if args.config else None
-    pairs = parse_mn_pairs(_study_value(args, "sample_size", "pairs", str))
-    trials = (
-        args.trials if args.trials is not None else _study_value(args, "sample_size", "trials", int)
-    )
+    parser, scenario = _load_scenario(args)
+    pairs = parse_mn_pairs(get_setting(parser, "sample_size", "pairs"))
+    trials = _trials(args, parser, "sample_size")
     methods = methods_from_config(parser)
-    base_seed = _base_seed(args, scenario)
     rows = sample_size_study(
-        scenario, pairs, trials, base_seed, methods=methods, workers=args.workers
+        scenario, pairs, trials, scenario.seed, methods=methods, workers=args.workers
     )
     write_sample_size_csv(args.out, rows)
     config = {
@@ -388,7 +369,7 @@ def _cmd_sample_size(args, argv) -> int:
         "trials": trials,
     }
     print(f"{len(rows)} (m, n, method) rows -> {args.out}")
-    _write_manifest(args.out, "sample-size", argv, config, base_seed, [args.out])
+    _write_manifest(args.out, "sample-size", argv, config, scenario.seed, [args.out])
     return 0
 
 

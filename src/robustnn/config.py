@@ -22,7 +22,6 @@ shows is optional in user files and defaults to the value shown.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from typing import Sequence
 
@@ -304,15 +303,12 @@ def load_config(path) -> configparser.ConfigParser:
     return parser
 
 
-def _defaults_parser() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read_file(io.StringIO(_DEFAULT_CONFIG_TEMPLATE))
-    return parser
+_DEFAULTS = configparser.ConfigParser(inline_comment_prefixes=("#",))
+_DEFAULTS.read_string(_DEFAULT_CONFIG_TEMPLATE)
 
 
 def _section(parser: configparser.ConfigParser | None, name: str) -> dict[str, str]:
-    defaults = _defaults_parser()
-    merged = dict(defaults[name]) if defaults.has_section(name) else {}
+    merged = dict(_DEFAULTS[name]) if _DEFAULTS.has_section(name) else {}
     if parser is not None and parser.has_section(name):
         for key, value in parser[name].items():
             merged[key] = value

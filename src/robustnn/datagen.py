@@ -63,6 +63,7 @@ __all__ = [
     "shift_count",
     "place_shifts",
     "shift_amount",
+    "checked_shift_amount",
     "innovations_needed",
     "apply_dependence",
     "generate",
@@ -376,6 +377,20 @@ def shift_amount(scenario: Scenario) -> float:
     return float(np.quantile(values, 1.0 - q))
 
 
+def checked_shift_amount(scenario: Scenario) -> float:
+    """The calibrated shift amount, or DegenerateScenarioError when the
+    scenario has no contrast: a non-positive shift, or a shift count outside
+    [1, p - 1]."""
+    amount = shift_amount(scenario)
+    if amount <= 0:
+        raise DegenerateScenarioError(
+            f"calibrated shift amount {amount!r} is not positive; "
+            "this (p, r, marginal) combination carries no upward signal"
+        )
+    shift_count(scenario.p, scenario.beta)
+    return amount
+
+
 def innovations_needed(model: DependenceModel, p: int) -> int:
     """Length of the innovation sequence consumed for p components."""
     if isinstance(model, MovingAverage):
@@ -481,12 +496,7 @@ def generate(
         raise ParameterError(f"z_from must be 'X' or 'Y', got {z_from!r}")
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
-    amount = shift_amount(scenario)
-    if amount <= 0:
-        raise DegenerateScenarioError(
-            f"calibrated shift amount {amount!r} is not positive; "
-            "this (p, r, marginal) combination carries no upward signal"
-        )
+    amount = checked_shift_amount(scenario)
     indices = place_shifts(
         scenario.p,
         scenario.beta,

@@ -2,7 +2,8 @@
 
 File format: UTF-8 CSV whose header starts with ``label`` followed by the
 feature ids; each subsequent row is a class label and p numeric cells
-(scientific notation accepted).  Exactly two distinct labels must appear.
+(scientific notation accepted, NaN and infinities rejected).  Exactly two
+distinct labels must appear.
 The lexicographically smaller label plays the X role in every classifier
 so that tie rules and confusion counts are deterministic.
 """
@@ -97,6 +98,7 @@ def load_dataset(path) -> Dataset:
             raise DatasetError(f"{path}, line 1: no feature columns")
         rows: list[list[float]] = []
         labels: list[str] = []
+        lines: list[int] = []
         for row in reader:
             line = reader.line_num
             if not row:
@@ -106,6 +108,7 @@ def load_dataset(path) -> Dataset:
                     f"{path}, line {line}: expected {len(header)} cells, got {len(row)}"
                 )
             labels.append(row[0])
+            lines.append(line)
             try:
                 rows.append([float(cell) for cell in row[1:]])
             except ValueError as exc:
@@ -116,7 +119,15 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(
             f"{path}: need exactly two distinct labels, got {sorted(set(labels))}"
         )
-    return Dataset(feature_ids=feature_ids, samples=np.array(rows), labels=tuple(labels))
+    samples = np.array(rows)
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
+        row, col = bad[0]
+        raise DatasetError(
+            f"{path}, line {lines[row]}: feature {feature_ids[col]!r} is "
+            f"{float(samples[row, col])!r}, not a finite number"
+        )
+    return Dataset(feature_ids=feature_ids, samples=samples, labels=tuple(labels))
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -1,13 +1,18 @@
 """Monte Carlo experiment engine: paired trials, sweeps, and curves.
 
 Every trial draws one dataset and shows it to every configured method, so
-method comparisons are paired.  Trial seeds derive deterministically from
-the base seed, the cell index, and the trial index (see ``seeds``), which
-makes runs reproducible bit-for-bit and independent of execution order;
-parallel and serial runs produce identical results.  Test-vector labels
-alternate X, Y, X, Y, ... so success rates are balanced averages of the two
-conditional accuracies, and the reported standard error is the binomial
-sqrt(rate * (1 - rate) / trials).
+method comparisons are paired.  ``_trial_plan`` seeds trial j of every study
+with derive_seed(base_seed, *key, j) (see ``seeds``): key (cell,) for a
+study cell, (0,) for the curves, () for the a priori Monte Carlo in
+``tuning``.  Test-vector labels alternate X, Y, X, Y, ..., so success rates
+are balanced averages of the two conditional accuracies, and the reported
+standard error is the binomial sqrt(rate * (1 - rate) / trials).
+
+``_run_cells`` is the one engine for the trials of a study: it checks and
+calibrates every cell in this process first, then runs all the trials
+serially or on a single process pool, whose forked workers inherit the
+calibration.  Results are reproducible bit-for-bit and independent of
+execution order, so parallel runs equal serial ones.
 
 Provided studies:
 
@@ -24,7 +29,8 @@ Provided studies:
 * ``sample_size_study`` - success rates across (m, n) training-size pairs.
 
 Worker processes are capped by the ROBUSTNN_THREADS environment variable
-(0 means one worker per CPU); the default is serial execution.
+(0 means one worker per CPU); the default is serial execution.  The curves
+always run serially.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +56,8 @@ from .classifier import (
     threshold_scan,
     zp_value,
 )
-from .datagen import DegenerateScenarioError, GeneratedData, Scenario, generate, shift_amount
+from .datagen import DegenerateScenarioError, GeneratedData, Scenario, checked_shift_amount
+from .datagen import generate, shift_amount
 from .errors import ConfigurationError, ParameterError
 from .seeds import derive_seed
 
@@ -109,6 +116,19 @@ class TrialResult:
     seed: int
 
 
+def _trial_plan(trials: int, base_seed: int, key: tuple[int, ...]) -> list[tuple[int, str]]:
+    """Seed and test-vector label of every trial: derive_seed(base_seed, *key, j), X on even j."""
+    return [(derive_seed(base_seed, *key, j), "X" if j % 2 == 0 else "Y") for j in range(trials)]
+
+
+def _draw(scenario: Scenario, seed: int, z_from: str | None) -> GeneratedData:
+    """The dataset of one trial; a None label is a fair coin from the trial's stream."""
+    rng = np.random.default_rng(seed)
+    if z_from is None:
+        z_from = "X" if rng.random() < 0.5 else "Y"
+    return generate(scenario, z_from, rng)
+
+
 def run_trial(
     scenario: Scenario,
     methods: Sequence[MethodSpec],
@@ -121,20 +141,17 @@ def run_trial(
     the trial's own stream.  All methods see the identical dataset, and the
     seed recorded on each result regenerates it exactly.
     """
-    rng = np.random.default_rng(seed)
-    if z_from is None:
-        z_from = "X" if rng.random() < 0.5 else "Y"
-    data = generate(scenario, z_from, rng)
+    data = _draw(scenario, seed, z_from)
     results = []
     for method in methods:
         outcome = evaluate_method(data.x_samples, data.y_samples, data.z, method)
         results.append(
             TrialResult(
                 method=method_id(method),
-                correct=outcome.label == z_from,
+                correct=outcome.label == data.z_label,
                 theta=outcome.theta,
                 defaulted=outcome.defaulted,
-                z_true_label=z_from,
+                z_true_label=data.z_label,
                 seed=seed,
             )
         )
@@ -152,34 +169,35 @@ class MethodRate:
     defaulted_fraction: float | None = None
 
 
-def _trial_args(scenario, methods, trials, base_seed, cell_index):
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
-    return [
-        (scenario, methods, derive_seed(base_seed, cell_index, j), "X" if j % 2 == 0 else "Y")
-        for j in range(trials)
-    ]
-
-
-def _run_trial_star(args) -> list[TrialResult]:
-    return run_trial(*args)
-
-
-def _run_cell(
-    scenario: Scenario,
+def _run_cells(
+    cells: Sequence[tuple[Scenario, tuple[int, ...]]],
     methods: Sequence[MethodSpec],
     trials: int,
     base_seed: int,
-    cell_index: int,
     workers: int | None,
-) -> list[list[TrialResult]]:
-    args = _trial_args(scenario, methods, trials, base_seed, cell_index)
+) -> list[list[list[TrialResult]]]:
+    """Per-trial results of every (scenario, seed key) cell of one study.
+
+    A degenerate cell raises DegenerateScenarioError before any trial runs.
+    """
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
+    for scenario, _ in cells:
+        checked_shift_amount(scenario)
+    tasks = [
+        (scenario, methods, seed, z_from)
+        for scenario, key in cells
+        for seed, z_from in _trial_plan(trials, base_seed, key)
+    ]
     count = resolve_workers(workers)
-    if count <= 1 or trials < 2 * count:
-        return [run_trial(*a) for a in args]
-    chunk = max(1, trials // (count * 4))
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(_run_trial_star, args, chunksize=chunk))
+    if count <= 1 or len(tasks) < 2 * count:
+        results = [run_trial(*task) for task in tasks]
+    else:
+        # Chunks sized on one cell keep the workers' shares even to the end.
+        chunk = max(1, trials // (count * 4))
+        with ProcessPoolExecutor(max_workers=count) as pool:
+            results = list(pool.map(run_trial, *zip(*tasks), chunksize=chunk))
+    return [results[k * trials : (k + 1) * trials] for k in range(len(cells))]
 
 
 def _summarize(
@@ -214,7 +232,7 @@ def estimate_success_rate(
     workers: int | None = None,
 ) -> dict[str, MethodRate]:
     """Balanced paired success rates for every method on one scenario."""
-    per_trial = _run_cell(scenario, methods, trials, base_seed, cell_index, workers)
+    per_trial = _run_cells([(scenario, (cell_index,))], methods, trials, base_seed, workers)[0]
     return _summarize(methods, per_trial)
 
 
@@ -300,28 +318,25 @@ def sweep_beta_r(
     names = tuple(method_id(method) for method in methods)
     if len(set(names)) != len(names):
         raise ParameterError(f"method names must be distinct, got {names}")
-    cells: dict[tuple[int, int, str], MethodRate] = {}
-    dominance: dict[tuple[int, int], DominanceCell] = {}
+    live: dict[tuple[int, int], tuple[Scenario, tuple[int]]] = {}
     skipped: set[tuple[int, int]] = set()
     for bi, beta in enumerate(beta_axis):
         for ri, r in enumerate(r_axis):
-            cell_index = bi * len(r_axis) + ri
+            scenario = replace(template, beta=beta, r=r)
             try:
-                scenario = replace(template, beta=beta, r=r)
-                rates = estimate_success_rate(
-                    scenario,
-                    methods,
-                    trials_per_cell,
-                    base_seed,
-                    cell_index=cell_index,
-                    workers=workers,
-                )
+                checked_shift_amount(scenario)
             except DegenerateScenarioError:
                 skipped.add((bi, ri))
                 continue
-            for name, rate in rates.items():
-                cells[(bi, ri, name)] = rate
-            dominance[(bi, ri)] = _dominant(methods, rates)
+            live[(bi, ri)] = (scenario, (bi * len(r_axis) + ri,))
+    cells: dict[tuple[int, int, str], MethodRate] = {}
+    dominance: dict[tuple[int, int], DominanceCell] = {}
+    results = _run_cells(list(live.values()), methods, trials_per_cell, base_seed, workers)
+    for (bi, ri), per_trial in zip(live, results):
+        rates = _summarize(methods, per_trial)
+        for name, rate in rates.items():
+            cells[(bi, ri, name)] = rate
+        dominance[(bi, ri)] = _dominant(methods, rates)
     return SweepGrid(
         beta_axis=beta_axis,
         r_axis=r_axis,
@@ -360,7 +375,7 @@ def threshold_distribution(
     any exist); the defaulted fraction is reported separately.
     """
     method = RobustMethod(xi_or_c=c_value)
-    per_trial = _run_cell(scenario, [method], trials, base_seed, 0, workers)
+    per_trial = _run_cells([(scenario, (0,))], [method], trials, base_seed, workers)[0]
     shift = shift_amount(scenario)
     results = [trial[0] for trial in per_trial]
     defaulted = sum(bool(r.defaulted) for r in results) / trials
@@ -393,13 +408,6 @@ class SuccessCurve:
     nn_se: float
     trials: int
     x_name: str
-
-
-def _curve_trials(scenario: Scenario, trials: int, base_seed: int) -> Iterable[GeneratedData]:
-    for j in range(trials):
-        rng = np.random.default_rng(derive_seed(base_seed, 0, j))
-        z_from = "X" if j % 2 == 0 else "Y"
-        yield generate(scenario, z_from, rng)
 
 
 def _success_curve(xs, x_name, trials, correct, nn_correct, defaulted_fractions=None):
@@ -436,7 +444,8 @@ def success_vs_threshold(
     ts = props * shift
     correct = np.zeros(props.size, dtype=np.int64)
     nn_correct = 0
-    for data in _curve_trials(scenario, trials, base_seed):
+    for seed, z_from in _trial_plan(trials, base_seed, (0,)):
+        data = _draw(scenario, seed, z_from)
         T, _, _, _ = threshold_scan(data.x_samples, data.y_samples, data.z, ts)
         labels = np.where(T <= 0, "X", "Y")
         correct += labels == data.z_label
@@ -465,7 +474,8 @@ def success_vs_c(
     correct = np.zeros(cs.size, dtype=np.int64)
     defaulted = np.zeros(cs.size, dtype=np.int64)
     nn_correct = 0
-    for data in _curve_trials(scenario, trials, base_seed):
+    for seed, z_from in _trial_plan(trials, base_seed, (0,)):
+        data = _draw(scenario, seed, z_from)
         X, Y, z = data.x_samples, data.y_samples, data.z
         trace = select_threshold(X, Y, z, rule=rule, xi_or_c=cs[0], t0=t0).trace
         for ci, z_p in enumerate(z_ps):
@@ -503,17 +513,13 @@ def sample_size_study(
         methods = [RobustMethod(), StandardNNMethod()]
     if not mn_pairs:
         raise ParameterError("mn_pairs must be nonempty")
+    pairs = [(int(m), int(n)) for m, n in mn_pairs]
+    cells = [(replace(template, m=m, n=n), (k,)) for k, (m, n) in enumerate(pairs)]
     rows: list[SampleSizeRow] = []
-    for pair_index, (m, n) in enumerate(mn_pairs):
-        scenario = replace(template, m=int(m), n=int(n))
-        rates = estimate_success_rate(
-            scenario, methods, trials, base_seed, cell_index=pair_index, workers=workers
-        )
-        for name, rate in rates.items():
+    for (m, n), per_trial in zip(pairs, _run_cells(cells, methods, trials, base_seed, workers)):
+        for name, rate in _summarize(methods, per_trial).items():
             rows.append(
-                SampleSizeRow(
-                    m=int(m), n=int(n), method=name, rate=rate.rate, se=rate.se, trials=trials
-                )
+                SampleSizeRow(m=m, n=n, method=name, rate=rate.rate, se=rate.se, trials=trials)
             )
     return rows
 

@@ -7,9 +7,9 @@ errors on the zeroed-below-t training vectors: with v' = v * 1(v > t),
           + (1/n) sum_j 1{ min_{j1 != j} ||Y'_j1 - Y'_j|| > min_i ||X'_i - Y'_j|| },
 
 distances squared Euclidean and the comparisons strict, so exact ties count
-as non-errors.  CV is piecewise constant in t; ``select_threshold_cv``
-evaluates it on a grid covering every constancy interval and reports the
-infimum of the minimizers.
+as non-errors; so do gaps within a relative 1e-9, which are rounding.  CV
+is piecewise constant in t; ``select_threshold_cv`` evaluates it on a grid
+covering every constancy interval and reports the infimum of the minimizers.
 
 The curve comes from one pooled ``np.unique``: each grid point is a cut in
 the rank order, and the values ranked below it are zeroed.  Component k of
@@ -28,7 +28,9 @@ from the scenario's marginal and shift, so T's exact mean and variance
 follow per test-vector label and a normal approximation (with continuity
 correction) yields P(T <= 0 | X) and P(T > 0 | Y).  A Monte Carlo method
 estimates the same probability by full simulation and serves as the
-reference for the approximation.
+reference for the approximation: it runs ``FixedThresholdMethod(t)`` through
+the experiment engine (``experiments``), serially, with trial j seeded by
+derive_seed(base_seed, j).
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ import numpy as np
 from scipy.stats import norm
 
 from .classifier import _midpoints, _pooled_ranks, _require_finite, _step_profiles
-from .classifier import compute_T_S, truncate_values
-from .datagen import Independent, Scenario, generate, shift_amount, shift_count
+from .classifier import FixedThresholdMethod, truncate_values
+from .datagen import Independent, Scenario, shift_amount, shift_count
 from .errors import ParameterError, SampleSizeError, ShapeError, UnsupportedSettingError
+from .experiments import _run_cells, _summarize
 from .seeds import derive_seed
 
 __all__ = [
@@ -79,6 +82,17 @@ def _check_cv_inputs(samples_x, samples_y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
+def _is_error(same: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Whether the nearest same-class distance exceeds the nearest other-class one.
+
+    Distances are sums taken in different orders, so two that tie in real
+    arithmetic can differ by an ulp; the guard keeps such ties non-errors, as
+    exact ties are.  Gaps below the guard do not otherwise occur: integer
+    data has gaps >= 1 and continuous draws never land this close.
+    """
+    return same > other + _TIE_GUARD * (1.0 + other)
+
+
 def cv_error(t: float, samples_x, samples_y) -> float:
     """Leave-one-out error sum at truncation level t; a value in [0, 2]."""
     X, Y = _check_cv_inputs(samples_x, samples_y)
@@ -89,8 +103,8 @@ def cv_error(t: float, samples_x, samples_y) -> float:
     dxy = ((Xp[:, None, :] - Yp[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(dxx, np.inf)
     np.fill_diagonal(dyy, np.inf)
-    err_x = float((dxx.min(axis=1) > dxy.min(axis=1)).mean())
-    err_y = float((dyy.min(axis=0) > dxy.min(axis=0)).mean())
+    err_x = float(_is_error(dxx.min(axis=1), dxy.min(axis=1)).mean())
+    err_y = float(_is_error(dyy.min(axis=0), dxy.min(axis=0)).mean())
     return err_x + err_y
 
 
@@ -124,12 +138,8 @@ def _pair_distances(a, b, rank_a, rank_b, top: int) -> np.ndarray:
 
 
 def _error_rate(same: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # Each pair sums its own weights in its own rank order, so distances that
-    # tie in real arithmetic can differ by an ulp; without a guard the strict
-    # > would count such ties as errors.  Gaps below the guard do not
-    # otherwise occur: integer data has gaps >= 1 and continuous draws never
-    # land this close.  One row at a time keeps temporaries one grid long.
-    return sum(s > o + _TIE_GUARD * (1.0 + o) for s, o in zip(same, other)) / len(same)
+    # One row at a time keeps temporaries one grid long.
+    return sum(_is_error(s, o) for s, o in zip(same, other)) / len(same)
 
 
 def select_threshold_cv(samples_x, samples_y) -> CvCurve:
@@ -230,21 +240,6 @@ def _normal_approx_success(scenario: Scenario, t: float) -> float:
     return 0.5 * (p_correct_x + p_correct_y)
 
 
-def _monte_carlo_success(
-    scenario: Scenario, t: float, trials: int, base_seed: int
-) -> SuccessEstimate:
-    correct = 0
-    for j in range(trials):
-        rng = np.random.default_rng(derive_seed(base_seed, j))
-        z_from = "X" if j % 2 == 0 else "Y"
-        data = generate(scenario, z_from, rng)
-        stats = compute_T_S(data.x_samples, data.y_samples, data.z, t)
-        label = "X" if stats.T <= 0 else "Y"
-        correct += label == z_from
-    rate = correct / trials
-    return SuccessEstimate(value=rate, se=math.sqrt(rate * (1.0 - rate) / trials))
-
-
 def apriori_success_rate(
     scenario: Scenario,
     t: float,
@@ -267,7 +262,11 @@ def apriori_success_rate(
     if method == "monte_carlo":
         if trials < 2:
             raise ParameterError("monte_carlo needs at least 2 trials")
-        return _monte_carlo_success(scenario, t, trials, base_seed)
+        # Seed key (): trial j draws from derive_seed(base_seed, j).  Serial.
+        methods = [FixedThresholdMethod(t)]
+        per_trial = _run_cells([(scenario, ())], methods, trials, base_seed, 1)[0]
+        rate = _summarize(methods, per_trial)["fixed_threshold"]
+        return SuccessEstimate(value=rate.rate, se=rate.se)
     raise ParameterError(f"method must be 'normal_approx' or 'monte_carlo', got {method!r}")
 
 

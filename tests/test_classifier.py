@@ -319,10 +319,6 @@ def test_classify_nn_truncated():
     z = [0.5, 9.0]
     assert classify_nn_truncated(X, Y, z, t=-100.0) == classify_nn_standard(X, Y, z)
     assert classify_nn_truncated(X, Y, z, t=100.0) == "X"  # everything zeroed, tie
-    assert classify_nn_truncated(X, Y, z, 1.0, mode="truncated_standard") == \
-        classify_nn_truncated(X, Y, z, 1.0, mode="zeroed_values")
-    with pytest.raises(ParameterError):
-        classify_nn_truncated(X, Y, z, 1.0, mode="winsorized")
 
 
 def test_classify_extrema():

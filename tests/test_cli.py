@@ -262,3 +262,13 @@ def test_nn_trunc_requires_t(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_loo_names_the_csv_line_of_a_non_finite_value(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("label,f0,f1\nX,0.1,0.2\nX,nan,0.3\nY,1.0,1.1\nY,1.2,1.3\n")
+    code = dispatch(["loo", "--data", str(data), "--out", str(tmp_path / "loo.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data}, line 3: feature 'f0' is nan, not a finite number\n"
+    assert not (tmp_path / "loo.json").exists()

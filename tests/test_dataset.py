@@ -84,6 +84,16 @@ def test_load_dataset_errors(tmp_path):
         load_dataset(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_dataset_rejects_non_finite_values(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"label,g1,g2\nu,1.0,2.0\n\nv,3.0,{cell}\nv,1.0,1.0\n")
+    value = repr(float(cell))
+    with pytest.raises(DatasetError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}, line 4: feature 'g2' is {value}, not a finite number"
+
+
 def test_load_dataset_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("label,g1,g2\nu,1.0,2.0\n\nv,3.0,4.0\n\n")

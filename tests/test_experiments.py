@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import robustnn.experiments as experiments
 from robustnn import (
     ConfigurationError,
     ExtremaMethod,
@@ -83,6 +84,37 @@ def test_estimate_success_rate_parallel_matches_serial():
     serial = estimate_success_rate(SMALL, METHODS, trials=24, base_seed=9, workers=1)
     parallel = estimate_success_rate(SMALL, METHODS, trials=24, base_seed=9, workers=2)
     assert serial == parallel
+
+
+def test_parallel_sweep_and_sample_size_match_serial():
+    serial = sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 6, base_seed=3, workers=1)
+    parallel = sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 6, base_seed=3, workers=2)
+    assert serial == parallel
+    pairs = [(1, 1), (2, 1)]
+    serial = sample_size_study(SMALL, pairs, trials=6, base_seed=4, workers=1)
+    parallel = sample_size_study(SMALL, pairs, trials=6, base_seed=4, workers=2)
+    assert serial == parallel
+
+
+def test_parallel_study_starts_one_pool(monkeypatch):
+    started = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    studies = [
+        lambda: sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 4, base_seed=3, workers=2),
+        lambda: sample_size_study(SMALL, [(1, 1), (2, 1)], trials=4, base_seed=4, workers=2),
+        lambda: estimate_success_rate(SMALL, METHODS, trials=8, base_seed=5, workers=2),
+        lambda: threshold_distribution(SMALL, trials=8, c_value=0.3, base_seed=6, workers=2),
+    ]
+    for study in studies:
+        started.clear()
+        study()
+        assert started == [2]
 
 
 def test_resolve_workers(monkeypatch):

@@ -113,6 +113,20 @@ def test_select_threshold_cv_curve_matches_cv_error():
     assert curve.theta_cv == min(curve.minimizers)
 
 
+def test_cv_error_and_curve_agree_on_rounding_ties():
+    # Y row 2 is at squared distance 6.12 from Y rows 0 and 1 and from both X
+    # rows in real arithmetic; in floating point the sums differ by an ulp.
+    # That tie is not an error, on the curve and in cv_error alike.
+    X = [[0.7, 0.7, 0.7]] * 2
+    Y = [[-1.3, -1.3, -1.3], [-1.3, -1.3, -1.3], [-0.7, 1.1, -1.3]]
+    curve = select_threshold_cv(X, Y)
+    assert curve.theta_cv == -np.inf
+    assert curve.values[0] == 0.0
+    for t, v in curve.pairs():
+        assert cv_error(t, X, Y) == v
+    assert cv_error(curve.theta_cv, X, Y) == float(curve.values.min())
+
+
 def test_select_threshold_cv_separable():
     X = [[0.0, 0.1], [0.1, 0.0]]
     Y = [[100.0, 100.1], [100.1, 100.0]]
