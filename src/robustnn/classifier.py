@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Literal, Union
+from typing import ClassVar, Literal, Union, get_args
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ConfigurationError, ParameterError, ShapeError
 
 __all__ = [
     "Label",
@@ -67,6 +67,8 @@ __all__ = [
     "FixedThresholdMethod",
     "ExtremaMethod",
     "MethodSpec",
+    "METHODS",
+    "make_method",
     "MethodOutcome",
     "evaluate_method",
 ]
@@ -313,6 +315,11 @@ def select_threshold(
     T and S^2 are constant between consecutive data values, so this visits
     every attainable configuration.  A point fires when S > 0 and
     |T|/S > z_p.  If none fires the decision is defaulted and theta = t0.
+
+    A strictly increasing map of the data and of t0 leaves the label as it
+    is.  The default t0, the pooled training median, does not follow the map
+    when the pooled count is even: a test component strictly between the two
+    middle values can then cross t0 and change the label.
     """
     X, Y, z = _check_inputs(train_x, train_y, z)
     if t0 is None:
@@ -385,53 +392,63 @@ def classify_extrema(train_x, train_y, z) -> Label:
 class RobustMethod:
     """Thresholded indicator classifier with data-driven threshold selection."""
 
+    name: ClassVar[str] = "robust"
     rule: str = INDEPENDENT_RULE
     xi_or_c: float = DEFAULT_C
     t0: float | None = None
-    name: str | None = None
-
-    default_name: ClassVar[str] = "robust"
 
 
 @dataclass(frozen=True)
 class StandardNNMethod:
-    name: str | None = None
-
-    default_name: ClassVar[str] = "nn"
+    name: ClassVar[str] = "nn"
 
 
 @dataclass(frozen=True)
 class TruncatedNNMethod:
+    name: ClassVar[str] = "nn_trunc"
     t: float
-    name: str | None = None
-
-    default_name: ClassVar[str] = "nn_trunc"
 
 
 @dataclass(frozen=True)
 class FixedThresholdMethod:
     """Indicator classifier at a fixed threshold, bypassing selection."""
 
+    name: ClassVar[str] = "fixed_threshold"
     t: float
-    name: str | None = None
-
-    default_name: ClassVar[str] = "fixed_threshold"
 
 
 @dataclass(frozen=True)
 class ExtremaMethod:
-    name: str | None = None
-
-    default_name: ClassVar[str] = "extrema"
+    name: ClassVar[str] = "extrema"
 
 
 MethodSpec = Union[
     RobustMethod, StandardNNMethod, TruncatedNNMethod, FixedThresholdMethod, ExtremaMethod
 ]
 
+METHODS = {cls.name: cls for cls in get_args(MethodSpec)}
 
-def method_id(method: MethodSpec) -> str:
-    return method.name if method.name is not None else method.default_name
+
+def make_method(
+    name: str, rule: str = INDEPENDENT_RULE, c: float | None = None, t: float | None = None
+) -> MethodSpec:
+    """The method called ``name``, as the config file and the CLI build it.
+
+    ``rule`` and ``c`` configure the robust method; ``c`` defaults by rule, to
+    DEFAULT_XI for the dependent rule and DEFAULT_C for the independent one.
+    ``t`` is the threshold nn_trunc and fixed_threshold need."""
+    if name not in METHODS:
+        raise ConfigurationError(f"unknown method {name!r}; expected one of {list(METHODS)}")
+    cls = METHODS[name]
+    if cls is RobustMethod:
+        if c is None:
+            c = DEFAULT_XI if _RULE_ALIASES.get(rule) == DEPENDENT_RULE else DEFAULT_C
+        return RobustMethod(rule=rule, xi_or_c=c)
+    if cls in (TruncatedNNMethod, FixedThresholdMethod):
+        if t is None:
+            raise ConfigurationError(f"{name} needs a threshold t")
+        return cls(t=t)
+    return cls()
 
 
 @dataclass(frozen=True)

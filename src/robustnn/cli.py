@@ -21,35 +21,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import (
-    DEFAULT_C,
-    DEFAULT_XI,
-    DEPENDENT_RULE,
-    ExtremaMethod,
-    FixedThresholdMethod,
-    MethodSpec,
-    RobustMethod,
-    StandardNNMethod,
-    TruncatedNNMethod,
-    evaluate_method,
-    method_id,
-)
+from .classifier import METHODS, evaluate_method, make_method
 from .config import (
     default_config,
-    format_blocked_marginal,
-    format_dependence,
     get_setting,
     load_config,
     methods_from_config,
     parse_mn_pairs,
     parse_number_list,
+    scenario_fields,
     scenario_from_config,
 )
 from .datagen import Scenario, generate
 from .dataset import dataset_from_generated, load_dataset, loo_cross_validate, save_dataset
 from .errors import ConfigurationError, RobustnnError
 from .experiments import (
-    estimate_success_rate,
     sample_size_study,
     success_vs_c,
     success_vs_threshold,
@@ -64,20 +50,6 @@ from .tuning import apriori_optimal_threshold, select_threshold_cv
 __all__ = ["dispatch", "main"]
 
 SCHEMA_VERSION = 1
-
-
-def _scenario_dict(scenario: Scenario) -> dict:
-    return {
-        "p": scenario.p,
-        "m": scenario.m,
-        "n": scenario.n,
-        "beta": scenario.beta,
-        "r": scenario.r,
-        "marginal": format_blocked_marginal(scenario.marginal),
-        "dependence": format_dependence(scenario.dependence),
-        "shift_placement": scenario.shift_placement,
-        "seed": scenario.seed,
-    }
 
 
 def _write_json(path, payload: dict) -> None:
@@ -103,34 +75,11 @@ def _write_manifest(out_path, command: str, argv: list[str], config: dict, seed,
     )
 
 
-def _method_from_flags(args) -> MethodSpec:
-    name = args.method
-    rule = getattr(args, "rule", "independent")
-    c = args.c
-    if c is None:
-        c = DEFAULT_XI if rule in ("dependent", DEPENDENT_RULE) else DEFAULT_C
-    if name == "robust":
-        return RobustMethod(rule=rule, xi_or_c=c)
-    if name == "nn":
-        return StandardNNMethod()
-    if name == "nn_trunc":
-        if args.t is None:
-            raise ConfigurationError("nn_trunc needs --t")
-        return TruncatedNNMethod(t=args.t)
-    if name == "fixed_threshold":
-        if args.t is None:
-            raise ConfigurationError("fixed_threshold needs --t")
-        return FixedThresholdMethod(t=args.t)
-    if name == "extrema":
-        return ExtremaMethod()
-    raise ConfigurationError(f"unknown method {name!r}")
-
-
 def _add_method_flags(sub) -> None:
     sub.add_argument(
         "--method",
         default="robust",
-        choices=["robust", "nn", "nn_trunc", "fixed_threshold", "extrema"],
+        choices=list(METHODS),
         help="classifier to run",
     )
     sub.add_argument("--c", type=float, default=None, help="critical-value slope (c or xi)")
@@ -152,7 +101,7 @@ def _load_scenario(args) -> tuple[ConfigParser | None, Scenario]:
 
 def _trials(args, parser: ConfigParser | None, section: str) -> int:
     """--trials, else the section's trials setting."""
-    return args.trials if args.trials is not None else int(get_setting(parser, section, "trials"))
+    return args.trials if args.trials is not None else get_setting(parser, section, "trials", int)
 
 
 def _cmd_classify(args, argv) -> int:
@@ -171,13 +120,13 @@ def _cmd_classify(args, argv) -> int:
     train_y = train[labels == second]
     if train_x.shape[0] < 1 or train_y.shape[0] < 1:
         raise ConfigurationError("training split leaves an empty class")
-    method = _method_from_flags(args)
+    method = make_method(args.method, args.rule, args.c, args.t)
     outcome = evaluate_method(train_x, train_y, dataset.samples[index], method)
     predicted = first if outcome.label == "X" else second
     result = {
         "data": str(args.data),
         "row_index": index,
-        "method": method_id(method),
+        "method": method.name,
         "predicted_label": predicted,
         "true_label": dataset.labels[index],
         "correct": predicted == dataset.labels[index],
@@ -211,11 +160,11 @@ def _cmd_cv(args, argv) -> int:
 
 def _cmd_loo(args, argv) -> int:
     dataset = load_dataset(args.data)
-    method = _method_from_flags(args)
+    method = make_method(args.method, args.rule, args.c, args.t)
     result = loo_cross_validate(dataset, method)
     payload = {
         "data": str(args.data),
-        "method": method_id(method),
+        "method": method.name,
         "accuracy": result.accuracy,
         "correct": result.correct,
         "total": result.total,
@@ -232,7 +181,7 @@ def _cmd_gen(args, argv) -> int:
     _, scenario = _load_scenario(args)
     data = generate(scenario, args.z_from)
     save_dataset(dataset_from_generated(data), args.out)
-    config = {"scenario": _scenario_dict(scenario), "z_from": args.z_from}
+    config = {"scenario": scenario_fields(scenario), "z_from": args.z_from}
     print(
         f"wrote {scenario.m + scenario.n + 1} rows x {scenario.p} features to {args.out} "
         f"(shifts: {data.shift_indices.size}, amount {data.shift_amount!r})"
@@ -243,8 +192,8 @@ def _cmd_gen(args, argv) -> int:
 
 def _cmd_sweep(args, argv) -> int:
     parser, scenario = _load_scenario(args)
-    beta_grid = parse_number_list(get_setting(parser, "sweep", "beta_grid"))
-    r_grid = parse_number_list(get_setting(parser, "sweep", "r_grid"))
+    beta_grid = get_setting(parser, "sweep", "beta_grid", parse_number_list)
+    r_grid = get_setting(parser, "sweep", "r_grid", parse_number_list)
     trials = _trials(args, parser, "sweep")
     methods = methods_from_config(parser)
     grid = sweep_beta_r(
@@ -255,7 +204,7 @@ def _cmd_sweep(args, argv) -> int:
     grid.to_long_csv(out)
     grid.to_dominance_csv(dominance_path)
     config = {
-        "scenario": _scenario_dict(scenario),
+        "scenario": scenario_fields(scenario),
         "beta_grid": list(grid.beta_axis),
         "r_grid": list(grid.r_axis),
         "methods": list(grid.methods),
@@ -272,14 +221,14 @@ def _cmd_sweep(args, argv) -> int:
 def _cmd_threshold_dist(args, argv) -> int:
     parser, scenario = _load_scenario(args)
     trials = _trials(args, parser, "threshold_dist")
-    c_value = args.c if args.c is not None else float(get_setting(parser, "threshold_dist", "c"))
-    bins = int(get_setting(parser, "threshold_dist", "bins"))
+    c_value = args.c if args.c is not None else get_setting(parser, "threshold_dist", "c", float)
+    bins = get_setting(parser, "threshold_dist", "bins", int)
     dist = threshold_distribution(
         scenario, trials, c_value, scenario.seed, bins=bins, workers=args.workers
     )
     write_histogram_csv(args.out, dist)
     config = {
-        "scenario": _scenario_dict(scenario),
+        "scenario": scenario_fields(scenario),
         "trials": trials,
         "c": c_value,
         "bins": bins,
@@ -298,16 +247,16 @@ def _cmd_curves(args, argv) -> int:
     parser, scenario = _load_scenario(args)
     trials = _trials(args, parser, "curves")
     if args.kind == "threshold":
-        grid = parse_number_list(get_setting(parser, "curves", "t_grid"))
+        grid = get_setting(parser, "curves", "t_grid", parse_number_list)
         curve = success_vs_threshold(scenario, grid, trials, scenario.seed)
     else:
-        grid = parse_number_list(get_setting(parser, "curves", "c_grid"))
+        grid = get_setting(parser, "curves", "c_grid", parse_number_list)
         curve = success_vs_c(scenario, grid, trials, scenario.seed)
     write_curve_csv(args.out, curve.xs, curve.rates, x_name=curve.x_name)
     out = Path(args.out)
     details_path = out.with_suffix("").as_posix() + ".json"
     payload = {
-        "scenario": _scenario_dict(scenario),
+        "scenario": scenario_fields(scenario),
         "kind": args.kind,
         "trials": trials,
         "x": [float(v) for v in curve.xs],
@@ -333,7 +282,7 @@ def _cmd_curves(args, argv) -> int:
 
 def _cmd_apriori(args, argv) -> int:
     parser, scenario = _load_scenario(args)
-    grid = parse_number_list(get_setting(parser, "apriori", "t_grid"))
+    grid = get_setting(parser, "apriori", "t_grid", parse_number_list)
     method = get_setting(parser, "apriori", "method").strip()
     trials = _trials(args, parser, "apriori")
     curve = apriori_optimal_threshold(
@@ -342,7 +291,7 @@ def _cmd_apriori(args, argv) -> int:
     write_curve_csv(args.out, curve.ts, curve.values, x_name="t")
     best = float(curve.values.max())
     config = {
-        "scenario": _scenario_dict(scenario),
+        "scenario": scenario_fields(scenario),
         "method": curve.method,
         "t_star": curve.t_star,
         "predicted_success_at_t_star": best,
@@ -355,7 +304,7 @@ def _cmd_apriori(args, argv) -> int:
 
 def _cmd_sample_size(args, argv) -> int:
     parser, scenario = _load_scenario(args)
-    pairs = parse_mn_pairs(get_setting(parser, "sample_size", "pairs"))
+    pairs = get_setting(parser, "sample_size", "pairs", parse_mn_pairs)
     trials = _trials(args, parser, "sample_size")
     methods = methods_from_config(parser)
     rows = sample_size_study(
@@ -363,9 +312,9 @@ def _cmd_sample_size(args, argv) -> int:
     )
     write_sample_size_csv(args.out, rows)
     config = {
-        "scenario": _scenario_dict(scenario),
+        "scenario": scenario_fields(scenario),
         "pairs": [[m, n] for m, n in pairs],
-        "methods": [method_id(m) for m in methods],
+        "methods": [m.name for m in methods],
         "trials": trials,
     }
     print(f"{len(rows)} (m, n, method) rows -> {args.out}")

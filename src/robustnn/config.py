@@ -23,17 +23,10 @@ from __future__ import annotations
 
 import configparser
 import math
-from typing import Sequence
+from dataclasses import fields
+from typing import Any, Callable, Sequence
 
-from .classifier import (
-    DEFAULT_C,
-    ExtremaMethod,
-    FixedThresholdMethod,
-    MethodSpec,
-    RobustMethod,
-    StandardNNMethod,
-    TruncatedNNMethod,
-)
+from .classifier import DEFAULT_C, DEFAULT_XI, METHODS, MethodSpec, make_method
 from .datagen import (
     AR1,
     PLACEMENTS,
@@ -54,6 +47,7 @@ __all__ = [
     "load_config",
     "scenario_from_config",
     "methods_from_config",
+    "scenario_fields",
     "scenario_to_config_text",
     "default_config",
     "get_setting",
@@ -211,46 +205,35 @@ def format_blocked_marginal(marginal) -> str:
     return format_marginal(marginal)
 
 
-_SCENARIO_DEFAULTS = {
-    "p": "20000",
-    "m": "1",
-    "n": "1",
-    "beta": "0.7",
-    "r": "0.4",
-    "marginal": "normal",
-    "dependence": "independent",
-    "shift_placement": "uniform_random",
-    "seed": "0",
-}
-
 _DEFAULT_CONFIG_TEMPLATE = f"""\
 # Scenario: the data-generating model.
 [scenario]
 # dimension (>= 2)
-p = {_SCENARIO_DEFAULTS["p"]}
+p = 20000
 # training rows per population
-m = {_SCENARIO_DEFAULTS["m"]}
-n = {_SCENARIO_DEFAULTS["n"]}
+m = 1
+n = 1
 # sparsity exponent: round(p^(1-beta)) components are shifted
-beta = {_SCENARIO_DEFAULTS["beta"]}
+beta = 0.7
 # signal exponent: shift solves sum_k P(X_k > a) = p^(1-r)
-r = {_SCENARIO_DEFAULTS["r"]}
+r = 0.4
 # marginal family; blocks join "spec * count" with ";"
-marginal = {_SCENARIO_DEFAULTS["marginal"]}
+marginal = normal
 # independent | moving_average w=5 | ar1 alpha=0.5 | exp_ma decay=0.5 ...
-dependence = {_SCENARIO_DEFAULTS["dependence"]}
+dependence = independent
 # uniform_random | first_indices | heavy_block | light_block
-shift_placement = {_SCENARIO_DEFAULTS["shift_placement"]}
-seed = {_SCENARIO_DEFAULTS["seed"]}
+shift_placement = uniform_random
+seed = 0
 
 # Methods scored in estimates and sweeps.
 [methods]
-# comma list from: robust, nn, nn_trunc, fixed_threshold, extrema
+# comma list from: {", ".join(METHODS)}
 methods = robust, nn
 # critical-value rule for the robust method: independent | dependent
 robust_rule = independent
-# slope of the critical value (c or xi depending on the rule)
-robust_c = {DEFAULT_C}
+# slope of the critical value: c for the independent rule (default {DEFAULT_C}),
+# xi for the dependent rule (default {DEFAULT_XI})
+# robust_c = {DEFAULT_C}
 # fixed t for nn_trunc / fixed_threshold (required if those methods appear)
 # truncated_t = 0.0
 # fixed_t = 0.0
@@ -315,12 +298,21 @@ def _section(parser: configparser.ConfigParser | None, name: str) -> dict[str, s
     return merged
 
 
-def get_setting(parser: configparser.ConfigParser | None, section: str, key: str) -> str:
-    """A section value with the built-in default as fallback."""
+def get_setting(
+    parser: configparser.ConfigParser | None,
+    section: str,
+    key: str,
+    convert: Callable[[str], Any] = str,
+) -> Any:
+    """A section value, with the built-in default as fallback, read by ``convert``;
+    a value ``convert`` rejects is a ConfigurationError naming the section and key."""
     values = _section(parser, section)
     if key not in values:
         raise ConfigurationError(f"no setting [{section}] {key}")
-    return values[key]
+    try:
+        return convert(values[key])
+    except ValueError as exc:
+        raise ConfigurationError(f"[{section}] {key}: {exc}") from None
 
 
 def scenario_from_config(parser: configparser.ConfigParser | None, **overrides) -> Scenario:
@@ -362,65 +354,44 @@ def scenario_from_config(parser: configparser.ConfigParser | None, **overrides) 
         raise ConfigurationError(f"bad scenario value: {exc}") from None
 
 
+def scenario_fields(scenario: Scenario) -> dict:
+    """The [scenario] keys and values of a Scenario, with the marginal and
+    the dependence model in their text form."""
+    record = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
+    record["marginal"] = format_blocked_marginal(scenario.marginal)
+    record["dependence"] = format_dependence(scenario.dependence)
+    return record
+
+
 def scenario_to_config_text(scenario: Scenario) -> str:
     """Serialize a Scenario as a [scenario] section; round-trips through
     scenario_from_config."""
-    lines = [
-        "[scenario]",
-        f"p = {scenario.p}",
-        f"m = {scenario.m}",
-        f"n = {scenario.n}",
-        f"beta = {scenario.beta!r}",
-        f"r = {scenario.r!r}",
-        f"marginal = {format_blocked_marginal(scenario.marginal)}",
-        f"dependence = {format_dependence(scenario.dependence)}",
-        f"shift_placement = {scenario.shift_placement}",
-        f"seed = {scenario.seed}",
+    lines = ["[scenario]"] + [
+        f"{key} = {value if isinstance(value, str) else repr(value)}"
+        for key, value in scenario_fields(scenario).items()
     ]
     return "\n".join(lines) + "\n"
 
 
-_METHOD_NAMES = ("robust", "nn", "nn_trunc", "fixed_threshold", "extrema")
+_THRESHOLD_KEYS = {"nn_trunc": "truncated_t", "fixed_threshold": "fixed_t"}
 
 
-def methods_from_config(
-    parser: configparser.ConfigParser | None,
-    *,
-    rule: str | None = None,
-    c: float | None = None,
-) -> list[MethodSpec]:
-    """Build the method list from the [methods] section.
-
-    ``rule`` and ``c`` override the robust method's configuration (CLI flags).
-    """
+def methods_from_config(parser: configparser.ConfigParser | None) -> list[MethodSpec]:
+    """Build the method list from the [methods] section."""
     values = _section(parser, "methods")
-    names = [name.strip().lower() for name in values.get("methods", "robust, nn").split(",")]
+    names = [name.strip().lower() for name in values["methods"].split(",")]
     names = [name for name in names if name]
     if not names:
         raise ConfigurationError("methods list is empty")
-    robust_rule = rule if rule is not None else values.get("robust_rule", "independent")
-    robust_c = float(c) if c is not None else float(values.get("robust_c", DEFAULT_C))
-    methods: list[MethodSpec] = []
-    for name in names:
-        if name == "robust":
-            methods.append(RobustMethod(rule=robust_rule, xi_or_c=robust_c))
-        elif name == "nn":
-            methods.append(StandardNNMethod())
-        elif name == "nn_trunc":
-            if "truncated_t" not in values:
-                raise ConfigurationError("nn_trunc requires truncated_t in [methods]")
-            methods.append(TruncatedNNMethod(t=float(values["truncated_t"])))
-        elif name == "fixed_threshold":
-            if "fixed_t" not in values:
-                raise ConfigurationError("fixed_threshold requires fixed_t in [methods]")
-            methods.append(FixedThresholdMethod(t=float(values["fixed_t"])))
-        elif name == "extrema":
-            methods.append(ExtremaMethod())
-        else:
-            raise ConfigurationError(
-                f"unknown method {name!r}; expected one of {list(_METHOD_NAMES)}"
-            )
-    return methods
+
+    def number(key: str | None) -> float | None:
+        return get_setting(parser, "methods", key, float) if key in values else None
+
+    c = number("robust_c")
+    return [
+        make_method(name, values["robust_rule"], c, number(_THRESHOLD_KEYS.get(name)))
+        for name in names
+    ]
 
 
 def parse_mn_pairs(text: str) -> list[tuple[int, int]]:

@@ -319,16 +319,16 @@ def place_shifts(
 
 
 @lru_cache(maxsize=128)
-def _component_params(scenario: Scenario) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Per-component exponents and offsets, drawn once per scenario."""
-    model = scenario.dependence
-    if not isinstance(model, ExponentiatedMA):
-        return None, None
-    rng = np.random.default_rng(derive_seed(scenario.seed, _PARAMS_TAG))
+def _component_params(
+    seed: int, p: int, model: ExponentiatedMA
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-component exponents and offsets, drawn once per seed, p and model,
+    so every (beta, r) cell of a sweep shares them."""
+    rng = np.random.default_rng(derive_seed(seed, _PARAMS_TAG))
     lo, hi = model.alpha_range
-    alphas = np.full(scenario.p, lo) if lo == hi else rng.uniform(lo, hi, scenario.p)
+    alphas = np.full(p, lo) if lo == hi else rng.uniform(lo, hi, p)
     if model.offset_bound > 0:
-        offsets = rng.uniform(-model.offset_bound, model.offset_bound, scenario.p)
+        offsets = rng.uniform(-model.offset_bound, model.offset_bound, p)
     else:
         offsets = None
     alphas.setflags(write=False)
@@ -337,7 +337,7 @@ def _component_params(scenario: Scenario) -> tuple[np.ndarray | None, np.ndarray
     return alphas, offsets
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def shift_amount(scenario: Scenario) -> float:
     """The common magnitude a_p(r) added to every shifted component.
 
@@ -347,7 +347,8 @@ def shift_amount(scenario: Scenario) -> float:
     innovation variance) in closed form.  ExponentiatedMA marginals have no
     closed form, so the level is the empirical (1 - p^(-r)) quantile of a
     large pooled sample of components, drawn from a calibration stream that
-    depends only on the scenario seed.
+    depends only on the scenario seed.  The cache is unbounded (one float
+    per scenario), so a study of any size calibrates each cell once.
     """
     model = scenario.dependence
     p, r = scenario.p, scenario.r
@@ -367,7 +368,7 @@ def shift_amount(scenario: Scenario) -> float:
     q = p ** (-r)
     draws = int(min(2_000_000, max(200_000, math.ceil(50.0 / q))))
     rng = np.random.default_rng(derive_seed(scenario.seed, _SCALE_TAG))
-    alphas, offsets = _component_params(scenario)
+    alphas, offsets = _component_params(scenario.seed, p, model)
     kernel = model.kernel()
     sample_alphas = rng.choice(alphas, size=draws)
     innov = model.innovation.sample(rng, draws + kernel.size - 1)
@@ -467,7 +468,7 @@ def _draw_rows(scenario: Scenario, rng: np.random.Generator, rows: int) -> np.nd
     needed = innovations_needed(model, p)
     if isinstance(model, ExponentiatedMA):
         innov = model.innovation.sample(rng, (rows, needed))
-        alphas, offsets = _component_params(scenario)
+        alphas, offsets = _component_params(scenario.seed, p, model)
         out = np.empty((rows, p))
         for i in range(rows):
             out[i] = _exp_ma_transform(innov[i], model.kernel(), alphas)

@@ -51,7 +51,6 @@ from .classifier import (
     _first_firing,
     classify_nn_standard,
     evaluate_method,
-    method_id,
     select_threshold,
     threshold_scan,
     zp_value,
@@ -147,7 +146,7 @@ def run_trial(
         outcome = evaluate_method(data.x_samples, data.y_samples, data.z, method)
         results.append(
             TrialResult(
-                method=method_id(method),
+                method=method.name,
                 correct=outcome.label == data.z_label,
                 theta=outcome.theta,
                 defaulted=outcome.defaulted,
@@ -212,8 +211,8 @@ def _summarize(
         defaulted = None
         if rows and rows[0].defaulted is not None:
             defaulted = sum(bool(r.defaulted) for r in rows) / trials
-        out[method_id(method)] = MethodRate(
-            method=method_id(method),
+        out[method.name] = MethodRate(
+            method=method.name,
             rate=rate,
             se=se,
             trials=trials,
@@ -295,8 +294,8 @@ def _dominant(
         return DominanceCell(method=tied_ids[0], tied=False)
     # Break ties toward a robust method, then method order.
     for method in methods:
-        if method_id(method) in tied_ids and isinstance(method, RobustMethod):
-            return DominanceCell(method=method_id(method), tied=True)
+        if method.name in tied_ids and isinstance(method, RobustMethod):
+            return DominanceCell(method=method.name, tied=True)
     return DominanceCell(method=tied_ids[0], tied=True)
 
 
@@ -315,7 +314,7 @@ def sweep_beta_r(
     r_axis = tuple(float(r) for r in r_grid)
     if not beta_axis or not r_axis:
         raise ParameterError("beta_grid and r_grid must be nonempty")
-    names = tuple(method_id(method) for method in methods)
+    names = tuple(method.name for method in methods)
     if len(set(names)) != len(names):
         raise ParameterError(f"method names must be distinct, got {names}")
     live: dict[tuple[int, int], tuple[Scenario, tuple[int]]] = {}

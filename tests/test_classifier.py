@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -303,6 +303,19 @@ def test_monotone_transform_invariance():
         label, _ = classify_robust(X, Y, z)
         label_g, _ = classify_robust(g(X), g(Y), g(z))
         assert label == label_g
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_instances(), st.integers(-6, 6))
+def test_label_invariant_under_increasing_map_at_a_given_t0(instance, twice_t0):
+    # The scan visits every indicator configuration from t0 upward, and a
+    # strictly increasing f keeps each value's side of t0 when t0 maps to f(t0).
+    X, Y, z, _ = instance
+    assume(z.size >= 2)
+    t0 = twice_t0 / 2
+    f = lambda v: v**3  # exact on these halves and integers
+    label, _ = classify_robust(X, Y, z, t0=t0)
+    assert classify_robust(f(X), f(Y), f(z), t0=f(t0))[0] == label
 
 
 def test_classify_nn_standard():

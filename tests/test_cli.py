@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+import robustnn.cli as cli
+from robustnn.classifier import DEFAULT_C, DEFAULT_XI, evaluate_method
 from robustnn.cli import dispatch
+from robustnn.config import load_config, methods_from_config
 from robustnn.dataset import load_dataset
 
 SCENARIO_200 = "[scenario]\np = 200\nbeta = 0.6\nr = 0.7\nseed = 3\n"
@@ -262,6 +265,35 @@ def test_nn_trunc_requires_t(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule, slope", [("independent", DEFAULT_C), ("dependent", DEFAULT_XI)])
+def test_config_and_flags_build_the_same_robust_method(tmp_path, monkeypatch, rule, slope):
+    # Without robust_c or --c, both front ends take the rule's default slope.
+    built = []
+
+    def spy(train_x, train_y, z, method):
+        built.append(method)
+        return evaluate_method(train_x, train_y, z, method)
+
+    monkeypatch.setattr(cli, "evaluate_method", spy)
+    data = tmp_path / "data.csv"
+    assert dispatch(["gen", "--config", write_cfg(tmp_path, SCENARIO_200), "--out", str(data)]) == 0
+    out = str(tmp_path / "r.json")
+    assert dispatch(["classify", "--data", str(data), "--rule", rule, "--out", out]) == 0
+    cfg = write_cfg(tmp_path, f"[methods]\nmethods = robust\nrobust_rule = {rule}\n", "m.ini")
+    assert built == methods_from_config(load_config(cfg))
+    assert built[0].xi_or_c == slope
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [("sweep", "sweep", "trials"), ("threshold-dist", "threshold_dist", "bins")],
+)
+def test_non_numeric_study_setting_is_an_error_line(tmp_path, capsys, command, section, key):
+    cfg = write_cfg(tmp_path, SCENARIO_200 + f"[{section}]\n{key} = abc\n")
+    assert dispatch([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [{section}] {key}: ")
 
 
 def test_loo_names_the_csv_line_of_a_non_finite_value(tmp_path, capsys):

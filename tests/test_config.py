@@ -180,9 +180,6 @@ def test_methods_from_config():
     assert [type(m) for m in methods] == [RobustMethod, StandardNNMethod]
     assert methods[0].rule == "independent"
     assert methods[0].xi_or_c == 0.5
-    # CLI-style overrides win over section values
-    methods = methods_from_config(None, rule="dependent", c=0.16)
-    assert methods[0].rule == "dependent" and methods[0].xi_or_c == 0.16
 
 
 def test_methods_from_config_full_roster(tmp_path):

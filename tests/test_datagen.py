@@ -1,6 +1,7 @@
 """Generators, dependence models, shift placement, and seed derivation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from robustnn import (
     shift_amount,
     shift_count,
 )
-from robustnn.datagen import innovations_needed
+from robustnn.datagen import _component_params, innovations_needed
 from robustnn.seeds import mix64
 
 
@@ -115,6 +116,17 @@ def test_shift_amount_exp_ma_matches_empirical_tail():
     rows = np.concatenate([generate(sc, "X", rng).x_samples[0] for _ in range(200)])
     frac = float((rows > a).mean())
     assert frac == pytest.approx(500 ** -0.5, abs=0.01)
+
+
+def test_exp_ma_sweep_cells_share_one_draw_of_component_params():
+    template = Scenario(p=200, m=1, n=1, beta=0.6, r=0.6, marginal=Exponential(),
+                        dependence=ExponentiatedMA(decay=0.5, alpha_range=(0.5, 2.0)), seed=7)
+    shift_amount.cache_clear()
+    _component_params.cache_clear()
+    for beta in (0.55, 0.7, 0.85):
+        for r in (0.3, 0.5, 0.7):
+            shift_amount(replace(template, beta=beta, r=r))
+    assert _component_params.cache_info().misses == 1
 
 
 def test_apply_dependence_moving_average_hand_case():

@@ -172,6 +172,15 @@ def test_sweep_cells_match_standalone_estimates():
             assert grid.cells[(0, ri, name)] == standalone[name]
 
 
+def test_sweep_past_128_cells_calibrates_each_cell_once():
+    betas = [0.5 + 0.03 * k for k in range(15)]
+    rs = [0.3 + 0.06 * k for k in range(10)]
+    shift_amount.cache_clear()
+    grid = sweep_beta_r(betas, rs, SMALL, METHODS, 2, 1)
+    assert not grid.skipped
+    assert shift_amount.cache_info().misses == len(betas) * len(rs)
+
+
 def test_sweep_skips_degenerate_cells():
     tiny = Scenario(p=10, m=1, n=1, beta=0.5, r=0.5, marginal=Normal())
     grid = sweep_beta_r([0.02, 0.6], [0.5], tiny, METHODS, trials_per_cell=6, base_seed=1)
