@@ -441,8 +441,12 @@ def make_method(
         raise ConfigurationError(f"unknown method {name!r}; expected one of {list(METHODS)}")
     cls = METHODS[name]
     if cls is RobustMethod:
+        if rule not in _RULE_ALIASES:
+            raise ConfigurationError(
+                f"unknown rule {rule!r}; expected one of {sorted(set(_RULE_ALIASES))}"
+            )
         if c is None:
-            c = DEFAULT_XI if _RULE_ALIASES.get(rule) == DEPENDENT_RULE else DEFAULT_C
+            c = DEFAULT_XI if _RULE_ALIASES[rule] == DEPENDENT_RULE else DEFAULT_C
         return RobustMethod(rule=rule, xi_or_c=c)
     if cls in (TruncatedNNMethod, FixedThresholdMethod):
         if t is None:

@@ -18,8 +18,6 @@ import sys
 from configparser import ConfigParser
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .classifier import METHODS, evaluate_method, make_method
 from .config import (
@@ -111,13 +109,8 @@ def _cmd_classify(args, argv) -> int:
         raise ConfigurationError(
             f"--index must be in [0, {len(dataset.labels) - 1}], got {index}"
         )
-    keep = np.ones(len(dataset.labels), dtype=bool)
-    keep[index] = False
     first, second = dataset.class_labels
-    labels = np.array(dataset.labels)[keep]
-    train = dataset.samples[keep]
-    train_x = train[labels == first]
-    train_y = train[labels == second]
+    train_x, train_y = dataset.rows_of(first, index), dataset.rows_of(second, index)
     if train_x.shape[0] < 1 or train_y.shape[0] < 1:
         raise ConfigurationError("training split leaves an empty class")
     method = make_method(args.method, args.rule, args.c, args.t)

@@ -21,7 +21,10 @@ Dependence structures for the base process:
   geometric kernel c_j = lead * decay^(j-1), nonnegative innovations W, and
   per-component exponents alpha_k (and optional offsets nu_k) drawn once per
   scenario.  Neighboring components share innovations, giving strong local
-  dependence with non-normal marginals.
+  dependence with non-normal marginals.  Each innovation is logged once and
+  each of the J kernel terms adds one exp per component, so a row costs
+  O(p J) time and O(p) memory, and calibration O(draws) memory, for any
+  decay.
 
 Shift placement policies: ``uniform_random``, ``first_indices``, and the
 block policies ``light_block`` / ``heavy_block`` used with two-block
@@ -40,7 +43,6 @@ from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from .distributions import Exponential, MarginalSpec, Normal, solve_scale
@@ -76,7 +78,6 @@ PLACEMENTS = ("uniform_random", "first_indices", "heavy_block", "light_block")
 # lead * decay^J / (1 - decay); truncating when that falls below 1e-12
 # keeps the dropped mass under 1e-11 for every decay in (0, 1).
 _KERNEL_TAIL_TOL = 1e-12
-_MAX_KERNEL_CELLS = 200_000_000
 
 # Tags separating the per-scenario parameter stream and the scale-calibration
 # stream from trial streams (see seeds.derive_seed).
@@ -369,10 +370,9 @@ def shift_amount(scenario: Scenario) -> float:
     draws = int(min(2_000_000, max(200_000, math.ceil(50.0 / q))))
     rng = np.random.default_rng(derive_seed(scenario.seed, _SCALE_TAG))
     alphas, offsets = _component_params(scenario.seed, p, model)
-    kernel = model.kernel()
     sample_alphas = rng.choice(alphas, size=draws)
-    innov = model.innovation.sample(rng, draws + kernel.size - 1)
-    values = _exp_ma_transform(innov, kernel, sample_alphas)
+    innov = model.innovation.sample(rng, innovations_needed(model, draws))
+    values = _exp_ma_transform(innov, model.kernel(), sample_alphas)
     if offsets is not None:
         values = values + rng.choice(offsets, size=draws)
     return float(np.quantile(values, 1.0 - q))
@@ -402,13 +402,18 @@ def innovations_needed(model: DependenceModel, p: int) -> int:
 
 
 def _exp_ma_transform(innov: np.ndarray, kernel: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    terms = kernel.size
-    if alphas.size * terms > _MAX_KERNEL_CELLS:
-        raise ConfigurationError(
-            "exponentiated moving average kernel too long for this p; use a smaller decay"
-        )
-    windows = sliding_window_view(innov, terms)
-    return (windows ** alphas[:, None]) @ kernel
+    """Component k of each row of ``innov`` is sum_j kernel[j] * innov[..., j + k] ** alphas[k]."""
+    p = alphas.shape[-1]
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0 = 0 ** alpha
+        logs = np.log(innov)
+    out = np.zeros(innov.shape[:-1] + (p,))
+    term = np.empty_like(out)  # one buffer for all terms: fresh temporaries page-fault
+    for j, c in enumerate(kernel):
+        np.multiply(alphas, logs[..., j : j + p], out=term)
+        np.exp(term, out=term)
+        term *= c
+        out += term
+    return out
 
 
 def apply_dependence(
@@ -469,17 +474,10 @@ def _draw_rows(scenario: Scenario, rng: np.random.Generator, rows: int) -> np.nd
     if isinstance(model, ExponentiatedMA):
         innov = model.innovation.sample(rng, (rows, needed))
         alphas, offsets = _component_params(scenario.seed, p, model)
-        out = np.empty((rows, p))
-        for i in range(rows):
-            out[i] = _exp_ma_transform(innov[i], model.kernel(), alphas)
-        if offsets is not None:
-            out += offsets
-        return out
+        out = _exp_ma_transform(innov, model.kernel(), alphas)
+        return out if offsets is None else out + offsets
     innov = scenario.marginal.sample(rng, (rows, needed))
-    out = np.empty((rows, p))
-    for i in range(rows):
-        out[i] = apply_dependence(model, innov[i], p)
-    return out
+    return np.array([apply_dependence(model, row, p) for row in innov])
 
 
 def generate(

@@ -30,6 +30,17 @@ __all__ = [
 LABEL_COLUMN = "label"
 
 
+def _reject_non_finite(samples: np.ndarray, feature_ids, place) -> None:
+    """Reject NaN and infinite cells; ``place(row)`` says where a row came from."""
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
+        row, col = bad[0]
+        raise DatasetError(
+            f"{place(row)}: feature {feature_ids[col]!r} is "
+            f"{float(samples[row, col])!r}, not a finite number"
+        )
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix with one class label per row."""
@@ -54,6 +65,7 @@ class Dataset:
             )
         if len(set(self.feature_ids)) != len(self.feature_ids):
             raise DatasetError("duplicate feature ids")
+        _reject_non_finite(samples, self.feature_ids, lambda row: f"row {row}")
         if len(self.class_labels) != 2:
             raise DatasetError(
                 f"need exactly two distinct labels, got {sorted(set(self.labels))}"
@@ -69,8 +81,11 @@ class Dataset:
         distinct = sorted(set(self.labels))
         return tuple(distinct)
 
-    def rows_of(self, label: str) -> np.ndarray:
+    def rows_of(self, label: str, held_out: int | None = None) -> np.ndarray:
+        """The rows labeled ``label``, leaving out row ``held_out``."""
         mask = np.array([lab == label for lab in self.labels])
+        if held_out is not None:
+            mask[held_out] = False
         return self.samples[mask]
 
 
@@ -120,13 +135,7 @@ def load_dataset(path) -> Dataset:
             f"{path}: need exactly two distinct labels, got {sorted(set(labels))}"
         )
     samples = np.array(rows)
-    bad = np.argwhere(~np.isfinite(samples))
-    if bad.size:
-        row, col = bad[0]
-        raise DatasetError(
-            f"{path}, line {lines[row]}: feature {feature_ids[col]!r} is "
-            f"{float(samples[row, col])!r}, not a finite number"
-        )
+    _reject_non_finite(samples, feature_ids, lambda row: f"{path}, line {lines[row]}")
     return Dataset(feature_ids=feature_ids, samples=samples, labels=tuple(labels))
 
 
@@ -181,15 +190,8 @@ def loo_cross_validate(dataset: Dataset, method: MethodSpec) -> LooResult:
     confusion = {(a, b): 0 for a in (first, second) for b in (first, second)}
     correct = 0
     for i in range(len(labels)):
-        keep = np.ones(len(labels), dtype=bool)
-        keep[i] = False
-        train = dataset.samples[keep]
-        train_labels = labels[keep]
         outcome = evaluate_method(
-            train[train_labels == first],
-            train[train_labels == second],
-            dataset.samples[i],
-            method,
+            dataset.rows_of(first, i), dataset.rows_of(second, i), dataset.samples[i], method
         )
         predicted = first if outcome.label == "X" else second
         confusion[(str(labels[i]), predicted)] += 1

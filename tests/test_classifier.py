@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from robustnn import (
+    ConfigurationError,
     ExtremaMethod,
     FixedThresholdMethod,
     ParameterError,
@@ -32,7 +33,7 @@ from robustnn import (
     truncate_values,
     zp_value,
 )
-from robustnn.classifier import DEFAULT_C, DEFAULT_XI
+from robustnn.classifier import DEFAULT_C, DEFAULT_XI, make_method
 
 
 def brute_label(X, Y, z, t):
@@ -355,6 +356,16 @@ def test_evaluate_method_dispatch():
     assert evaluate_method(X, Y, z, ExtremaMethod()).label == classify_extrema(X, Y, z)
     with pytest.raises(ParameterError):
         evaluate_method(X, Y, z, "robust")
+
+
+def test_make_method_rejects_an_unknown_rule():
+    with pytest.raises(ConfigurationError) as info:
+        make_method("robust", rule="bogus")
+    assert str(info.value) == (
+        "unknown rule 'bogus'; expected one of "
+        "['dependent', 'dependent_logp', 'independent', 'independent_sqrt_logp']"
+    )
+    assert make_method("robust", rule="dependent_logp").xi_or_c == DEFAULT_XI
 
 
 def test_defaults():

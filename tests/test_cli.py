@@ -8,6 +8,7 @@ import robustnn.cli as cli
 from robustnn.classifier import DEFAULT_C, DEFAULT_XI, evaluate_method
 from robustnn.cli import dispatch
 from robustnn.config import load_config, methods_from_config
+from robustnn.datagen import shift_amount
 from robustnn.dataset import load_dataset
 
 SCENARIO_200 = "[scenario]\np = 200\nbeta = 0.6\nr = 0.7\nseed = 3\n"
@@ -294,6 +295,19 @@ def test_non_numeric_study_setting_is_an_error_line(tmp_path, capsys, command, s
     cfg = write_cfg(tmp_path, SCENARIO_200 + f"[{section}]\n{key} = abc\n")
     assert dispatch([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: [{section}] {key}: ")
+
+
+def test_unknown_robust_rule_is_an_error_line_before_calibration(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        SCENARIO_200
+        + "[sweep]\nbeta_grid = 0.6\nr_grid = 0.7\ntrials = 2\n"
+        + "[methods]\nmethods = robust\nrobust_rule = bogus\n",
+    )
+    shift_amount.cache_clear()
+    assert dispatch(["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown rule 'bogus'; expected one of ")
+    assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
 
 
 def test_loo_names_the_csv_line_of_a_non_finite_value(tmp_path, capsys):

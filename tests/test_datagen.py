@@ -1,6 +1,8 @@
 """Generators, dependence models, shift placement, and seed derivation."""
 
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +29,7 @@ from robustnn import (
     shift_amount,
     shift_count,
 )
-from robustnn.datagen import _component_params, innovations_needed
+from robustnn.datagen import _component_params, _exp_ma_transform, innovations_needed
 from robustnn.seeds import mix64
 
 
@@ -142,8 +144,8 @@ def test_apply_dependence_ar1_hand_case():
 
 
 def test_apply_dependence_exp_ma_short_kernel():
-    # decay tiny: kernel is [1, decay], so the output is the innovations
-    # shifted by at most decay * max
+    # decay tiny: kernel is [1, decay, decay^2], so the output is the
+    # innovations shifted by about decay * max
     model = ExponentiatedMA(decay=1e-6)
     innov = np.random.default_rng(4).exponential(1.0, 50 + model.kernel().size - 1)
     out = apply_dependence(model, innov, 50)
@@ -163,6 +165,56 @@ def test_apply_dependence_validation():
     with pytest.raises(ParameterError):
         model = ExponentiatedMA(decay=0.5, alpha_range=(0.5, 1.5))
         apply_dependence(model, np.ones(innovations_needed(model, 5)), 5)
+
+
+def _exp_ma_oracle(innov, kernel, alphas):
+    """sum_j c_j W_{j+k}^{alpha_k} term by term in extended precision."""
+    w = innov.astype(np.longdouble)
+    c = kernel.astype(np.longdouble)
+    return np.array(
+        [
+            sum(c[j] * w[k + j] ** np.longdouble(a) for j in range(c.size))
+            for k, a in enumerate(alphas)
+        ]
+    )
+
+
+@pytest.mark.parametrize("innovation", [Exponential(), Pareto(1.0)])
+@pytest.mark.parametrize("alpha_range", [(0.5, 2.0), (1.3, 1.3)])
+@pytest.mark.parametrize("decay", [0.5, 1e-13])  # 41 kernel terms, and 1
+@pytest.mark.parametrize("zeros", [False, True])
+def test_exp_ma_transform_matches_direct_sum(innovation, alpha_range, decay, zeros):
+    model = ExponentiatedMA(decay=decay, alpha_range=alpha_range, innovation=innovation)
+    kernel = model.kernel()
+    p = 120
+    rng = np.random.default_rng(17)
+    alphas = rng.uniform(*alpha_range, p)
+    innov = innovation.sample(rng, (3, p + kernel.size - 1))
+    if zeros:
+        innov[:, ::5] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _exp_ma_transform(innov, kernel, alphas)
+    for row, values in zip(innov, out):
+        np.testing.assert_allclose(values, _exp_ma_oracle(row, kernel, alphas), rtol=1e-14, atol=0)
+        # a batched call gives each row exactly what a call on that row gives
+        assert np.array_equal(_exp_ma_transform(row, kernel, alphas), values)
+
+
+@pytest.mark.parametrize("decay", [0.5, 0.8])  # 41 and 131 kernel terms
+def test_exp_ma_calibration_memory_does_not_grow_with_the_kernel(decay):
+    sc = Scenario(p=20_000, m=1, n=1, beta=0.6, r=0.9, marginal=Exponential(),
+                  dependence=ExponentiatedMA(decay=decay, alpha_range=(0.5, 2.0)), seed=3)
+    draws = math.ceil(50.0 * 20_000 ** 0.9)  # the calibration sample size here
+    _component_params(sc.seed, sc.p, sc.dependence)  # drawn once per sweep, not per cell
+    shift_amount.cache_clear()
+    tracemalloc.start()
+    try:
+        shift_amount(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * draws * 8
 
 
 def test_innovations_needed():

@@ -47,6 +47,14 @@ def test_dataset_invariants():
         Dataset(("a", "b"), np.zeros((2, 3)), ("u", "v"))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_values(value):
+    samples = np.array([[0.0, 1.0], [value, 1.0]])
+    with pytest.raises(DatasetError) as info:
+        Dataset(("a", "b"), samples, ("X", "Y"))
+    assert str(info.value) == f"row 1: feature 'a' is {value!r}, not a finite number"
+
+
 def test_save_load_round_trip(tmp_path):
     ds = make_dataset()
     path = tmp_path / "data.csv"
