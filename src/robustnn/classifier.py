@@ -26,10 +26,13 @@ dependent data (natural logarithm).  Z is assigned to the X population
 exactly when T(theta) <= 0.
 
 The scan is evaluated for all breakpoints at once from ranks: one pooled
-``np.unique`` ranks the distinct values, a threshold t becomes a cut point c
-in that order with the values <= t ranked below it, and 1(v > t) is
-1(rank(v) >= c).  Each row's count of components below every cut is a step
-profile, one ``bincount`` of its ranks and a ``cumsum``, with no per-row sort.
+``np.unique`` ranks the distinct values, a threshold t becomes the cut
+c = 1 + #(values <= t) in that order, and 1(v > t) is 1(rank(v) >= c).  The
+default grid's cuts follow from its construction (midpoint k passes k + 1
+values, or k + 2 where it rounds onto the upper one); only a caller's grid is
+searched.  Each row's count of components below every cut is a step profile,
+one ``bincount`` of its ranks and a ``cumsum``, with no per-row sort, and one
+pass up the rows keeps each cut's minimum distance and lowest row at it.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
 nearest neighbor on zeroed-below-threshold values v * 1(v > t), and a
@@ -202,23 +205,51 @@ def _pooled_ranks(rows: np.ndarray, floor: float = -np.inf) -> tuple[np.ndarray,
     return values, ranks
 
 
-def _midpoints(values: np.ndarray) -> np.ndarray:
-    """0.5 * (a + b) for consecutive values, or a + 0.5 * (b - a) where a + b overflows."""
-    a, b = values[:-1], values[1:]
+def _midpoints(a, b):
+    """0.5 * (a + b), or a + 0.5 * (b - a) where a + b overflows; a <= b."""
     with np.errstate(over="ignore"):
         mid = 0.5 * (a + b)
-    over = ~np.isfinite(mid)
-    mid[over] = a[over] + 0.5 * (b[over] - a[over])
-    return mid
+        return np.where(np.isfinite(mid), mid, a + 0.5 * (b - a))
+
+
+def _breakpoints(values: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """floor and the midpoints between ``values`` (sorted, distinct, >= floor),
+    with #(values <= t) for each t.  Midpoint k passes values[k], and
+    values[k + 1] too where it rounds onto it."""
+    mid = _midpoints(values[:-1], values[1:])
+    below = np.arange(1, values.size) + (mid == values[1:])
+    return np.r_[floor, mid], np.r_[np.count_nonzero(values[:1] == floor), below]
+
+
+def _nearest(d: np.ndarray, c: np.ndarray):
+    """Per column: the minimum of ``d``, the lowest row at it, and ``c`` in that
+    row.  The minimum and that ``c`` are kept in the last rows of ``d`` and ``c``."""
+    low, row, at_row = d[-1], np.full(d.shape[1], d.shape[0] - 1), c[-1]
+    for i in range(d.shape[0] - 2, -1, -1):
+        at = d[i] <= low
+        np.copyto(low, d[i], where=at)
+        np.copyto(row, i, where=at)
+        np.copyto(at_row, c[i], where=at)
+    return low, row, at_row
+
+
+def _median(v: np.ndarray) -> float:
+    """np.median of finite values from one partition, the two middle values of
+    an even count averaged by the midpoint rule, which cannot overflow."""
+    k = v.size // 2
+    part = np.partition(v, k)
+    mid = float(part[k] if v.size % 2 else _midpoints(part[:k].max(), part[k]))
+    return float(np.median(v)) if mid == 0 else mid  # +0 and -0 tie: keep np.median's sign
 
 
 def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
     """Grid, T, S^2, i_x, i_y at thresholds ts >= floor (default: breakpoints from floor)."""
     values, ranks = _pooled_ranks(np.concatenate([X, Y, z[None]]), floor)
-    if ts is None:  # floor, then the midpoints between the values >= floor
-        ts = np.concatenate(([floor], _midpoints(values)))
+    if ts is None:
+        ts, cuts = _breakpoints(values, floor)
+    else:
+        cuts = np.searchsorted(values, ts, side="right")
     top = values.size + 1
-    cuts = np.searchsorted(values, ts, side="right")
     del values  # keep only what the profiles need
     lo = int(cuts.min(initial=top))
     cuts += 1 - lo  # the column of cut 1 + #(values <= t)
@@ -233,12 +264,11 @@ def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
     dist, count = below[:r], below[r:]
     dist *= 2
     dist -= count
-    # Lowest row at each column's minimum, without argmin's transposed copy.
-    i_x = (dist[:m] == dist[:m].min(axis=0)).argmax(axis=0)[cuts]
-    i_y = (dist[m:] == dist[m:].min(axis=0)).argmax(axis=0)[cuts]
-    T = dist[i_x, cuts] - dist[m + i_y, cuts]
-    S2 = 2 * z.size - count[i_x, cuts] - count[m + i_y, cuts]
-    return ts, T, S2, i_x, i_y
+    d_x, i_x, c_x = _nearest(dist[:m], count[:m])
+    d_y, i_y, c_y = _nearest(dist[m:], count[m:])
+    T = (d_x - d_y)[cuts]
+    S2 = (2 * z.size - c_x - c_y)[cuts]
+    return ts, T, S2, i_x[cuts], i_y[cuts]
 
 
 def threshold_scan(
@@ -323,7 +353,7 @@ def select_threshold(
     """
     X, Y, z = _check_inputs(train_x, train_y, z)
     if t0 is None:
-        t0 = np.median(np.concatenate([X.ravel(), Y.ravel()]))
+        t0 = _median(np.concatenate([X.ravel(), Y.ravel()]))
     t0 = float(t0)
     if not math.isfinite(t0):
         raise ParameterError(f"t0 must be finite, got {t0!r}")

@@ -348,8 +348,10 @@ def shift_amount(scenario: Scenario) -> float:
     innovation variance) in closed form.  ExponentiatedMA marginals have no
     closed form, so the level is the empirical (1 - p^(-r)) quantile of a
     large pooled sample of components, drawn from a calibration stream that
-    depends only on the scenario seed.  The cache is unbounded (one float
-    per scenario), so a study of any size calibrates each cell once.
+    depends only on the scenario seed.  Cells with the same seed, p, model
+    and sample size share one draw, which a study drops once its cells are
+    calibrated.  The cache is unbounded (one float per scenario), so a study
+    of any size calibrates each cell once.
     """
     model = scenario.dependence
     p, r = scenario.p, scenario.r
@@ -368,14 +370,22 @@ def shift_amount(scenario: Scenario) -> float:
     # and offsets, so the pooled survival matches (1/p) sum_k P(X_k > a).
     q = p ** (-r)
     draws = int(min(2_000_000, max(200_000, math.ceil(50.0 / q))))
-    rng = np.random.default_rng(derive_seed(scenario.seed, _SCALE_TAG))
-    alphas, offsets = _component_params(scenario.seed, p, model)
+    return float(np.quantile(_calibration_sample(scenario.seed, p, model, draws), 1.0 - q))
+
+
+@lru_cache(maxsize=4)
+def _calibration_sample(seed: int, p: int, model: ExponentiatedMA, draws: int) -> np.ndarray:
+    """The pooled sample of ``shift_amount``, one per draw count (every r up to
+    0.83 at p = 20000 shares one); up to 4 are kept until ``_run_cells`` clears them."""
+    rng = np.random.default_rng(derive_seed(seed, _SCALE_TAG))
+    alphas, offsets = _component_params(seed, p, model)
     sample_alphas = rng.choice(alphas, size=draws)
     innov = model.innovation.sample(rng, innovations_needed(model, draws))
     values = _exp_ma_transform(innov, model.kernel(), sample_alphas)
     if offsets is not None:
-        values = values + rng.choice(offsets, size=draws)
-    return float(np.quantile(values, 1.0 - q))
+        values += rng.choice(offsets, size=draws)
+    values.setflags(write=False)
+    return values
 
 
 def checked_shift_amount(scenario: Scenario) -> float:

@@ -56,7 +56,7 @@ from .classifier import (
     zp_value,
 )
 from .datagen import DegenerateScenarioError, GeneratedData, Scenario, checked_shift_amount
-from .datagen import generate, shift_amount
+from .datagen import _calibration_sample, generate, shift_amount
 from .errors import ConfigurationError, ParameterError
 from .seeds import derive_seed
 
@@ -183,6 +183,7 @@ def _run_cells(
         raise ParameterError(f"trials must be positive, got {trials}")
     for scenario, _ in cells:
         checked_shift_amount(scenario)
+    _calibration_sample.cache_clear()  # workers inherit the amounts, not the sample
     tasks = [
         (scenario, methods, seed, z_from)
         for scenario, key in cells

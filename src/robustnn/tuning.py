@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .classifier import _midpoints, _pooled_ranks, _require_finite, _step_profiles
+from .classifier import _breakpoints, _pooled_ranks, _require_finite, _step_profiles
 from .classifier import FixedThresholdMethod, truncate_values
 from .datagen import Independent, Scenario, shift_amount, shift_count
 from .errors import ParameterError, SampleSizeError, ShapeError, UnsupportedSettingError
@@ -150,7 +150,8 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     pooled, ranks = _pooled_ranks(rows)
     # One t per constancy interval: -inf (no truncation), the midpoints
     # between consecutive distinct values, and the top value (all zeroed).
-    ts = np.concatenate(([-np.inf], _midpoints(pooled), pooled[-1:]))
+    ts, cuts = _breakpoints(pooled, -np.inf)
+    ts, cuts = np.append(ts, pooled[-1]), np.append(cuts, pooled.size)
     # Nearest distance at every cut to a row of the same class and of the other.
     same = np.full((len(rows), pooled.size + 1), np.inf)
     other = same.copy()
@@ -160,7 +161,7 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
         for k in (i, j):
             np.minimum(near[k], d, out=near[k])
     errors = _error_rate(same[:m], other[:m]) + _error_rate(same[m:], other[m:])
-    values = errors[np.searchsorted(pooled, ts, side="right")]  # column c - 1 holds cut c
+    values = errors[cuts]  # column c - 1 holds cut c = 1 + #(values <= t)
     best = values.min()
     minimizers = ts[values == best]
     return CvCurve(ts=ts, values=values, minimizers=minimizers, theta_cv=float(minimizers[0]))

@@ -6,6 +6,7 @@ ties, and a python loop over every candidate threshold.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,66 @@ def test_scan_grid_finite_near_float_max():
     assert np.isfinite(ts).all() and (np.diff(ts) > 0).all()
     for k, t in enumerate(ts):
         assert decision.trace[k] == compute_T_S(X, Y, z, t)
+
+
+@st.composite
+def adjacent_instances(draw):
+    """Up to 5 rows per class of tied integers, some moved up by one to three
+    ulps: a midpoint between adjacent doubles rounds onto one of them, onto
+    the upper one about half the time."""
+    m, n, p = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(2, 6))
+
+    def ulps_up(v):
+        x = float(v[0])
+        for _ in range(v[1]):
+            x = np.nextafter(x, math.inf)
+        return x
+
+    values = st.tuples(st.integers(-2, 2), st.integers(0, 3)).map(ulps_up)
+    X = draw(arrays(float, (m, p), elements=values))
+    Y = draw(arrays(float, (n, p), elements=values))
+    z = draw(arrays(float, p, elements=values))
+    t0 = draw(st.one_of(st.none(), st.sampled_from(np.concatenate([X.ravel(), z]).tolist())))
+    return X, Y, z, t0
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjacent_instances())
+def test_default_grid_cuts_match_the_searched_grid(instance):
+    X, Y, z, t0 = instance
+    trace = select_threshold(X, Y, z, t0=t0).trace
+    searched = threshold_scan(X, Y, z, trace.ts)
+    for got, want in zip((trace.T, trace.S2, trace.i_x, trace.i_y), searched):
+        np.testing.assert_array_equal(got, want)
+    for k, t in enumerate(trace.ts):
+        assert trace[k] == compute_T_S(X, Y, z, t)
+
+
+def test_default_t0_finite_near_float_max():
+    # (a + b) / 2 of the two middle values overflows here; their midpoint does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decision = select_threshold([[1.7e308, 1.7e308]], [[1.7e308, 1.0]], [1.7e308, 1.0])
+    assert decision.t0 == 1.7e308
+
+
+finite_or_tied = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 5), st.data())
+def test_default_t0_is_np_median(m, n, p, data):
+    X = data.draw(arrays(float, (m, p), elements=finite_or_tied))
+    Y = data.draw(arrays(float, (n, p), elements=finite_or_tied))
+    with np.errstate(over="ignore"):
+        median = float(np.median(np.concatenate([X.ravel(), Y.ravel()])))
+    assume(math.isfinite(median))
+    # The pooled count (m + n) * p is odd or even; repr tells -0.0 from 0.0.
+    assert repr(select_threshold(X, Y, np.zeros(p)).t0) == repr(median)
 
 
 @pytest.mark.parametrize(

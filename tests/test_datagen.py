@@ -29,7 +29,8 @@ from robustnn import (
     shift_amount,
     shift_count,
 )
-from robustnn.datagen import _component_params, _exp_ma_transform, innovations_needed
+from robustnn.datagen import _calibration_sample, _component_params, _exp_ma_transform
+from robustnn.datagen import innovations_needed
 from robustnn.seeds import mix64
 
 
@@ -208,6 +209,7 @@ def test_exp_ma_calibration_memory_does_not_grow_with_the_kernel(decay):
     draws = math.ceil(50.0 * 20_000 ** 0.9)  # the calibration sample size here
     _component_params(sc.seed, sc.p, sc.dependence)  # drawn once per sweep, not per cell
     shift_amount.cache_clear()
+    _calibration_sample.cache_clear()
     tracemalloc.start()
     try:
         shift_amount(sc)

@@ -2,6 +2,8 @@
 
 import csv
 import math
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import robustnn.experiments as experiments
 from robustnn import (
     ConfigurationError,
+    ExponentiatedMA,
     ExtremaMethod,
     FixedThresholdMethod,
     Normal,
@@ -28,6 +31,7 @@ from robustnn import (
     sweep_beta_r,
     threshold_distribution,
 )
+from robustnn.datagen import _calibration_sample
 from robustnn.experiments import (
     resolve_workers,
     write_curve_csv,
@@ -162,8 +166,6 @@ def test_sweep_beta_r_grid(tmp_path):
 def test_sweep_cells_match_standalone_estimates():
     grid = sweep_beta_r([0.6], [0.5, 0.7], SMALL, METHODS, trials_per_cell=16, base_seed=8)
     for ri, r in enumerate((0.5, 0.7)):
-        from dataclasses import replace
-
         sc = replace(SMALL, beta=0.6, r=r)
         standalone = estimate_success_rate(
             sc, METHODS, trials=16, base_seed=8, cell_index=0 * 2 + ri
@@ -179,6 +181,22 @@ def test_sweep_past_128_cells_calibrates_each_cell_once():
     grid = sweep_beta_r(betas, rs, SMALL, METHODS, 2, 1)
     assert not grid.skipped
     assert shift_amount.cache_info().misses == len(betas) * len(rs)
+
+
+def test_exp_ma_study_draws_one_calibration_sample_and_drops_it():
+    template = Scenario(p=20_000, m=1, n=1, beta=0.55, r=0.3, marginal=Normal(),
+                        dependence=ExponentiatedMA(decay=0.5, alpha_range=(0.5, 2.0)), seed=1)
+    cells = [(replace(template, beta=beta, r=r), (k,))
+             for k, (beta, r) in enumerate(product((0.55, 0.7, 0.85), (0.3, 0.5, 0.7)))]
+    shift_amount.cache_clear()
+    _calibration_sample.cache_clear()
+    amounts = {scenario.r: shift_amount(scenario) for scenario, _ in cells}
+    assert _calibration_sample.cache_info().misses == 1  # 200,000 draws for every r here
+    # The amounts of one draw per cell, before cells shared it.
+    assert amounts == {0.3: 6.313106694967765, 0.5: 14.074563749182682, 0.7: 26.45390381903415}
+    shift_amount.cache_clear()
+    experiments._run_cells(cells, [StandardNNMethod()], 1, 0, 1)
+    assert _calibration_sample.cache_info().currsize == 0  # pool workers would inherit it
 
 
 def test_sweep_skips_degenerate_cells():
