@@ -169,7 +169,7 @@ def zp_value(rule: str, p: int, xi_or_c: float) -> float:
     if p < 2:
         raise ParameterError(f"p must be at least 2, got {p}")
     xi_or_c = float(xi_or_c)
-    if xi_or_c < 0:
+    if not xi_or_c >= 0:  # also rejects NaN, which would never let the scan fire
         raise ParameterError(f"xi_or_c must be nonnegative, got {xi_or_c!r}")
     logp = math.log(p)
     if _RULE_ALIASES[rule] == DEPENDENT_RULE:
@@ -477,6 +477,8 @@ def make_method(
             )
         if c is None:
             c = DEFAULT_XI if _RULE_ALIASES[rule] == DEPENDENT_RULE else DEFAULT_C
+        if not c >= 0:
+            raise ConfigurationError(f"robust slope c must be nonnegative, got {c!r}")
         return RobustMethod(rule=rule, xi_or_c=c)
     if cls in (TruncatedNNMethod, FixedThresholdMethod):
         if t is None:

@@ -8,11 +8,11 @@ study cell, (0,) for the curves, () for the a priori Monte Carlo in
 are balanced averages of the two conditional accuracies, and the reported
 standard error is the binomial sqrt(rate * (1 - rate) / trials).
 
-``_run_cells`` is the one engine for the trials of a study: it checks and
-calibrates every cell in this process first, then runs all the trials
-serially or on a single process pool, whose forked workers inherit the
-calibration.  Results are reproducible bit-for-bit and independent of
-execution order, so parallel runs equal serial ones.
+``_run_cells`` is the one engine for the trials of every study: it checks and
+calibrates every cell in this process first, then scores all the trials with
+the study's per-trial function, serially or on a single process pool whose
+forked workers inherit the calibration.  Results are reproducible bit-for-bit
+and independent of execution order, so parallel runs equal serial ones.
 
 Provided studies:
 
@@ -28,9 +28,9 @@ Provided studies:
   standard nearest-neighbor rate measured on the same trials.
 * ``sample_size_study`` - success rates across (m, n) training-size pairs.
 
-Worker processes are capped by the ROBUSTNN_THREADS environment variable
-(0 means one worker per CPU); the default is serial execution.  The curves
-always run serially.
+Worker processes are capped by a study's ``workers`` argument, else by the
+ROBUSTNN_THREADS environment variable (0 means one worker per CPU; the curves
+read only the variable); the default is serial execution.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -170,12 +170,14 @@ class MethodRate:
 
 def _run_cells(
     cells: Sequence[tuple[Scenario, tuple[int, ...]]],
-    methods: Sequence[MethodSpec],
+    score: Callable,
+    arg,
     trials: int,
     base_seed: int,
     workers: int | None,
-) -> list[list[list[TrialResult]]]:
-    """Per-trial results of every (scenario, seed key) cell of one study.
+) -> list[list]:
+    """Per-trial ``score(scenario, arg, seed, z_from)`` of every (scenario, seed
+    key) cell of one study; ``score`` is module-level, so a pool can pickle it.
 
     A degenerate cell raises DegenerateScenarioError before any trial runs.
     """
@@ -185,18 +187,18 @@ def _run_cells(
         checked_shift_amount(scenario)
     _calibration_sample.cache_clear()  # workers inherit the amounts, not the sample
     tasks = [
-        (scenario, methods, seed, z_from)
+        (scenario, arg, seed, z_from)
         for scenario, key in cells
         for seed, z_from in _trial_plan(trials, base_seed, key)
     ]
     count = resolve_workers(workers)
     if count <= 1 or len(tasks) < 2 * count:
-        results = [run_trial(*task) for task in tasks]
+        results = [score(*task) for task in tasks]
     else:
         # Chunks sized on one cell keep the workers' shares even to the end.
         chunk = max(1, trials // (count * 4))
         with ProcessPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(run_trial, *zip(*tasks), chunksize=chunk))
+            results = list(pool.map(score, *zip(*tasks), chunksize=chunk))
     return [results[k * trials : (k + 1) * trials] for k in range(len(cells))]
 
 
@@ -232,7 +234,8 @@ def estimate_success_rate(
     workers: int | None = None,
 ) -> dict[str, MethodRate]:
     """Balanced paired success rates for every method on one scenario."""
-    per_trial = _run_cells([(scenario, (cell_index,))], methods, trials, base_seed, workers)[0]
+    cells = [(scenario, (cell_index,))]
+    per_trial = _run_cells(cells, run_trial, methods, trials, base_seed, workers)[0]
     return _summarize(methods, per_trial)
 
 
@@ -331,7 +334,9 @@ def sweep_beta_r(
             live[(bi, ri)] = (scenario, (bi * len(r_axis) + ri,))
     cells: dict[tuple[int, int, str], MethodRate] = {}
     dominance: dict[tuple[int, int], DominanceCell] = {}
-    results = _run_cells(list(live.values()), methods, trials_per_cell, base_seed, workers)
+    results = _run_cells(
+        list(live.values()), run_trial, methods, trials_per_cell, base_seed, workers
+    )
     for (bi, ri), per_trial in zip(live, results):
         rates = _summarize(methods, per_trial)
         for name, rate in rates.items():
@@ -375,7 +380,7 @@ def threshold_distribution(
     any exist); the defaulted fraction is reported separately.
     """
     method = RobustMethod(xi_or_c=c_value)
-    per_trial = _run_cells([(scenario, (0,))], [method], trials, base_seed, workers)[0]
+    per_trial = _run_cells([(scenario, (0,))], run_trial, [method], trials, base_seed, workers)[0]
     shift = shift_amount(scenario)
     results = [trial[0] for trial in per_trial]
     defaulted = sum(bool(r.defaulted) for r in results) / trials
@@ -425,6 +430,14 @@ def _success_curve(xs, x_name, trials, correct, nn_correct, defaulted_fractions=
     )
 
 
+def _t_grid_trial(scenario: Scenario, ts: np.ndarray, seed: int, z_from: str):
+    """One curve trial: the correct flags of 1(T(t) > 0) over ``ts``, and NN's."""
+    data = _draw(scenario, seed, z_from)
+    T, _, _, _ = threshold_scan(data.x_samples, data.y_samples, data.z, ts)
+    nn = classify_nn_standard(data.x_samples, data.y_samples, data.z)
+    return np.where(T <= 0, "X", "Y") == data.z_label, nn == data.z_label
+
+
 def success_vs_threshold(
     scenario: Scenario,
     t_grid: Sequence[float],
@@ -438,19 +451,24 @@ def success_vs_threshold(
     are scored on the same per-trial datasets.
     """
     props = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if props.size == 0 or trials < 1:
-        raise ParameterError("t_grid must be nonempty and trials positive")
-    shift = shift_amount(scenario)
-    ts = props * shift
-    correct = np.zeros(props.size, dtype=np.int64)
-    nn_correct = 0
-    for seed, z_from in _trial_plan(trials, base_seed, (0,)):
-        data = _draw(scenario, seed, z_from)
-        T, _, _, _ = threshold_scan(data.x_samples, data.y_samples, data.z, ts)
-        labels = np.where(T <= 0, "X", "Y")
-        correct += labels == data.z_label
-        nn_correct += classify_nn_standard(data.x_samples, data.y_samples, data.z) == data.z_label
+    if props.size == 0 or np.isnan(props).any():
+        raise ParameterError(f"t_grid must be nonempty and free of NaN, got {props.tolist()}")
+    ts = props * shift_amount(scenario)
+    per_trial = _run_cells([(scenario, (0,))], _t_grid_trial, ts, trials, base_seed, None)[0]
+    correct, nn_correct = (sum(flags) for flags in zip(*per_trial))
     return _success_curve(props, "t_over_shift", trials, correct, nn_correct)
+
+
+def _c_grid_trial(scenario: Scenario, arg, seed: int, z_from: str):
+    """One curve trial: correct and defaulted flags over ``arg = (method, z_ps)``, and NN's."""
+    method, z_ps = arg
+    data = _draw(scenario, seed, z_from)
+    X, Y, z = data.x_samples, data.y_samples, data.z
+    trace = select_threshold(X, Y, z, rule=method.rule, xi_or_c=method.xi_or_c, t0=method.t0).trace
+    hits = [_first_firing(trace.T, trace.S2, z_p) for z_p in z_ps]
+    defaulted = np.array([hit is None for hit in hits])
+    labels = np.where(trace.T[[0 if hit is None else hit for hit in hits]] <= 0, "X", "Y")
+    return labels == data.z_label, defaulted, classify_nn_standard(X, Y, z) == data.z_label
 
 
 def success_vs_c(
@@ -468,24 +486,12 @@ def success_vs_c(
     the NN reference uses the same trials.
     """
     cs = np.atleast_1d(np.asarray(c_grid, dtype=float))
-    if cs.size == 0 or trials < 1:
-        raise ParameterError("c_grid must be nonempty and trials positive")
+    if cs.size == 0:
+        raise ParameterError("c_grid must be nonempty")
     z_ps = np.array([zp_value(rule, scenario.p, c) for c in cs])
-    correct = np.zeros(cs.size, dtype=np.int64)
-    defaulted = np.zeros(cs.size, dtype=np.int64)
-    nn_correct = 0
-    for seed, z_from in _trial_plan(trials, base_seed, (0,)):
-        data = _draw(scenario, seed, z_from)
-        X, Y, z = data.x_samples, data.y_samples, data.z
-        trace = select_threshold(X, Y, z, rule=rule, xi_or_c=cs[0], t0=t0).trace
-        for ci, z_p in enumerate(z_ps):
-            hit = _first_firing(trace.T, trace.S2, z_p)
-            if hit is None:
-                defaulted[ci] += 1
-                hit = 0
-            label = "X" if trace.T[hit] <= 0 else "Y"
-            correct[ci] += label == data.z_label
-        nn_correct += classify_nn_standard(X, Y, z) == data.z_label
+    arg = (RobustMethod(rule=rule, xi_or_c=cs[0], t0=t0), z_ps)
+    per_trial = _run_cells([(scenario, (0,))], _c_grid_trial, arg, trials, base_seed, None)[0]
+    correct, defaulted, nn_correct = (sum(flags) for flags in zip(*per_trial))
     return _success_curve(cs, "c", trials, correct, nn_correct, defaulted / trials)
 
 
@@ -516,7 +522,8 @@ def sample_size_study(
     pairs = [(int(m), int(n)) for m, n in mn_pairs]
     cells = [(replace(template, m=m, n=n), (k,)) for k, (m, n) in enumerate(pairs)]
     rows: list[SampleSizeRow] = []
-    for (m, n), per_trial in zip(pairs, _run_cells(cells, methods, trials, base_seed, workers)):
+    results = _run_cells(cells, run_trial, methods, trials, base_seed, workers)
+    for (m, n), per_trial in zip(pairs, results):
         for name, rate in _summarize(methods, per_trial).items():
             rows.append(
                 SampleSizeRow(m=m, n=n, method=name, rate=rate.rate, se=rate.se, trials=trials)

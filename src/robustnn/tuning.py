@@ -45,7 +45,7 @@ from .classifier import _breakpoints, _pooled_ranks, _require_finite, _step_prof
 from .classifier import FixedThresholdMethod, truncate_values
 from .datagen import Independent, Scenario, shift_amount, shift_count
 from .errors import ParameterError, SampleSizeError, ShapeError, UnsupportedSettingError
-from .experiments import _run_cells, _summarize
+from . import experiments
 from .seeds import derive_seed
 
 __all__ = [
@@ -265,8 +265,10 @@ def apriori_success_rate(
             raise ParameterError("monte_carlo needs at least 2 trials")
         # Seed key (): trial j draws from derive_seed(base_seed, j).  Serial.
         methods = [FixedThresholdMethod(t)]
-        per_trial = _run_cells([(scenario, ())], methods, trials, base_seed, 1)[0]
-        rate = _summarize(methods, per_trial)["fixed_threshold"]
+        per_trial = experiments._run_cells(
+            [(scenario, ())], experiments.run_trial, methods, trials, base_seed, 1
+        )[0]
+        rate = experiments._summarize(methods, per_trial)["fixed_threshold"]
         return SuccessEstimate(value=rate.rate, se=rate.se)
     raise ParameterError(f"method must be 'normal_approx' or 'monte_carlo', got {method!r}")
 

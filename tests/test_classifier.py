@@ -289,6 +289,8 @@ def test_zp_value_closed_forms():
         zp_value("independent", 1, 0.5)
     with pytest.raises(ParameterError):
         zp_value("independent", 100, -0.1)
+    with pytest.raises(ParameterError, match="got nan"):
+        zp_value("dependent", 100, float("nan"))
 
 
 def test_select_threshold_matches_brute_scan():

@@ -297,16 +297,27 @@ def test_non_numeric_study_setting_is_an_error_line(tmp_path, capsys, command, s
     assert capsys.readouterr().err.startswith(f"error: [{section}] {key}: ")
 
 
-def test_unknown_robust_rule_is_an_error_line_before_calibration(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("robust_rule = bogus", "unknown rule 'bogus'; expected one of "),
+        ("robust_c = -1", "robust slope c must be nonnegative, got -1.0"),
+        ("robust_c = nan", "robust slope c must be nonnegative, got nan"),
+    ],
+    ids=["rule", "negative_c", "nan_c"],
+)
+def test_unknown_robust_rule_is_an_error_line_before_calibration(
+    tmp_path, capsys, setting, message
+):
     cfg = write_cfg(
         tmp_path,
         SCENARIO_200
         + "[sweep]\nbeta_grid = 0.6\nr_grid = 0.7\ntrials = 2\n"
-        + "[methods]\nmethods = robust\nrobust_rule = bogus\n",
+        + f"[methods]\nmethods = robust\n{setting}\n",
     )
     shift_amount.cache_clear()
     assert dispatch(["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error: unknown rule 'bogus'; expected one of ")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
 
 

@@ -15,6 +15,7 @@ from robustnn import (
     ExtremaMethod,
     FixedThresholdMethod,
     Normal,
+    ParameterError,
     RobustMethod,
     Scenario,
     StandardNNMethod,
@@ -109,11 +110,14 @@ def test_parallel_study_starts_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("ROBUSTNN_THREADS", "2")  # the curves take no workers argument
     studies = [
         lambda: sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 4, base_seed=3, workers=2),
         lambda: sample_size_study(SMALL, [(1, 1), (2, 1)], trials=4, base_seed=4, workers=2),
         lambda: estimate_success_rate(SMALL, METHODS, trials=8, base_seed=5, workers=2),
         lambda: threshold_distribution(SMALL, trials=8, c_value=0.3, base_seed=6, workers=2),
+        lambda: success_vs_threshold(SMALL, [0.2, 0.6], trials=8, base_seed=7),
+        lambda: success_vs_c(SMALL, [0.2, 0.6], trials=8, base_seed=8),
     ]
     for study in studies:
         started.clear()
@@ -195,7 +199,7 @@ def test_exp_ma_study_draws_one_calibration_sample_and_drops_it():
     # The amounts of one draw per cell, before cells shared it.
     assert amounts == {0.3: 6.313106694967765, 0.5: 14.074563749182682, 0.7: 26.45390381903415}
     shift_amount.cache_clear()
-    experiments._run_cells(cells, [StandardNNMethod()], 1, 0, 1)
+    experiments._run_cells(cells, run_trial, [StandardNNMethod()], 1, 0, 1)
     assert _calibration_sample.cache_info().currsize == 0  # pool workers would inherit it
 
 
@@ -232,6 +236,8 @@ def test_success_vs_threshold_curve():
     # the nn reference is paired: same seeds, same scheme
     rates = estimate_success_rate(SMALL, [StandardNNMethod()], trials=40, base_seed=13)
     assert curve.nn_rate == rates["nn"].rate
+    with pytest.raises(ParameterError, match="nan"):  # T(nan) = 0 would score ties
+        success_vs_threshold(SMALL, [math.nan, 0.6], trials=20, base_seed=1)
 
 
 def test_success_vs_threshold_matches_fixed_threshold_method():
@@ -265,6 +271,8 @@ def test_success_vs_c_matches_direct_classification():
     # paired nn reference on the same draws
     rates = estimate_success_rate(SMALL, [StandardNNMethod()], trials=30, base_seed=15)
     assert curve.nn_rate == rates["nn"].rate
+    with pytest.raises(ParameterError, match="nan"):  # a NaN slope would never fire
+        success_vs_c(SMALL, [math.nan, 0.6], trials=20, base_seed=1)
 
 
 def test_sample_size_study():

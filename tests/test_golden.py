@@ -134,34 +134,51 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    """Run every command once, in order, in one fresh directory."""
-    work = tmp_path_factory.mktemp("golden")
+def _write_configs(work: Path) -> None:
     (work / "data.ini").write_text(DATA_INI)
     (work / "study.ini").write_text(STUDY_INI)
     (work / "expma.ini").write_text(EXPMA_INI)
     (work / "approx.ini").write_text(
         STUDY_INI.replace("method = monte_carlo", "method = normal_approx")
     )
-    out = {}
+
+
+def _digest(name: str) -> str:
+    """Run one command in the current directory and hash what it prints and writes."""
+    argv, files = COMMANDS[name]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = dispatch(argv)
+    assert code == 0, name
+    h = hashlib.sha256(stdout.getvalue().encode())
+    for file in files:
+        h.update(Path(file).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    """Run every command once, in order, in one fresh directory."""
+    work = tmp_path_factory.mktemp("golden")
+    _write_configs(work)
     old = os.getcwd()
     os.chdir(work)
     try:
-        for name, (argv, files) in COMMANDS.items():
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = dispatch(argv)
-            assert code == 0, name
-            h = hashlib.sha256(stdout.getvalue().encode())
-            for file in files:
-                h.update(Path(file).read_bytes())
-            out[name] = h.hexdigest()
+        return {name: _digest(name) for name in COMMANDS}
     finally:
         os.chdir(old)
-    return out
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_golden_digest(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["curves_c", "curves_threshold"])
+def test_parallel_curves_match_golden_digest(tmp_path, monkeypatch, name):
+    """With two workers the curves' 6 trials run on a process pool; the
+    variable is not in argv, so even the manifest is the serial run's."""
+    _write_configs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ROBUSTNN_THREADS", "2")
+    assert _digest(name) == GOLDEN[name]
