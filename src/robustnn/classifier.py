@@ -169,8 +169,8 @@ def zp_value(rule: str, p: int, xi_or_c: float) -> float:
     if p < 2:
         raise ParameterError(f"p must be at least 2, got {p}")
     xi_or_c = float(xi_or_c)
-    if not xi_or_c >= 0:  # also rejects NaN, which would never let the scan fire
-        raise ParameterError(f"xi_or_c must be nonnegative, got {xi_or_c!r}")
+    if not 0 <= xi_or_c < math.inf:  # NaN and inf would never let the scan fire
+        raise ParameterError(f"xi_or_c must be finite and nonnegative, got {xi_or_c!r}")
     logp = math.log(p)
     if _RULE_ALIASES[rule] == DEPENDENT_RULE:
         return xi_or_c * logp
@@ -477,8 +477,8 @@ def make_method(
             )
         if c is None:
             c = DEFAULT_XI if _RULE_ALIASES[rule] == DEPENDENT_RULE else DEFAULT_C
-        if not c >= 0:
-            raise ConfigurationError(f"robust slope c must be nonnegative, got {c!r}")
+        if not 0 <= c < math.inf:
+            raise ConfigurationError(f"robust slope c must be finite and nonnegative, got {c!r}")
         return RobustMethod(rule=rule, xi_or_c=c)
     if cls in (TruncatedNNMethod, FixedThresholdMethod):
         if t is None:

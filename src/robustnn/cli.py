@@ -216,8 +216,9 @@ def _cmd_threshold_dist(args, argv) -> int:
     trials = _trials(args, parser, "threshold_dist")
     c_value = args.c if args.c is not None else get_setting(parser, "threshold_dist", "c", float)
     bins = get_setting(parser, "threshold_dist", "bins", int)
+    rule = get_setting(parser, "methods", "robust_rule")
     dist = threshold_distribution(
-        scenario, trials, c_value, scenario.seed, bins=bins, workers=args.workers
+        scenario, trials, c_value, scenario.seed, bins=bins, workers=args.workers, rule=rule
     )
     write_histogram_csv(args.out, dist)
     config = {
@@ -244,7 +245,8 @@ def _cmd_curves(args, argv) -> int:
         curve = success_vs_threshold(scenario, grid, trials, scenario.seed)
     else:
         grid = get_setting(parser, "curves", "c_grid", parse_number_list)
-        curve = success_vs_c(scenario, grid, trials, scenario.seed)
+        rule = get_setting(parser, "methods", "robust_rule")
+        curve = success_vs_c(scenario, grid, trials, scenario.seed, rule=rule)
     write_curve_csv(args.out, curve.xs, curve.rates, x_name=curve.x_name)
     out = Path(args.out)
     details_path = out.with_suffix("").as_posix() + ".json"

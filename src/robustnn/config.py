@@ -229,7 +229,8 @@ seed = 0
 [methods]
 # comma list from: {", ".join(METHODS)}
 methods = robust, nn
-# critical-value rule for the robust method: independent | dependent
+# critical-value rule for the robust method, the c curve and threshold_dist:
+# independent | dependent
 robust_rule = independent
 # slope of the critical value: c for the independent rule (default {DEFAULT_C}),
 # xi for the dependent rule (default {DEFAULT_XI})

@@ -29,8 +29,8 @@ Provided studies:
 * ``sample_size_study`` - success rates across (m, n) training-size pairs.
 
 Worker processes are capped by a study's ``workers`` argument, else by the
-ROBUSTNN_THREADS environment variable (0 means one worker per CPU; the curves
-read only the variable); the default is serial execution.
+ROBUSTNN_THREADS environment variable (0: one worker per CPU; the curves and
+the a priori Monte Carlo read only the variable); the default is serial.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .classifier import (
     _first_firing,
     classify_nn_standard,
     evaluate_method,
+    make_method,
     select_threshold,
     threshold_scan,
     zp_value,
@@ -373,13 +374,14 @@ def threshold_distribution(
     *,
     bins: int = 20,
     workers: int | None = None,
+    rule: str = "independent_sqrt_logp",
 ) -> ThresholdDistribution:
     """Distribution of theta / shift over trials for the robust classifier.
 
     The histogram covers non-defaulted selections (proportions sum to 1 when
     any exist); the defaulted fraction is reported separately.
     """
-    method = RobustMethod(xi_or_c=c_value)
+    method = make_method("robust", rule, c_value)
     per_trial = _run_cells([(scenario, (0,))], run_trial, [method], trials, base_seed, workers)[0]
     shift = shift_amount(scenario)
     results = [trial[0] for trial in per_trial]

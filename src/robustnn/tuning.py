@@ -28,9 +28,9 @@ from the scenario's marginal and shift, so T's exact mean and variance
 follow per test-vector label and a normal approximation (with continuity
 correction) yields P(T <= 0 | X) and P(T > 0 | Y).  A Monte Carlo method
 estimates the same probability by full simulation and serves as the
-reference for the approximation: it runs ``FixedThresholdMethod(t)`` through
-the experiment engine (``experiments``), serially, with trial j seeded by
-derive_seed(base_seed, j).
+reference for the approximation: one engine study (``experiments``) in which
+trial j, seeded by derive_seed(base_seed, j), scores the whole threshold grid
+on its one dataset, as the fixed-threshold success curve does.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ import numpy as np
 from scipy.stats import norm
 
 from .classifier import _breakpoints, _pooled_ranks, _require_finite, _step_profiles
-from .classifier import FixedThresholdMethod, truncate_values
+from .classifier import truncate_values
 from .datagen import Independent, Scenario, shift_amount, shift_count
 from .errors import ParameterError, SampleSizeError, ShapeError, UnsupportedSettingError
 from . import experiments
-from .seeds import derive_seed
 
 __all__ = [
     "CvCurve",
@@ -185,14 +184,6 @@ class AprioriCurve:
     method: str
 
 
-def _exceedance_pair(scenario: Scenario, t: float) -> tuple[float, float, int]:
-    marginal = scenario.marginal
-    a = shift_amount(scenario)
-    q_base = marginal.survival(t)
-    q_shifted = marginal.survival(t - a)
-    return q_base, q_shifted, shift_count(scenario.p, scenario.beta)
-
-
 def _term_moments(q_i: float, q_j: float, q_k: float) -> tuple[float, float]:
     """Mean and variance of (I - J)(1 - 2K) for independent Bernoulli bits."""
     mean = (q_i - q_j) * (1.0 - 2.0 * q_k)
@@ -222,7 +213,9 @@ def _check_apriori_scenario(scenario: Scenario) -> None:
 
 
 def _normal_approx_success(scenario: Scenario, t: float) -> float:
-    q_x, q_y, shifted = _exceedance_pair(scenario, t)
+    survival = scenario.marginal.survival
+    q_x, q_y = survival(t), survival(t - shift_amount(scenario))
+    shifted = shift_count(scenario.p, scenario.beta)
     plain = scenario.p - shifted
     mean_u, var_u = _term_moments(q_x, q_x, q_x)
 
@@ -254,23 +247,12 @@ def apriori_success_rate(
     Requires m = n = 1, independent components, and a single marginal family.
     ``normal_approx`` is exact-moment normal approximation; ``monte_carlo``
     simulates ``trials`` full datasets (balanced labels) and reports the
-    binomial standard error.
+    binomial standard error.  This is the one-point ``apriori_optimal_threshold``.
     """
-    _check_apriori_scenario(scenario)
-    t = float(t)
-    if method == "normal_approx":
-        return SuccessEstimate(value=_normal_approx_success(scenario, t), se=0.0)
-    if method == "monte_carlo":
-        if trials < 2:
-            raise ParameterError("monte_carlo needs at least 2 trials")
-        # Seed key (): trial j draws from derive_seed(base_seed, j).  Serial.
-        methods = [FixedThresholdMethod(t)]
-        per_trial = experiments._run_cells(
-            [(scenario, ())], experiments.run_trial, methods, trials, base_seed, 1
-        )[0]
-        rate = experiments._summarize(methods, per_trial)["fixed_threshold"]
-        return SuccessEstimate(value=rate.rate, se=rate.se)
-    raise ParameterError(f"method must be 'normal_approx' or 'monte_carlo', got {method!r}")
+    curve = apriori_optimal_threshold(scenario, [t], method, trials=trials, base_seed=base_seed)
+    value = float(curve.values[0])
+    se = math.sqrt(value * (1.0 - value) / trials) if method == "monte_carlo" else 0.0
+    return SuccessEstimate(value=value, se=se)
 
 
 def apriori_optimal_threshold(
@@ -282,16 +264,20 @@ def apriori_optimal_threshold(
     base_seed: int = 0,
 ) -> AprioriCurve:
     """Evaluate the a priori success over a threshold grid; best = smallest argmax."""
+    _check_apriori_scenario(scenario)
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if ts.size == 0:
-        raise ParameterError("t_grid must not be empty")
-    values = np.array(
-        [
-            apriori_success_rate(
-                scenario, t, method, trials=trials, base_seed=derive_seed(base_seed, k)
-            ).value
-            for k, t in enumerate(ts)
-        ]
-    )
+    if ts.size == 0 or np.isnan(ts).any():
+        raise ParameterError(f"t_grid must be nonempty and free of NaN, got {ts.tolist()}")
+    if method == "normal_approx":
+        values = np.array([_normal_approx_success(scenario, t) for t in ts])
+    elif method == "monte_carlo":
+        if trials < 2:
+            raise ParameterError("monte_carlo needs at least 2 trials")
+        per_trial = experiments._run_cells(
+            [(scenario, ())], experiments._t_grid_trial, ts, trials, base_seed, None
+        )[0]
+        values = sum(correct for correct, _ in per_trial) / trials
+    else:
+        raise ParameterError(f"method must be 'normal_approx' or 'monte_carlo', got {method!r}")
     t_star = float(ts[values == values.max()].min())
     return AprioriCurve(ts=ts, values=values, t_star=t_star, method=method)

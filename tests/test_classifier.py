@@ -291,6 +291,8 @@ def test_zp_value_closed_forms():
         zp_value("independent", 100, -0.1)
     with pytest.raises(ParameterError, match="got nan"):
         zp_value("dependent", 100, float("nan"))
+    with pytest.raises(ParameterError, match="got inf"):
+        zp_value("independent", 100, float("inf"))
 
 
 def test_select_threshold_matches_brute_scan():

@@ -7,9 +7,10 @@ import pytest
 import robustnn.cli as cli
 from robustnn.classifier import DEFAULT_C, DEFAULT_XI, evaluate_method
 from robustnn.cli import dispatch
-from robustnn.config import load_config, methods_from_config
+from robustnn.config import load_config, methods_from_config, scenario_from_config
 from robustnn.datagen import shift_amount
 from robustnn.dataset import load_dataset
+from robustnn.experiments import success_vs_c, threshold_distribution
 
 SCENARIO_200 = "[scenario]\np = 200\nbeta = 0.6\nr = 0.7\nseed = 3\n"
 
@@ -301,10 +302,11 @@ def test_non_numeric_study_setting_is_an_error_line(tmp_path, capsys, command, s
     "setting, message",
     [
         ("robust_rule = bogus", "unknown rule 'bogus'; expected one of "),
-        ("robust_c = -1", "robust slope c must be nonnegative, got -1.0"),
-        ("robust_c = nan", "robust slope c must be nonnegative, got nan"),
+        ("robust_c = -1", "robust slope c must be finite and nonnegative, got -1.0"),
+        ("robust_c = nan", "robust slope c must be finite and nonnegative, got nan"),
+        ("robust_c = inf", "robust slope c must be finite and nonnegative, got inf"),
     ],
-    ids=["rule", "negative_c", "nan_c"],
+    ids=["rule", "negative_c", "nan_c", "inf_c"],
 )
 def test_unknown_robust_rule_is_an_error_line_before_calibration(
     tmp_path, capsys, setting, message
@@ -319,6 +321,63 @@ def test_unknown_robust_rule_is_an_error_line_before_calibration(
     assert dispatch(["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
+
+
+@pytest.mark.parametrize(
+    "argv, setting",
+    [
+        (["--c", "nan"], ""),
+        ([], "[threshold_dist]\nc = -1\n"),
+        ([], "[methods]\nrobust_rule = x\n"),
+    ],
+    ids=["nan_c_flag", "negative_c_setting", "bad_rule"],
+)
+def test_bad_threshold_dist_method_is_an_error_line_before_calibration(
+    tmp_path, capsys, argv, setting
+):
+    cfg = write_cfg(tmp_path, SCENARIO_200 + setting)
+    shift_amount.cache_clear()
+    out = str(tmp_path / "hist.csv")
+    assert dispatch(["threshold-dist", "--config", cfg, *argv, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
+
+
+@pytest.mark.parametrize("kind", ["curves", "threshold-dist"])
+def test_studies_read_the_configured_robust_rule(tmp_path, capsys, kind):
+    text = (
+        "[curves]\nc_grid = 0.16, 0.3\ntrials = 6\n"
+        "[threshold_dist]\ntrials = 6\nc = 0.3\n"
+    )
+    outputs = {}
+    for rule in ("independent", "dependent"):
+        cfg = write_cfg(tmp_path, SCENARIO_200 + text + f"[methods]\nrobust_rule = {rule}\n")
+        out = tmp_path / f"{rule}.csv"
+        assert dispatch([kind, "--config", cfg, "--out", str(out)]) == 0
+        outputs[rule] = out.read_text()
+    capsys.readouterr()
+    assert outputs["dependent"] != outputs["independent"]
+    scenario = scenario_from_config(load_config(cfg))
+    if kind == "curves":
+        rates = json.loads((tmp_path / "dependent.json").read_text())["rate"]
+        expected = success_vs_c(scenario, [0.16, 0.3], 6, scenario.seed, rule="dependent")
+        assert rates == expected.rates.tolist()
+    else:
+        dist = threshold_distribution(scenario, 6, 0.3, scenario.seed, bins=20, rule="dependent")
+        assert outputs["dependent"].splitlines()[1:] == [
+            f"{float(a)!r},{float(b)!r},{float(q)!r}"
+            for a, b, q in zip(dist.bin_left, dist.bin_right, dist.proportion)
+        ]
+
+
+@pytest.mark.parametrize("method", ["normal_approx", "monte_carlo"])
+def test_apriori_nan_grid_point_is_an_error_line(tmp_path, capsys, method):
+    cfg = write_cfg(
+        tmp_path,
+        SCENARIO_200 + f"[apriori]\nt_grid = 0.5, nan\nmethod = {method}\ntrials = 4\n",
+    )
+    assert dispatch(["apriori", "--config", cfg, "--out", str(tmp_path / "ap.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: t_grid must be nonempty and free of NaN")
 
 
 def test_loo_names_the_csv_line_of_a_non_finite_value(tmp_path, capsys):

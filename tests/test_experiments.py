@@ -20,6 +20,7 @@ from robustnn import (
     Scenario,
     StandardNNMethod,
     StudentT,
+    apriori_optimal_threshold,
     classify_robust,
     derive_seed,
     estimate_success_rate,
@@ -110,7 +111,7 @@ def test_parallel_study_starts_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setenv("ROBUSTNN_THREADS", "2")  # the curves take no workers argument
+    monkeypatch.setenv("ROBUSTNN_THREADS", "2")  # curves and apriori take no workers argument
     studies = [
         lambda: sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 4, base_seed=3, workers=2),
         lambda: sample_size_study(SMALL, [(1, 1), (2, 1)], trials=4, base_seed=4, workers=2),
@@ -118,6 +119,7 @@ def test_parallel_study_starts_one_pool(monkeypatch):
         lambda: threshold_distribution(SMALL, trials=8, c_value=0.3, base_seed=6, workers=2),
         lambda: success_vs_threshold(SMALL, [0.2, 0.6], trials=8, base_seed=7),
         lambda: success_vs_c(SMALL, [0.2, 0.6], trials=8, base_seed=8),
+        lambda: apriori_optimal_threshold(SMALL, [0.5, 1.0], "monte_carlo", trials=8),
     ]
     for study in studies:
         started.clear()

@@ -128,7 +128,7 @@ GOLDEN = {
     "threshold_dist": "41b36eb5bcbd78fec620ccf2a30f6e2b6fa510c8969f1a8ece55619ec8212a06",
     "curves_c": "2d284b470576e8805cae453639d27c9d100fa21f75cbae5dfde4fd443a3fecf1",
     "curves_threshold": "90e4e95291385d1bb963f4addea3b389c404f313783f4fcebf07708f3848ce8f",
-    "apriori_monte_carlo": "8c0d9b80fb5831e7a28a9e1f41fa8f4870a383f1c524639df40b1c93d650c35a",
+    "apriori_monte_carlo": "abc7cff718d283040ea1a45e92cbad2e253ba2332e0822a0a74298870772229b",
     "apriori_normal_approx": "358508b75efe26f77e5c64097a0ad7f0001e1a06bad10c1fd8ff1378871857ca",
     "sample_size": "7116e39cbbaa5101dedbd44c236730079d10c5174e768c638652032ed55529cf",
 }
@@ -174,10 +174,11 @@ def test_cli_output_matches_golden_digest(digests, name):
     assert digests[name] == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", ["curves_c", "curves_threshold"])
+@pytest.mark.parametrize("name", ["curves_c", "curves_threshold", "apriori_monte_carlo"])
 def test_parallel_curves_match_golden_digest(tmp_path, monkeypatch, name):
-    """With two workers the curves' 6 trials run on a process pool; the
-    variable is not in argv, so even the manifest is the serial run's."""
+    """With two workers the 6 trials of a curve or of the a priori Monte Carlo
+    run on a process pool; the variable is not in argv, so even the manifest
+    is the serial run's."""
     _write_configs(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("ROBUSTNN_THREADS", "2")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import robustnn.experiments as experiments
 from robustnn import (
     Independent,
     Normal,
@@ -289,3 +290,43 @@ def test_apriori_constant_curve_takes_smallest_t():
     curve = apriori_optimal_threshold(sc, [1e9, 2e9, 3e9])
     assert np.all(curve.values == 0.5)
     assert curve.t_star == 1e9
+
+
+def test_apriori_monte_carlo_curve_is_its_points(monkeypatch):
+    """One engine study scores the whole grid, and each of its points is the
+    one-point study: trial j of every t sees the dataset of derive_seed(b, j)."""
+    sc = Scenario(p=500, m=1, n=1, beta=0.6, r=0.7, marginal=Normal())
+    ts = [0.0, 0.4, 0.8, 1.2, 1.6]
+    calls = []
+    run_cells = experiments._run_cells
+    monkeypatch.setattr(
+        experiments, "_run_cells", lambda *args: calls.append(args[1]) or run_cells(*args)
+    )
+    curve = apriori_optimal_threshold(sc, ts, "monte_carlo", trials=30, base_seed=12)
+    assert calls == [experiments._t_grid_trial]
+    for k, t in enumerate(ts):
+        point = apriori_success_rate(sc, t, "monte_carlo", trials=30, base_seed=12)
+        assert curve.values[k] == point.value
+
+
+def test_apriori_success_rate_values_are_pinned():
+    sc = Scenario(p=500, m=1, n=1, beta=0.6, r=0.7, marginal=Normal())
+    # Values and SEs as the per-point studies computed them before the grid
+    # became one study.
+    mc = [
+        apriori_success_rate(sc, t, "monte_carlo", trials=40, base_seed=11) for t in (0.8, 1.6)
+    ]
+    assert [(e.value, e.se) for e in mc] == [
+        (0.65, 0.07541551564499178),
+        (0.7, 0.07245688373094719),
+    ]
+    assert apriori_success_rate(sc, 0.8).value == 0.6799120216832418
+
+
+@pytest.mark.parametrize("method", ["normal_approx", "monte_carlo"])
+def test_apriori_rejects_nan_thresholds(method):
+    sc = Scenario(p=500, m=1, n=1, beta=0.6, r=0.7, marginal=Normal())
+    with pytest.raises(ParameterError, match="free of NaN"):
+        apriori_success_rate(sc, float("nan"), method, trials=4)
+    with pytest.raises(ParameterError, match=r"free of NaN, got \[0.5, nan\]"):
+        apriori_optimal_threshold(sc, [0.5, float("nan")], method, trials=4)
