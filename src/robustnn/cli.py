@@ -225,6 +225,7 @@ def _cmd_threshold_dist(args, argv) -> int:
         "scenario": scenario_fields(scenario),
         "trials": trials,
         "c": c_value,
+        "rule": rule,
         "bins": bins,
         "defaulted_fraction": dist.defaulted_fraction,
         "shift_amount": dist.shift,
@@ -265,6 +266,8 @@ def _cmd_curves(args, argv) -> int:
         "nn_rate": curve.nn_rate,
         "nn_se": curve.nn_se,
     }
+    if args.kind == "c":
+        payload["rule"] = rule
     _write_json(details_path, payload)
     best = float(curve.xs[curve.rates.argmax()])
     print(

@@ -43,7 +43,6 @@ from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .distributions import Exponential, MarginalSpec, Normal, solve_scale
 from .errors import (
@@ -451,6 +450,8 @@ def apply_dependence(
         # U_k = sum_j w_j e_{k+j}: a sliding correlation with the weights.
         return np.correlate(innovations, np.asarray(model.weights), mode="valid")
     if isinstance(model, AR1):
+        from scipy.signal import lfilter
+
         a = model.alpha
         if p == 1 or a == 0.0:
             return innovations.copy()

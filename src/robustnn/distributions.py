@@ -21,6 +21,13 @@ so that larger r means rarer, and therefore individually larger, exceedance
 levels.  For identically distributed components this reduces to the single
 inverse survival value at q = p^(-r); mixed component lists are solved by
 root finding on a bracket that is valid by monotonicity.
+
+scipy is imported inside the functions that use it, not with this module:
+``scipy.special`` in the normal, Student-t and exponential-power tails, and
+``scipy.optimize`` in the mixed-block branch of ``solve_scale``.  The tails
+call the ``scipy.special`` functions that ``scipy.stats.norm`` and
+``scipy.stats.t`` run underneath, in the same arithmetic, so the values are
+the same doubles.  The exponential and Pareto families use no scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
 
 import numpy as np
-from scipy import optimize, special, stats
 
 from .errors import ConfigurationError, DomainError, ParameterError, SolverError
 
@@ -72,10 +78,14 @@ class Normal:
             raise ParameterError(f"normal sd must be positive, got {self.sd!r}")
 
     def survival(self, x: float) -> float:
-        return float(stats.norm.sf(x, loc=self.mean, scale=self.sd))
+        from scipy.special import ndtr
+
+        return float(ndtr(-((x - self.mean) / self.sd)))
 
     def inverse_survival(self, q: float) -> float:
-        return float(stats.norm.isf(_check_quantile(q), loc=self.mean, scale=self.sd))
+        from scipy.special import ndtri
+
+        return float(-ndtri(_check_quantile(q)) * self.sd + self.mean)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(self.mean, self.sd, size)
@@ -95,10 +105,15 @@ class StudentT:
             raise ParameterError(f"student_t df must be a positive real, got {self.df!r}")
 
     def survival(self, x: float) -> float:
-        return float(stats.t.sf(x, self.df))
+        from scipy.special import stdtr
+
+        return float(stdtr(self.df, -x))
 
     def inverse_survival(self, q: float) -> float:
-        return float(stats.t.isf(_check_quantile(q), self.df))
+        from scipy.special import stdtrit
+
+        # 0.0 - v rather than -v: at q = 0.5 scipy.stats.t.isf gives +0.0.
+        return float(0.0 - stdtrit(self.df, _check_quantile(q)))
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.standard_t(self.df, size)
@@ -152,8 +167,10 @@ class Subbotin:
 
     def _upper_half(self, x: float) -> float:
         # P(|X| > x) for x >= 0.
+        from scipy.special import gammaincc
+
         g = self.gamma
-        return float(special.gammaincc(1.0 / g, x**g / g))
+        return float(gammaincc(1.0 / g, x**g / g))
 
     def survival(self, x: float) -> float:
         x = float(x)
@@ -162,13 +179,15 @@ class Subbotin:
         return 1.0 - 0.5 * self._upper_half(-x)
 
     def inverse_survival(self, q: float) -> float:
+        from scipy.special import gammainccinv
+
         q = _check_quantile(q)
         g = self.gamma
         if q == 0.5:
             return 0.0
         if q < 0.5:
-            return float((g * special.gammainccinv(1.0 / g, 2.0 * q)) ** (1.0 / g))
-        return -float((g * special.gammainccinv(1.0 / g, 2.0 * (1.0 - q))) ** (1.0 / g))
+            return float((g * gammainccinv(1.0 / g, 2.0 * q)) ** (1.0 / g))
+        return -float((g * gammainccinv(1.0 / g, 2.0 * (1.0 - q))) ** (1.0 / g))
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         g = self.gamma
@@ -306,7 +325,9 @@ def solve_scale(
                     "could not bracket the exceedance level between the "
                     "per-marginal inverse survival points"
                 )
-            a, res = optimize.brentq(
+            from scipy.optimize import brentq
+
+            a, res = brentq(
                 excess, lo, hi, xtol=1e-13 * max(1.0, abs(hi)), rtol=9e-16, full_output=True
             )
             iterations = res.iterations

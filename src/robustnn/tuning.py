@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .classifier import _breakpoints, _pooled_ranks, _require_finite, _step_profiles
 from .classifier import truncate_values
@@ -195,9 +194,11 @@ def _one_sided(mu: float, var: float, want_at_most_zero: bool) -> float:
     if var <= 0:
         hit = mu <= 0 if want_at_most_zero else mu > 0
         return 1.0 if hit else 0.0
+    from scipy.special import ndtr
+
     # T is integer valued; 0.5 is the continuity-corrected cut between 0 and 1.
     z = (0.5 - mu) / math.sqrt(var)
-    prob_le_zero = float(norm.cdf(z))
+    prob_le_zero = float(ndtr(z))
     return prob_le_zero if want_at_most_zero else 1.0 - prob_le_zero
 
 

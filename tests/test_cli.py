@@ -355,6 +355,8 @@ def test_studies_read_the_configured_robust_rule(tmp_path, capsys, kind):
         out = tmp_path / f"{rule}.csv"
         assert dispatch([kind, "--config", cfg, "--out", str(out)]) == 0
         outputs[rule] = out.read_text()
+        manifest = json.loads((tmp_path / f"{rule}.manifest.json").read_text())
+        assert manifest["config"]["rule"] == rule
     capsys.readouterr()
     assert outputs["dependent"] != outputs["independent"]
     scenario = scenario_from_config(load_config(cfg))

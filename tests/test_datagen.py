@@ -1,5 +1,6 @@
 """Generators, dependence models, shift placement, and seed derivation."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -142,6 +143,14 @@ def test_apply_dependence_ar1_hand_case():
     np.testing.assert_allclose(out, [2.0, 1.0, 2.5])
     ones = apply_dependence(AR1(0.7), np.ones(50), 50)
     np.testing.assert_allclose(ones, 1.0)
+    # One AR1 draw pinned bit for bit, so the filter's arithmetic cannot drift.
+    sc = Scenario(p=200, m=2, n=1, beta=0.6, r=0.5, marginal=Normal(), dependence=AR1(0.5),
+                  seed=11)
+    data = generate(sc, "Y")
+    digest = hashlib.sha256(data.x_samples.tobytes() + data.y_samples.tobytes()
+                            + data.z.tobytes()).hexdigest()
+    assert digest == "f610def7a696293ac971706fc1ffd546d882b25e6a3ad0b7d58d4944bf31b8eb"
+    assert data.shift_amount.hex() == "0x1.b2b0b10ff3fe1p-1"
 
 
 def test_apply_dependence_exp_ma_short_kernel():

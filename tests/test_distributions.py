@@ -20,19 +20,40 @@ from robustnn import (
 from robustnn.errors import ConfigurationError, DomainError
 
 
+# Arguments at and beyond the edges of the double range, signed zeros included.
+_XS = (-math.inf, -1e308, -40.0, -3.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.3, 1.5, 4.2,
+       9.0, 40.0, 1e308, math.inf)
+_QS = (1.0 - 1e-12, 0.9, 0.5, 0.3, 0.05, 1e-4, 1e-12, 1e-100, 1e-300)
+
+
+def assert_same_double(got, want):
+    # float.hex separates -0.0 from 0.0, which == does not.
+    assert isinstance(got, float)
+    assert got.hex() == float(want).hex()
+
+
 def test_normal_matches_scipy():
-    d = Normal(1.5, 2.0)
-    for x in (-3.0, 0.0, 1.5, 4.2):
-        assert d.survival(x) == pytest.approx(stats.norm.sf(x, 1.5, 2.0), rel=1e-12)
-    assert Normal().inverse_survival(0.1) == pytest.approx(1.2815515655446004, rel=1e-12)
+    # The scipy.special expressions are exactly what scipy.stats.norm runs.
+    for mean, sd in ((0.0, 1.0), (1.5, 2.0), (-3.0, 0.25), (1e3, 1e-3), (0.0, 1e300)):
+        d = Normal(mean, sd)
+        for x in _XS:
+            with np.errstate(over="ignore"):  # 1e308 / 0.25 is inf on both sides
+                want = stats.norm.sf(x, mean, sd)
+            assert_same_double(d.survival(x), want)
+        for q in _QS:
+            assert_same_double(d.inverse_survival(q), stats.norm.isf(q, mean, sd))
+    assert Normal().inverse_survival(0.1) == 1.2815515655446004
 
 
 def test_student_t_matches_scipy():
-    d = StudentT(4.0)
-    assert d.survival(2.0) == pytest.approx(0.05805826175840775, rel=1e-12)
-    assert d.survival(-1.5) == pytest.approx(0.896, rel=1e-12)
-    for q in (0.3, 0.05, 1e-4):
-        assert d.inverse_survival(q) == pytest.approx(stats.t.isf(q, 4.0), rel=1e-12)
+    for df in (0.5, 1.0, 2.5, 4.0, 30.0, 1e6):
+        d = StudentT(df)
+        for x in _XS:
+            assert_same_double(d.survival(x), stats.t.sf(x, df))
+        for q in _QS:
+            assert_same_double(d.inverse_survival(q), stats.t.isf(q, df))
+    assert StudentT(4.0).survival(2.0) == pytest.approx(0.05805826175840775, rel=1e-12)
+    assert StudentT(4.0).survival(-1.5) == pytest.approx(0.896, rel=1e-12)
 
 
 def test_exponential_closed_form():
@@ -111,7 +132,9 @@ def test_solve_scale_mixed_blocks():
     # scipy.optimize.brentq on 60*exp(-a) + 40*norm.sf(a) = 10
     sol = solve_scale([(Exponential(), 60), (Normal(), 40)], 100, 0.5)
     assert sol.a_p == pytest.approx(1.910653617432875, rel=1e-9)
-    assert sol.iterations > 0
+    # The brentq result itself, pinned bit for bit.
+    assert (sol.a_p.hex(), sol.achieved_sum.hex(), sol.iterations) == (
+        "0x1.e9209870dbb95p+0", "0x1.3fffffffffffbp+3", 8)
 
 
 def test_solve_scale_identical_blocks_collapse():

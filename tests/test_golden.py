@@ -125,8 +125,8 @@ GOLDEN = {
     "loo": "004e38f97e35192297800a2e9ae6b84304691128318974aa2f9f0de2e49fa6fb",
     "sweep": "d7f477c51123d372930dd9ca39edfd43a0f04b8e0610f120e863f382bbe6fc24",
     "sweep_expma_w2": "78a9f0219b2ce115ab55bc78d2907da04755e078261152138cb051032289cc56",
-    "threshold_dist": "41b36eb5bcbd78fec620ccf2a30f6e2b6fa510c8969f1a8ece55619ec8212a06",
-    "curves_c": "2d284b470576e8805cae453639d27c9d100fa21f75cbae5dfde4fd443a3fecf1",
+    "threshold_dist": "bb731798f49f511ebd06bc6dedfa4fdfbb21c723620d33a33c28724f1db1e150",
+    "curves_c": "8cec12934721d47d334cec15144551ba43c8f014760eba18b8aeb16b96c36dda",
     "curves_threshold": "90e4e95291385d1bb963f4addea3b389c404f313783f4fcebf07708f3848ce8f",
     "apriori_monte_carlo": "abc7cff718d283040ea1a45e92cbad2e253ba2332e0822a0a74298870772229b",
     "apriori_normal_approx": "358508b75efe26f77e5c64097a0ad7f0001e1a06bad10c1fd8ff1378871857ca",

@@ -1,5 +1,6 @@
 """Cross-validation threshold selection and the a priori success analysis."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -24,6 +25,7 @@ from robustnn import (
     shift_amount,
 )
 from robustnn.errors import ParameterError
+from robustnn.tuning import _one_sided
 
 
 def enum_cv(t, X, Y):
@@ -321,6 +323,16 @@ def test_apriori_success_rate_values_are_pinned():
         (0.7, 0.07245688373094719),
     ]
     assert apriori_success_rate(sc, 0.8).value == 0.6799120216832418
+
+
+def test_normal_approximation_matches_scipy_norm_cdf():
+    from scipy.stats import norm
+
+    for mu in (-1e308, -40.0, -3.0, -0.5, 0.0, 0.5, 0.75, 3.0, 40.0, 1e308):
+        for var in (1e-300, 0.25, 1.0, 7.0, 1e300):
+            want = float(norm.cdf((0.5 - mu) / math.sqrt(var)))
+            assert _one_sided(mu, var, True).hex() == want.hex()
+            assert _one_sided(mu, var, False).hex() == (1.0 - want).hex()
 
 
 @pytest.mark.parametrize("method", ["normal_approx", "monte_carlo"])
