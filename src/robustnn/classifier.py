@@ -72,7 +72,6 @@ __all__ = [
     "MethodSpec",
     "METHODS",
     "make_method",
-    "MethodOutcome",
     "evaluate_method",
 ]
 
@@ -427,16 +426,26 @@ class RobustMethod:
     xi_or_c: float = DEFAULT_C
     t0: float | None = None
 
+    def decide(self, train_x, train_y, z) -> tuple[Label, float, bool]:
+        label, decision = classify_robust(train_x, train_y, z, self.rule, self.xi_or_c, self.t0)
+        return label, decision.theta, decision.defaulted
+
 
 @dataclass(frozen=True)
 class StandardNNMethod:
     name: ClassVar[str] = "nn"
+
+    def decide(self, train_x, train_y, z) -> tuple[Label, None, None]:
+        return classify_nn_standard(train_x, train_y, z), None, None
 
 
 @dataclass(frozen=True)
 class TruncatedNNMethod:
     name: ClassVar[str] = "nn_trunc"
     t: float
+
+    def decide(self, train_x, train_y, z) -> tuple[Label, None, None]:
+        return classify_nn_truncated(train_x, train_y, z, self.t), None, None
 
 
 @dataclass(frozen=True)
@@ -446,10 +455,16 @@ class FixedThresholdMethod:
     name: ClassVar[str] = "fixed_threshold"
     t: float
 
+    def decide(self, train_x, train_y, z) -> tuple[Label, None, None]:
+        return ("X" if compute_T_S(train_x, train_y, z, self.t).T <= 0 else "Y"), None, None
+
 
 @dataclass(frozen=True)
 class ExtremaMethod:
     name: ClassVar[str] = "extrema"
+
+    def decide(self, train_x, train_y, z) -> tuple[Label, None, None]:
+        return classify_extrema(train_x, train_y, z), None, None
 
 
 MethodSpec = Union[
@@ -487,29 +502,14 @@ def make_method(
     return cls()
 
 
-@dataclass(frozen=True)
-class MethodOutcome:
-    """A method's verdict on one trial; theta fields only for RobustMethod."""
+def evaluate_method(
+    train_x, train_y, z, method: MethodSpec
+) -> tuple[Label, float | None, bool | None]:
+    """Run one configured classifier on one training set and test vector.
 
-    label: Label
-    theta: float | None = None
-    defaulted: bool | None = None
-
-
-def evaluate_method(train_x, train_y, z, method: MethodSpec) -> MethodOutcome:
-    """Run one configured classifier on one training set and test vector."""
-    if isinstance(method, RobustMethod):
-        label, decision = classify_robust(
-            train_x, train_y, z, rule=method.rule, xi_or_c=method.xi_or_c, t0=method.t0
-        )
-        return MethodOutcome(label=label, theta=decision.theta, defaulted=decision.defaulted)
-    if isinstance(method, StandardNNMethod):
-        return MethodOutcome(label=classify_nn_standard(train_x, train_y, z))
-    if isinstance(method, TruncatedNNMethod):
-        return MethodOutcome(label=classify_nn_truncated(train_x, train_y, z, method.t))
-    if isinstance(method, FixedThresholdMethod):
-        stats = compute_T_S(train_x, train_y, z, method.t)
-        return MethodOutcome(label="X" if stats.T <= 0 else "Y")
-    if isinstance(method, ExtremaMethod):
-        return MethodOutcome(label=classify_extrema(train_x, train_y, z))
-    raise ParameterError(f"unknown method spec {method!r}")
+    Returns the spec's ``decide``: ``(label, theta, defaulted)``, where theta
+    and defaulted are None for every method but RobustMethod.
+    """
+    if not isinstance(method, tuple(METHODS.values())):
+        raise ParameterError(f"unknown method spec {method!r}")
+    return method.decide(train_x, train_y, z)

@@ -114,8 +114,8 @@ def _cmd_classify(args, argv) -> int:
     if train_x.shape[0] < 1 or train_y.shape[0] < 1:
         raise ConfigurationError("training split leaves an empty class")
     method = make_method(args.method, args.rule, args.c, args.t)
-    outcome = evaluate_method(train_x, train_y, dataset.samples[index], method)
-    predicted = first if outcome.label == "X" else second
+    label, theta, defaulted = evaluate_method(train_x, train_y, dataset.samples[index], method)
+    predicted = first if label == "X" else second
     result = {
         "data": str(args.data),
         "row_index": index,
@@ -123,8 +123,8 @@ def _cmd_classify(args, argv) -> int:
         "predicted_label": predicted,
         "true_label": dataset.labels[index],
         "correct": predicted == dataset.labels[index],
-        "theta": outcome.theta,
-        "defaulted": outcome.defaulted,
+        "theta": theta,
+        "defaulted": defaulted,
         "x_role_label": first,
     }
     _write_json(args.out, result)
@@ -214,9 +214,12 @@ def _cmd_sweep(args, argv) -> int:
 def _cmd_threshold_dist(args, argv) -> int:
     parser, scenario = _load_scenario(args)
     trials = _trials(args, parser, "threshold_dist")
-    c_value = args.c if args.c is not None else get_setting(parser, "threshold_dist", "c", float)
     bins = get_setting(parser, "threshold_dist", "bins", int)
     rule = get_setting(parser, "methods", "robust_rule")
+    c = args.c
+    if c is None:
+        c = get_setting(parser, "threshold_dist", "c", float, optional=True)
+    c_value = make_method("robust", rule, c).xi_or_c  # unset: the rule's default
     dist = threshold_distribution(
         scenario, trials, c_value, scenario.seed, bins=bins, workers=args.workers, rule=rule
     )

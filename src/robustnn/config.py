@@ -253,7 +253,8 @@ trials = 200
 
 [threshold_dist]
 trials = 400
-c = 0.55
+# slope of the critical value; defaults by [methods] robust_rule, as robust_c does
+# c = {DEFAULT_C}
 bins = 20
 
 [apriori]
@@ -304,11 +305,15 @@ def get_setting(
     section: str,
     key: str,
     convert: Callable[[str], Any] = str,
+    optional: bool = False,
 ) -> Any:
     """A section value, with the built-in default as fallback, read by ``convert``;
-    a value ``convert`` rejects is a ConfigurationError naming the section and key."""
+    a value ``convert`` rejects is a ConfigurationError naming the section and key.
+    An ``optional`` key that is set nowhere reads None."""
     values = _section(parser, section)
     if key not in values:
+        if optional:
+            return None
         raise ConfigurationError(f"no setting [{section}] {key}")
     try:
         return convert(values[key])
@@ -386,7 +391,7 @@ def methods_from_config(parser: configparser.ConfigParser | None) -> list[Method
         raise ConfigurationError("methods list is empty")
 
     def number(key: str | None) -> float | None:
-        return get_setting(parser, "methods", key, float) if key in values else None
+        return get_setting(parser, "methods", key, float, optional=True)
 
     c = number("robust_c")
     return [

@@ -190,10 +190,10 @@ def loo_cross_validate(dataset: Dataset, method: MethodSpec) -> LooResult:
     confusion = {(a, b): 0 for a in (first, second) for b in (first, second)}
     correct = 0
     for i in range(len(labels)):
-        outcome = evaluate_method(
+        label, _, _ = evaluate_method(
             dataset.rows_of(first, i), dataset.rows_of(second, i), dataset.samples[i], method
         )
-        predicted = first if outcome.label == "X" else second
+        predicted = first if label == "X" else second
         confusion[(str(labels[i]), predicted)] += 1
         correct += predicted == labels[i]
     total = len(labels)

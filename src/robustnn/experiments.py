@@ -1,7 +1,10 @@
 """Monte Carlo experiment engine: paired trials, sweeps, and curves.
 
 Every trial draws one dataset and shows it to every configured method, so
-method comparisons are paired.  ``_trial_plan`` seeds trial j of every study
+method comparisons are paired.  ``run_trial`` records a trial as a float
+array with one row (correct, defaulted, theta) per method, NaN where a
+method has no threshold; the trial's seed and test-vector label regenerate
+its dataset.  ``_trial_plan`` seeds trial j of every study
 with derive_seed(base_seed, *key, j) (see ``seeds``): key (cell,) for a
 study cell, (0,) for the curves, () for the a priori Monte Carlo in
 ``tuning``.  Test-vector labels alternate X, Y, X, Y, ..., so success rates
@@ -62,7 +65,6 @@ from .errors import ConfigurationError, ParameterError
 from .seeds import derive_seed
 
 __all__ = [
-    "TrialResult",
     "MethodRate",
     "SweepGrid",
     "ThresholdDistribution",
@@ -104,18 +106,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One method's verdict on one trial."""
-
-    method: str
-    correct: bool
-    theta: float | None
-    defaulted: bool | None
-    z_true_label: str
-    seed: int
-
-
 def _trial_plan(trials: int, base_seed: int, key: tuple[int, ...]) -> list[tuple[int, str]]:
     """Seed and test-vector label of every trial: derive_seed(base_seed, *key, j), X on even j."""
     return [(derive_seed(base_seed, *key, j), "X" if j % 2 == 0 else "Y") for j in range(trials)]
@@ -134,28 +124,19 @@ def run_trial(
     methods: Sequence[MethodSpec],
     seed: int,
     z_from: str | None = None,
-) -> list[TrialResult]:
+) -> np.ndarray:
     """Draw one dataset from ``seed`` and score every method on it.
 
-    ``z_from`` forces the test-vector label; when None it is a fair coin from
-    the trial's own stream.  All methods see the identical dataset, and the
-    seed recorded on each result regenerates it exactly.
+    Returns one float row ``(correct, defaulted, theta)`` per method, in order,
+    NaN where a method has no threshold.  ``z_from`` forces the test-vector
+    label; when None it is a fair coin from the trial's own stream.
     """
     data = _draw(scenario, seed, z_from)
-    results = []
+    rows = []
     for method in methods:
-        outcome = evaluate_method(data.x_samples, data.y_samples, data.z, method)
-        results.append(
-            TrialResult(
-                method=method.name,
-                correct=outcome.label == data.z_label,
-                theta=outcome.theta,
-                defaulted=outcome.defaulted,
-                z_true_label=data.z_label,
-                seed=seed,
-            )
-        )
-    return results
+        label, theta, defaulted = evaluate_method(data.x_samples, data.y_samples, data.z, method)
+        rows.append((label == data.z_label, defaulted, theta))
+    return np.array(rows, dtype=float)  # None becomes NaN
 
 
 @dataclass(frozen=True)
@@ -203,25 +184,31 @@ def _run_cells(
     return [results[k * trials : (k + 1) * trials] for k in range(len(cells))]
 
 
-def _summarize(
-    methods: Sequence[MethodSpec], per_trial: list[list[TrialResult]]
-) -> dict[str, MethodRate]:
-    trials = len(per_trial)
-    out: dict[str, MethodRate] = {}
-    for pos, method in enumerate(methods):
-        rows = [trial[pos] for trial in per_trial]
-        rate = sum(r.correct for r in rows) / trials
-        se = math.sqrt(rate * (1.0 - rate) / trials)
-        defaulted = None
-        if rows and rows[0].defaulted is not None:
-            defaulted = sum(bool(r.defaulted) for r in rows) / trials
-        out[method.name] = MethodRate(
-            method=method.name,
-            rate=rate,
-            se=se,
-            trials=trials,
-            defaulted_fraction=defaulted,
-        )
+def _rates(
+    cells: Sequence[tuple[Scenario, tuple[int, ...]]],
+    methods: Sequence[MethodSpec],
+    trials: int,
+    base_seed: int,
+    workers: int | None,
+) -> list[dict[str, MethodRate]]:
+    """Per cell, the rates of ``methods`` keyed by name, over ``run_trial``'s
+    rows; a name given twice is rejected before any trial runs."""
+    names = tuple(method.name for method in methods)
+    if len(set(names)) != len(names):
+        raise ParameterError(f"method names must be distinct, got {names}")
+    out = []
+    for per_trial in _run_cells(cells, run_trial, methods, trials, base_seed, workers):
+        rates = {}
+        for name, (hits, defaults, _) in zip(names, np.sum(per_trial, axis=0)):
+            rate = float(hits) / trials
+            rates[name] = MethodRate(
+                method=name,
+                rate=rate,
+                se=math.sqrt(rate * (1.0 - rate) / trials),
+                trials=trials,
+                defaulted_fraction=None if math.isnan(defaults) else float(defaults) / trials,
+            )
+        out.append(rates)
     return out
 
 
@@ -235,9 +222,7 @@ def estimate_success_rate(
     workers: int | None = None,
 ) -> dict[str, MethodRate]:
     """Balanced paired success rates for every method on one scenario."""
-    cells = [(scenario, (cell_index,))]
-    per_trial = _run_cells(cells, run_trial, methods, trials, base_seed, workers)[0]
-    return _summarize(methods, per_trial)
+    return _rates([(scenario, (cell_index,))], methods, trials, base_seed, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -290,18 +275,12 @@ class SweepGrid:
                 writer.writerow(row)
 
 
-def _dominant(
-    methods: Sequence[MethodSpec], rates: dict[str, MethodRate]
-) -> DominanceCell:
+def _dominant(methods: Sequence[MethodSpec], rates: dict[str, MethodRate]) -> DominanceCell:
     best = max(rate.rate for rate in rates.values())
-    tied_ids = [name for name, rate in rates.items() if rate.rate == best]
-    if len(tied_ids) == 1:
-        return DominanceCell(method=tied_ids[0], tied=False)
+    tied = [method for method in methods if rates[method.name].rate == best]
     # Break ties toward a robust method, then method order.
-    for method in methods:
-        if method.name in tied_ids and isinstance(method, RobustMethod):
-            return DominanceCell(method=method.name, tied=True)
-    return DominanceCell(method=tied_ids[0], tied=True)
+    first = next((method for method in tied if isinstance(method, RobustMethod)), tied[0])
+    return DominanceCell(method=first.name, tied=len(tied) > 1)
 
 
 def sweep_beta_r(
@@ -319,9 +298,6 @@ def sweep_beta_r(
     r_axis = tuple(float(r) for r in r_grid)
     if not beta_axis or not r_axis:
         raise ParameterError("beta_grid and r_grid must be nonempty")
-    names = tuple(method.name for method in methods)
-    if len(set(names)) != len(names):
-        raise ParameterError(f"method names must be distinct, got {names}")
     live: dict[tuple[int, int], tuple[Scenario, tuple[int]]] = {}
     skipped: set[tuple[int, int]] = set()
     for bi, beta in enumerate(beta_axis):
@@ -333,22 +309,14 @@ def sweep_beta_r(
                 skipped.add((bi, ri))
                 continue
             live[(bi, ri)] = (scenario, (bi * len(r_axis) + ri,))
-    cells: dict[tuple[int, int, str], MethodRate] = {}
-    dominance: dict[tuple[int, int], DominanceCell] = {}
-    results = _run_cells(
-        list(live.values()), run_trial, methods, trials_per_cell, base_seed, workers
-    )
-    for (bi, ri), per_trial in zip(live, results):
-        rates = _summarize(methods, per_trial)
-        for name, rate in rates.items():
-            cells[(bi, ri, name)] = rate
-        dominance[(bi, ri)] = _dominant(methods, rates)
+    rates = _rates(list(live.values()), methods, trials_per_cell, base_seed, workers)
+    by_cell = dict(zip(live, rates))
     return SweepGrid(
         beta_axis=beta_axis,
         r_axis=r_axis,
-        methods=names,
-        cells=cells,
-        dominance=dominance,
+        methods=tuple(method.name for method in methods),
+        cells={(*at, name): rate for at, cell in by_cell.items() for name, rate in cell.items()},
+        dominance={at: _dominant(methods, cell) for at, cell in by_cell.items()},
         skipped=skipped,
         trials=trials_per_cell,
     )
@@ -384,9 +352,8 @@ def threshold_distribution(
     method = make_method("robust", rule, c_value)
     per_trial = _run_cells([(scenario, (0,))], run_trial, [method], trials, base_seed, workers)[0]
     shift = shift_amount(scenario)
-    results = [trial[0] for trial in per_trial]
-    defaulted = sum(bool(r.defaulted) for r in results) / trials
-    thetas = np.array([r.theta for r in results if not r.defaulted]) / shift
+    _, defaulted, theta = np.concatenate(per_trial).T
+    thetas = theta[defaulted == 0] / shift
     if thetas.size:
         counts, edges = np.histogram(thetas, bins=bins)
         proportion = counts / thetas.size
@@ -397,7 +364,7 @@ def threshold_distribution(
         bin_left=bin_left,
         bin_right=bin_right,
         proportion=proportion,
-        defaulted_fraction=defaulted,
+        defaulted_fraction=float(defaulted.sum()) / trials,
         thetas=thetas,
         shift=shift,
     )
@@ -523,14 +490,11 @@ def sample_size_study(
         raise ParameterError("mn_pairs must be nonempty")
     pairs = [(int(m), int(n)) for m, n in mn_pairs]
     cells = [(replace(template, m=m, n=n), (k,)) for k, (m, n) in enumerate(pairs)]
-    rows: list[SampleSizeRow] = []
-    results = _run_cells(cells, run_trial, methods, trials, base_seed, workers)
-    for (m, n), per_trial in zip(pairs, results):
-        for name, rate in _summarize(methods, per_trial).items():
-            rows.append(
-                SampleSizeRow(m=m, n=n, method=name, rate=rate.rate, se=rate.se, trials=trials)
-            )
-    return rows
+    return [
+        SampleSizeRow(m=m, n=n, method=name, rate=rate.rate, se=rate.se, trials=trials)
+        for (m, n), rates in zip(pairs, _rates(cells, methods, trials, base_seed, workers))
+        for name, rate in rates.items()
+    ]
 
 
 def write_curve_csv(path, xs, values, x_name: str = "t") -> None:

@@ -34,7 +34,7 @@ from robustnn import (
     truncate_values,
     zp_value,
 )
-from robustnn.classifier import DEFAULT_C, DEFAULT_XI, make_method
+from robustnn.classifier import DEFAULT_C, DEFAULT_XI, METHODS, make_method
 
 
 def brute_label(X, Y, z, t):
@@ -406,19 +406,35 @@ def test_classify_extrema():
     assert classify_extrema([[2.0, 4.0]], [[6.0, 2.0]], [5.0, 0.0]) == "X"  # tie
 
 
-def test_evaluate_method_dispatch():
-    rng = np.random.default_rng(24)
-    X, Y, z = random_instance(rng)
-    out = evaluate_method(X, Y, z, RobustMethod(xi_or_c=0.4, t0=0.0))
+DISPATCH_SPECS = {
+    "robust": RobustMethod(xi_or_c=0.4, t0=0.0),
+    "nn": StandardNNMethod(),
+    "nn_trunc": TruncatedNNMethod(t=2.0),
+    "fixed_threshold": FixedThresholdMethod(t=2.0),
+    "extrema": ExtremaMethod(),
+}
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_evaluate_method_dispatch(name):
+    # A method added to the table without a spec here, or without its
+    # labelling function, fails.
+    X, Y, z = random_instance(np.random.default_rng(24))
     label, decision = classify_robust(X, Y, z, xi_or_c=0.4, t0=0.0)
-    assert (out.label, out.theta, out.defaulted) == (label, decision.theta, decision.defaulted)
-    assert evaluate_method(X, Y, z, StandardNNMethod()).label == classify_nn_standard(X, Y, z)
-    assert evaluate_method(X, Y, z, TruncatedNNMethod(t=2.0)).label == \
-        classify_nn_truncated(X, Y, z, 2.0)
-    fixed = evaluate_method(X, Y, z, FixedThresholdMethod(t=2.0))
-    assert fixed.label == ("X" if compute_T_S(X, Y, z, 2.0).T <= 0 else "Y")
-    assert fixed.theta is None
-    assert evaluate_method(X, Y, z, ExtremaMethod()).label == classify_extrema(X, Y, z)
+    expected = {
+        "robust": (label, decision.theta, decision.defaulted),
+        "nn": (classify_nn_standard(X, Y, z), None, None),
+        "nn_trunc": (classify_nn_truncated(X, Y, z, 2.0), None, None),
+        "fixed_threshold": ("X" if compute_T_S(X, Y, z, 2.0).T <= 0 else "Y", None, None),
+        "extrema": (classify_extrema(X, Y, z), None, None),
+    }
+    method = DISPATCH_SPECS[name]
+    assert type(method) is METHODS[name]
+    assert evaluate_method(X, Y, z, method) == expected[name]
+
+
+def test_evaluate_method_rejects_a_non_spec():
+    X, Y, z = random_instance(np.random.default_rng(24))
     with pytest.raises(ParameterError):
         evaluate_method(X, Y, z, "robust")
 

@@ -234,6 +234,34 @@ def test_threshold_dist(tmp_path, capsys):
     assert 0.0 <= manifest["config"]["defaulted_fraction"] <= 1.0
 
 
+@pytest.mark.parametrize("rule, slope", [("dependent", 0.16), ("independent", 0.5)])
+def test_threshold_dist_slope_defaults_by_rule(tmp_path, capsys, rule, slope):
+    # Without --c or [threshold_dist] c, the rule's default slope is the only default.
+    cfg = write_cfg(
+        tmp_path,
+        SCENARIO_200 + f"[methods]\nrobust_rule = {rule}\n[threshold_dist]\ntrials = 4\n",
+    )
+    out = tmp_path / "hist.csv"
+    assert dispatch(["threshold-dist", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "hist.manifest.json").read_text())
+    assert manifest["config"]["c"] == slope
+    assert manifest["config"]["rule"] == rule
+
+
+def test_sample_size_rejects_a_method_named_twice(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "[scenario]\np = 100\nbeta = 0.6\nr = 0.7\nseed = 4\n"
+        "[methods]\nmethods = robust, nn, robust\n"
+        "[sample_size]\npairs = 1,1\ntrials = 4\n",
+    )
+    out = tmp_path / "ss.csv"
+    assert dispatch(["sample-size", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: method names must be distinct")
+    assert not out.exists()
+
+
 def test_sample_size(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import robustnn.classifier as classifier
 import robustnn.experiments as experiments
 from robustnn import (
     ConfigurationError,
@@ -22,9 +23,12 @@ from robustnn import (
     StudentT,
     apriori_optimal_threshold,
     classify_robust,
+    dataset_from_generated,
     derive_seed,
     estimate_success_rate,
+    evaluate_method,
     generate,
+    loo_cross_validate,
     run_trial,
     sample_size_study,
     shift_amount,
@@ -45,45 +49,96 @@ SMALL = Scenario(p=300, m=1, n=1, beta=0.6, r=0.7, marginal=Normal(), seed=0)
 METHODS = [RobustMethod(), StandardNNMethod()]
 
 
+def verdicts(data, methods):
+    """(correct, defaulted, theta) of every method on one drawn dataset, None for NaN."""
+    rows = []
+    for method in methods:
+        label, theta, defaulted = evaluate_method(data.x_samples, data.y_samples, data.z, method)
+        rows.append((label == data.z_label, defaulted, theta))
+    return rows
+
+
 def test_run_trial_structure_and_pairing():
-    results = run_trial(SMALL, METHODS + [ExtremaMethod()], seed=77, z_from="Y")
-    assert [r.method for r in results] == ["robust", "nn", "extrema"]
-    assert all(r.z_true_label == "Y" for r in results)
-    assert all(r.seed == 77 for r in results)
-    assert results[0].theta is not None
-    assert results[1].theta is None
+    methods = METHODS + [ExtremaMethod()]
+    rows = run_trial(SMALL, methods, seed=77, z_from="Y")
+    assert rows.shape == (3, 3) and rows.dtype == np.float64
+    data = experiments._draw(SMALL, 77, "Y")
+    assert data.z_label == "Y"  # the forced label
+    expected = np.array(verdicts(data, methods), dtype=float)
+    np.testing.assert_array_equal(rows, expected)
+    assert not np.isnan(rows[0]).any()  # robust: defaulted and theta
+    assert np.isnan(rows[1:, 1:]).all()  # nn, extrema: no threshold
 
 
 def test_run_trial_deterministic():
     a = run_trial(SMALL, METHODS, seed=5)
     b = run_trial(SMALL, METHODS, seed=5)
-    assert a == b
+    np.testing.assert_array_equal(a, b)
 
 
 def test_run_trial_coin_flip_label():
-    labels = {run_trial(SMALL, [StandardNNMethod()], seed=s)[0].z_true_label
-              for s in range(30)}
+    labels = set()
+    for s in range(30):
+        data = experiments._draw(SMALL, s, None)
+        labels.add(data.z_label)
+        np.testing.assert_array_equal(
+            run_trial(SMALL, [StandardNNMethod()], seed=s),
+            np.array(verdicts(data, [StandardNNMethod()]), dtype=float),
+        )
     assert labels == {"X", "Y"}
 
 
 def test_estimate_success_rate_replays_exactly():
     rates = estimate_success_rate(SMALL, METHODS, trials=40, base_seed=123, cell_index=2)
     # replay the documented seeding scheme by hand
-    correct = {"robust": 0, "nn": 0}
-    for j in range(40):
-        trial = run_trial(
-            SMALL, METHODS, derive_seed(123, 2, j), "X" if j % 2 == 0 else "Y"
-        )
-        for r in trial:
-            correct[r.method] += r.correct
-    for name in correct:
-        assert rates[name].rate == correct[name] / 40
-        assert rates[name].se == pytest.approx(
-            math.sqrt(rates[name].rate * (1 - rates[name].rate) / 40)
-        )
-        assert rates[name].trials == 40
-    assert rates["robust"].defaulted_fraction is not None
+    rows = np.array([
+        run_trial(SMALL, METHODS, derive_seed(123, 2, j), "X" if j % 2 == 0 else "Y")
+        for j in range(40)
+    ])
+    for k, method in enumerate(METHODS):
+        rate = rates[method.name]
+        assert rate.rate == rows[:, k, 0].sum() / 40
+        assert rate.se == pytest.approx(math.sqrt(rate.rate * (1 - rate.rate) / 40))
+        assert rate.trials == 40
+        assert type(rate.rate) is float and type(rate.se) is float  # CSVs write repr
+    assert rates["robust"].defaulted_fraction == rows[:, 0, 1].sum() / 40
+    assert type(rates["robust"].defaulted_fraction) is float
     assert rates["nn"].defaulted_fraction is None
+
+
+@pytest.mark.parametrize("study", ["estimate", "sweep", "sample_size"])
+def test_studies_reject_a_method_named_twice_before_any_trial(monkeypatch, study):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_run_cells", no_trials)
+    methods = [RobustMethod(), StandardNNMethod(), RobustMethod(xi_or_c=0.3)]
+    run = {
+        "estimate": lambda: estimate_success_rate(SMALL, methods, 4, 0),
+        "sweep": lambda: sweep_beta_r([0.6], [0.7], SMALL, methods, 4, 0),
+        "sample_size": lambda: sample_size_study(SMALL, [(1, 1)], 4, 0, methods=methods),
+    }[study]
+    with pytest.raises(ParameterError, match="method names must be distinct"):
+        run()
+
+
+def test_trials_and_loo_reach_the_module_level_classifiers(monkeypatch):
+    # Profilers hook these module attributes; the method specs must call
+    # through them rather than through references bound at import.
+    calls = {"select_threshold": 0, "classify_extrema": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(classifier, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, name, spy)
+    methods = [RobustMethod(), ExtremaMethod()]
+    run_trial(SMALL, methods, seed=1, z_from="X")
+    assert calls == {"select_threshold": 1, "classify_extrema": 1}
+    data = generate(replace(SMALL, m=2, n=2), "X", np.random.default_rng(2))
+    for method in methods:
+        loo_cross_validate(dataset_from_generated(data), method)
+    assert calls == {"select_threshold": 1 + 5, "classify_extrema": 1 + 5}  # 5 folds each
 
 
 def test_estimate_success_rate_parallel_matches_serial():
@@ -217,6 +272,7 @@ def test_threshold_distribution():
     dist = threshold_distribution(SMALL, trials=60, c_value=0.3, base_seed=11, bins=12)
     assert dist.shift == pytest.approx(shift_amount(SMALL))
     assert 0.0 <= dist.defaulted_fraction < 1.0
+    assert type(dist.defaulted_fraction) is float  # the CLI prints its repr
     assert dist.thetas.size == round((1.0 - dist.defaulted_fraction) * 60)
     assert dist.bin_left.size == dist.bin_right.size == dist.proportion.size == 12
     assert np.all(dist.bin_right > dist.bin_left)

@@ -1,7 +1,10 @@
-"""scipy stays off the import path: each submodule loads in the function using it."""
+"""Imports: every export resolves, and scipy stays off the import path (each
+scipy submodule loads in the function using it)."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +67,13 @@ def test_student_t_scale_loads_only_scipy_special(tmp_path):
     assert "scipy.special" in loaded
     for heavy in ("scipy.stats", "scipy.optimize", "scipy.signal"):
         assert not any(m == heavy or m.startswith(heavy + ".") for m in loaded), heavy
+
+
+def test_every_export_resolves():
+    modules = [robustnn] + [
+        importlib.import_module(f"robustnn.{info.name}")
+        for info in pkgutil.iter_modules(robustnn.__path__)
+    ]
+    for module in modules:  # errors.py has no __all__
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__
