@@ -26,13 +26,16 @@ dependent data (natural logarithm).  Z is assigned to the X population
 exactly when T(theta) <= 0.
 
 The scan is evaluated for all breakpoints at once from ranks: one pooled
-``np.unique`` ranks the distinct values, a threshold t becomes the cut
+argsort ranks the distinct values, a threshold t becomes the cut
 c = 1 + #(values <= t) in that order, and 1(v > t) is 1(rank(v) >= c).  The
 default grid's cuts follow from its construction (midpoint k passes k + 1
 values, or k + 2 where it rounds onto the upper one); only a caller's grid is
 searched.  Each row's count of components below every cut is a step profile,
 one ``bincount`` of its ranks and a ``cumsum``, with no per-row sort, and one
 pass up the rows keeps each cut's minimum distance and lowest row at it.
+The profiles are built in chunks of cuts, at most ``_CHUNK`` cells (rows x
+cuts) at a time, so a scan's memory is O((m + n) p + grid) and not
+O((m + n) grid), about (m + n)^2 p.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
 nearest neighbor on zeroed-below-threshold values v * 1(v > t), and a
@@ -176,6 +179,12 @@ def zp_value(rule: str, p: int, xi_or_c: float) -> float:
     return xi_or_c * math.sqrt(logp)
 
 
+# Profile cells (rows x grid columns) the scan holds at once.  A scan with
+# more goes in chunks of columns; the benchmark's scans (a trial at p = 20000,
+# a 20-row LOO fold at p = 2000) fit in one.
+_CHUNK = 2**20
+
+
 def _step_profiles(ranks: np.ndarray, lo: int, top: int, weights=None) -> np.ndarray:
     """Per row of ``ranks`` (in [0, top)), the total weight of its entries
     ranked below each cut c = lo..top, in column c - lo.
@@ -196,12 +205,19 @@ def _pooled_ranks(rows: np.ndarray, floor: float = -np.inf) -> tuple[np.ndarray,
     """Distinct values >= floor in ``rows``, and each component's rank: 1 + its
     index among them, or 0 below floor.  A threshold t >= floor is the cut
     c = 1 + #(values <= t), and a component exceeds t when it ranks >= c.
+
+    One argsort, of kind quicksort like ``np.unique``'s, so a group of tied
+    +0.0 and -0.0 keeps the same representative.
     """
-    kept = rows >= floor
-    values, inverse = np.unique(rows[kept], return_inverse=True)
-    ranks = np.zeros(rows.shape, dtype=np.intp)
-    ranks[kept] = inverse + 1
-    return values, ranks
+    kept = np.flatnonzero(rows >= floor)
+    kept = kept[rows.ravel()[kept].argsort()]  # in ascending order of value
+    values = rows.ravel()[kept]
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    ranks = np.zeros(rows.size, dtype=np.intp)
+    ranks[kept] = np.cumsum(new)
+    return values[new], ranks.reshape(rows.shape)
 
 
 def _midpoints(a, b):
@@ -256,18 +272,66 @@ def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
     # larger is not, so their distance is 2 #(min below) - #(row below) -
     # #(z below).  The z term is common to all rows, moves neither the
     # nearest rows nor T = d_x - d_y, and is left out.
-    ranks = np.concatenate([np.minimum(ranks[:-1], ranks[-1]), ranks[:-1]])
-    below = _step_profiles(ranks, lo, top)
-    del ranks  # the bins
     r, m = X.shape[0] + Y.shape[0], X.shape[0]
-    dist, count = below[:r], below[r:]
-    dist *= 2
-    dist -= count
-    d_x, i_x, c_x = _nearest(dist[:m], count[:m])
-    d_y, i_y, c_y = _nearest(dist[m:], count[m:])
-    T = (d_x - d_y)[cuts]
-    S2 = (2 * z.size - c_x - c_y)[cuts]
-    return ts, T, S2, i_x[cuts], i_y[cuts]
+    keys = np.empty((2 * r, z.size), dtype=np.intp)
+    np.minimum(ranks[:-1], ranks[-1], out=keys[:r])
+    keys[r:] = ranks[:-1]
+    del ranks
+    # Entry (row, rank) adds 1 to the profile of its row from column
+    # rank + 1 - lo on; ranks below lo share column 0.  The columns go in
+    # chunks of ``step``, each a (rows, step) block of at most _CHUNK cells,
+    # and an entry's key is its cell in the chunk-major order of the blocks.
+    rows, width = 2 * r, top + 1 - lo
+    shift = max(1, _CHUNK // rows).bit_length() - 1
+    step = width if rows * width <= _CHUNK else 1 << shift
+    chunks = -(-width // step)
+    keys += 1 - lo
+    np.maximum(keys, 0, out=keys)
+    if chunks > 1:  # the chunk of column c is c >> shift
+        offset = np.empty(z.size, dtype=np.intp)  # a row at a time, in one buffer
+        for row in keys:
+            np.right_shift(row, shift, out=offset)
+            offset *= (rows - 1) << shift
+            row += offset
+    keys += step * np.arange(rows)[:, None]
+    keys = keys.ravel()
+    block = rows * step
+    if chunks > 1:
+        keys.sort()
+        parts = np.split(keys, np.searchsorted(keys, block * np.arange(1, chunks)))
+        # A chunk's grid points: a slice of an ascending grid, else indices.
+        order = np.argsort(cuts, kind="stable") if (cuts[1:] < cuts[:-1]).any() else None
+        ascending = cuts if order is None else cuts[order]
+        points = np.searchsorted(ascending, step * np.arange(chunks + 1))
+        spans = [slice(a, b) if order is None else order[a:b] for a, b in zip(points, points[1:])]
+        out = np.empty((4, cuts.size), dtype=np.int64)  # T, S2, i_x, i_y
+    else:
+        parts, spans = [keys], [slice(None)]
+    del keys  # each part goes once its chunk is counted
+    carry = np.zeros(rows, dtype=np.int64)  # each row's entries left of the chunk
+    for k, at in enumerate(spans):
+        part = parts.pop(0)
+        if k:
+            part -= k * block
+        hist = np.bincount(part, minlength=block).reshape(rows, step)
+        del part
+        hist[:, 0] += carry
+        below = np.cumsum(hist, axis=1, out=hist)
+        carry = below[:, -1].copy()
+        dist, count = below[:r], below[r:]
+        dist *= 2
+        dist -= count
+        d_x, n_x, c_x = _nearest(dist[:m], count[:m])
+        d_y, n_y, c_y = _nearest(dist[m:], count[m:])
+        col = cuts[at]
+        if k:
+            col -= k * step
+        got = ((d_x - d_y)[col], (2 * z.size - c_x - c_y)[col], n_x[col], n_y[col])
+        if chunks == 1:
+            return ts, *got
+        for whole, piece in zip(out, got):
+            whole[at] = piece
+    return ts, *out
 
 
 def threshold_scan(

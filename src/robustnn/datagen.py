@@ -21,10 +21,11 @@ Dependence structures for the base process:
   geometric kernel c_j = lead * decay^(j-1), nonnegative innovations W, and
   per-component exponents alpha_k (and optional offsets nu_k) drawn once per
   scenario.  Neighboring components share innovations, giving strong local
-  dependence with non-normal marginals.  Each innovation is logged once and
-  each of the J kernel terms adds one exp per component, so a row costs
-  O(p J) time and O(p) memory, and calibration O(draws) memory, for any
-  decay.
+  dependence with non-normal marginals.  Each innovation is logged once per
+  block of ``_BLOCK`` components (plus the J - 1 it shares with the next
+  block) and each of the J kernel terms adds one exp per component, so a
+  row costs O(p J) time and O(p) memory, and calibration O(draws) memory,
+  for any decay; the temporaries are O(_BLOCK + J), whatever p and draws.
 
 Shift placement policies: ``uniform_random``, ``first_indices``, and the
 block policies ``light_block`` / ``heavy_block`` used with two-block
@@ -82,6 +83,11 @@ _KERNEL_TAIL_TOL = 1e-12
 # stream from trial streams (see seeds.derive_seed).
 _PARAMS_TAG = 0x5ceaa110
 _SCALE_TAG = 0x5ca1e000
+
+# Components (rows x columns) per block of the ExpMA transform and of the
+# calibration draw: the size of their temporaries, whatever p and the
+# sample size.
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -375,12 +381,28 @@ def shift_amount(scenario: Scenario) -> float:
 @lru_cache(maxsize=4)
 def _calibration_sample(seed: int, p: int, model: ExponentiatedMA, draws: int) -> np.ndarray:
     """The pooled sample of ``shift_amount``, one per draw count (every r up to
-    0.83 at p = 20000 shares one); up to 4 are kept until ``_run_cells`` clears them."""
+    0.83 at p = 20000 shares one); up to 4 are kept until ``_run_cells`` clears them.
+
+    The stream is the exponent picks, the draws + J - 1 innovations and the
+    offset picks, in that order.  The innovations are drawn and transformed
+    ``_BLOCK`` at a time, each block after the J - 1 it shares with the one
+    before, so the sample is its only full-length array besides the picks.
+    """
     rng = np.random.default_rng(derive_seed(seed, _SCALE_TAG))
     alphas, offsets = _component_params(seed, p, model)
-    sample_alphas = rng.choice(alphas, size=draws)
-    innov = model.innovation.sample(rng, innovations_needed(model, draws))
-    values = _exp_ma_transform(innov, model.kernel(), sample_alphas)
+    picks = rng.choice(alphas.size, size=draws)  # the stream of rng.choice(alphas, size=draws)
+    kernel = model.kernel()
+    overlap = kernel.size - 1
+    values = np.empty(draws)
+    innov = np.empty(min(draws, _BLOCK) + overlap)
+    innov[:overlap] = model.innovation.sample(rng, overlap)
+    for a in range(0, draws, _BLOCK):
+        width = min(_BLOCK, draws - a)
+        innov[overlap : overlap + width] = model.innovation.sample(rng, width)
+        block = innov[: overlap + width]
+        _exp_ma_transform(block, kernel, alphas[picks[a : a + width]], values[a : a + width])
+        innov[:overlap] = block[width:]
+    del picks
     if offsets is not None:
         values += rng.choice(offsets, size=draws)
     values.setflags(write=False)
@@ -410,18 +432,38 @@ def innovations_needed(model: DependenceModel, p: int) -> int:
     return p
 
 
-def _exp_ma_transform(innov: np.ndarray, kernel: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Component k of each row of ``innov`` is sum_j kernel[j] * innov[..., j + k] ** alphas[k]."""
-    p = alphas.shape[-1]
-    with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0 = 0 ** alpha
-        logs = np.log(innov)
-    out = np.zeros(innov.shape[:-1] + (p,))
-    term = np.empty_like(out)  # one buffer for all terms: fresh temporaries page-fault
-    for j, c in enumerate(kernel):
-        np.multiply(alphas, logs[..., j : j + p], out=term)
-        np.exp(term, out=term)
-        term *= c
-        out += term
+def _exp_ma_transform(
+    innov: np.ndarray, kernel: np.ndarray, alphas: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Component k of each row of ``innov`` is sum_j kernel[j] * innov[..., j + k] ** alphas[k],
+    written to ``out`` (a new array by default).
+
+    The columns go in blocks of at most ``_BLOCK`` components over all rows.
+    Each block logs its innovations, the J - 1 overlap included, into one
+    block-sized buffer and adds the J terms in another, so no temporary
+    grows with p.
+    """
+    p, overlap = alphas.shape[-1], kernel.size - 1
+    if out is None:
+        out = np.empty(innov.shape[:-1] + (p,))
+    rows = math.prod(innov.shape[:-1])
+    step = max(1, min(p, _BLOCK // rows))
+    # Flat buffers, viewed as contiguous (rows, width) blocks of each width.
+    log_buf = np.empty(rows * (step + overlap))
+    term_buf = np.empty(rows * step)
+    for a in range(0, p, step):
+        width = min(step, p - a)
+        logs = log_buf[: rows * (width + overlap)].reshape(innov.shape[:-1] + (-1,))
+        term = term_buf[: rows * width].reshape(innov.shape[:-1] + (width,))
+        with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0 = 0 ** alpha
+            np.log(innov[..., a : a + width + overlap], out=logs)
+        acc = out[..., a : a + width]
+        acc[...] = 0.0
+        for j, c in enumerate(kernel):
+            np.multiply(alphas[..., a : a + width], logs[..., j : j + width], out=term)
+            np.exp(term, out=term)
+            term *= c
+            acc += term
     return out
 
 
@@ -486,7 +528,9 @@ def _draw_rows(scenario: Scenario, rng: np.random.Generator, rows: int) -> np.nd
         innov = model.innovation.sample(rng, (rows, needed))
         alphas, offsets = _component_params(scenario.seed, p, model)
         out = _exp_ma_transform(innov, model.kernel(), alphas)
-        return out if offsets is None else out + offsets
+        if offsets is not None:
+            out += offsets
+        return out
     innov = scenario.marginal.sample(rng, (rows, needed))
     return np.array([apply_dependence(model, row, p) for row in innov])
 

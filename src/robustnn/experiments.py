@@ -184,6 +184,16 @@ def _run_cells(
     return [results[k * trials : (k + 1) * trials] for k in range(len(cells))]
 
 
+def _method_names(methods: Sequence[MethodSpec]) -> tuple[str, ...]:
+    """The names of a study's methods: at least one, and no name twice."""
+    names = tuple(method.name for method in methods)
+    if not names:
+        raise ParameterError("a study needs at least one method")
+    if len(set(names)) != len(names):
+        raise ParameterError(f"method names must be distinct, got {names}")
+    return names
+
+
 def _rates(
     cells: Sequence[tuple[Scenario, tuple[int, ...]]],
     methods: Sequence[MethodSpec],
@@ -192,10 +202,9 @@ def _rates(
     workers: int | None,
 ) -> list[dict[str, MethodRate]]:
     """Per cell, the rates of ``methods`` keyed by name, over ``run_trial``'s
-    rows; a name given twice is rejected before any trial runs."""
-    names = tuple(method.name for method in methods)
-    if len(set(names)) != len(names):
-        raise ParameterError(f"method names must be distinct, got {names}")
+    rows; an empty list, or a name given twice, is rejected before any trial
+    runs."""
+    names = _method_names(methods)
     out = []
     for per_trial in _run_cells(cells, run_trial, methods, trials, base_seed, workers):
         rates = {}
@@ -298,6 +307,7 @@ def sweep_beta_r(
     r_axis = tuple(float(r) for r in r_grid)
     if not beta_axis or not r_axis:
         raise ParameterError("beta_grid and r_grid must be nonempty")
+    names = _method_names(methods)  # before any cell is calibrated
     live: dict[tuple[int, int], tuple[Scenario, tuple[int]]] = {}
     skipped: set[tuple[int, int]] = set()
     for bi, beta in enumerate(beta_axis):
@@ -314,7 +324,7 @@ def sweep_beta_r(
     return SweepGrid(
         beta_axis=beta_axis,
         r_axis=r_axis,
-        methods=tuple(method.name for method in methods),
+        methods=names,
         cells={(*at, name): rate for at, cell in by_cell.items() for name, rate in cell.items()},
         dominance={at: _dominant(methods, cell) for at, cell in by_cell.items()},
         skipped=skipped,

@@ -6,6 +6,7 @@ ties, and a python loop over every candidate threshold.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,6 +35,7 @@ from robustnn import (
     truncate_values,
     zp_value,
 )
+import robustnn.classifier as classifier
 from robustnn.classifier import DEFAULT_C, DEFAULT_XI, METHODS, make_method
 
 
@@ -136,9 +138,23 @@ def test_threshold_scan_matches_pointwise():
             )
 
 
+def in_chunks(cells, scan, *args, **kwargs):
+    """``scan(*args, **kwargs)`` with the scan's chunk budget set to ``cells``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifier, "_CHUNK", cells)
+        return scan(*args, **kwargs)
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
 @st.composite
 def tied_instances(draw):
-    """Small integer data with heavy ties, and thresholds that hit the data."""
+    """Small integer data with heavy ties, and thresholds in any order that
+    hit the data, miss it, or are NaN."""
     m, n, p = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
     values = st.integers(-2, 2).map(float)
     X = draw(arrays(float, (m, p), elements=values))
@@ -148,16 +164,20 @@ def tied_instances(draw):
     t = st.one_of(
         st.sampled_from(pooled + [-math.inf, math.inf]),
         st.floats(-3.0, 3.0, allow_nan=False),
+        st.just(math.nan),
     )
     ts = np.array(draw(st.lists(t, min_size=1, max_size=8)))
     return X, Y, z, ts
 
 
 @settings(max_examples=300, deadline=None)
-@given(tied_instances())
-def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance):
+@given(tied_instances(), st.integers(1, 4))
+def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance, cells):
+    # A budget of a few cells splits the profiles into chunks of one or two
+    # columns; the result is the one-chunk result, dtypes included.
     X, Y, z, ts = instance
     T, S2, i_x, i_y = threshold_scan(X, Y, z, ts)
+    assert_same_arrays(in_chunks(cells, threshold_scan, X, Y, z, ts), (T, S2, i_x, i_y))
     for k, t in enumerate(ts):
         stats = compute_T_S(X, Y, z, t)
         assert (T[k], S2[k], i_x[k], i_y[k]) == (stats.T, stats.S2, stats.i_x, stats.i_y)
@@ -199,13 +219,17 @@ def adjacent_instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(adjacent_instances())
-def test_default_grid_cuts_match_the_searched_grid(instance):
+@given(adjacent_instances(), st.integers(1, 4))
+def test_default_grid_cuts_match_the_searched_grid(instance, cells):
     X, Y, z, t0 = instance
     trace = select_threshold(X, Y, z, t0=t0).trace
+    fields = (trace.ts, trace.T, trace.S2, trace.i_x, trace.i_y)
+    chunked = in_chunks(cells, select_threshold, X, Y, z, t0=t0).trace
+    assert_same_arrays((chunked.ts, chunked.T, chunked.S2, chunked.i_x, chunked.i_y), fields)
     searched = threshold_scan(X, Y, z, trace.ts)
-    for got, want in zip((trace.T, trace.S2, trace.i_x, trace.i_y), searched):
-        np.testing.assert_array_equal(got, want)
+    assert_same_arrays(searched, fields[1:])
+    assert_same_arrays(in_chunks(cells, threshold_scan, X, Y, z, trace.ts[::-1]),
+                       [a[::-1] for a in searched])
     for k, t in enumerate(trace.ts):
         assert trace[k] == compute_T_S(X, Y, z, t)
 
@@ -326,6 +350,24 @@ def test_select_threshold_default_t0_is_pooled_median():
     decision = select_threshold(X, Y, z)
     assert decision.t0 == 3.5
     assert decision.trace.ts[0] == 3.5
+
+
+def test_select_threshold_memory_is_linear_in_the_data_and_the_grid(monkeypatch):
+    # 40 training rows over a grid of about 20,000 points: dense profiles
+    # would hold 80 rows x 20,000 columns (13 MB), 27 times the unit below.
+    m = n = 20
+    p, cells = 1000, 2**12
+    rng = np.random.default_rng(31)
+    X, Y, z = rng.standard_normal((m, p)), rng.standard_normal((n, p)), rng.standard_normal(p)
+    monkeypatch.setattr(classifier, "_CHUNK", cells)
+    tracemalloc.start()
+    try:
+        decision = select_threshold(X, Y, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = ((m + n + 1) * p + len(decision.trace) + cells) * 8
+    assert peak < 6 * unit
 
 
 def test_select_threshold_trace_indexing():

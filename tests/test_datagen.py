@@ -30,6 +30,7 @@ from robustnn import (
     shift_amount,
     shift_count,
 )
+import robustnn.datagen as datagen
 from robustnn.datagen import _calibration_sample, _component_params, _exp_ma_transform
 from robustnn.datagen import innovations_needed
 from robustnn.seeds import mix64
@@ -193,7 +194,7 @@ def _exp_ma_oracle(innov, kernel, alphas):
 @pytest.mark.parametrize("alpha_range", [(0.5, 2.0), (1.3, 1.3)])
 @pytest.mark.parametrize("decay", [0.5, 1e-13])  # 41 kernel terms, and 1
 @pytest.mark.parametrize("zeros", [False, True])
-def test_exp_ma_transform_matches_direct_sum(innovation, alpha_range, decay, zeros):
+def test_exp_ma_transform_matches_direct_sum(innovation, alpha_range, decay, zeros, monkeypatch):
     model = ExponentiatedMA(decay=decay, alpha_range=alpha_range, innovation=innovation)
     kernel = model.kernel()
     p = 120
@@ -209,6 +210,12 @@ def test_exp_ma_transform_matches_direct_sum(innovation, alpha_range, decay, zer
         np.testing.assert_allclose(values, _exp_ma_oracle(row, kernel, alphas), rtol=1e-14, atol=0)
         # a batched call gives each row exactly what a call on that row gives
         assert np.array_equal(_exp_ma_transform(row, kernel, alphas), values)
+    # Blocks of 16 or 1 columns (and 50 or 2 components over the 3 rows)
+    # give the one-block result bit for bit.
+    for block in (50, 2):
+        monkeypatch.setattr(datagen, "_BLOCK", block)
+        assert np.array_equal(_exp_ma_transform(innov, kernel, alphas), out)
+        assert np.array_equal(_exp_ma_transform(innov[1], kernel, alphas), out[1])
 
 
 @pytest.mark.parametrize("decay", [0.5, 0.8])  # 41 and 131 kernel terms
@@ -226,6 +233,39 @@ def test_exp_ma_calibration_memory_does_not_grow_with_the_kernel(decay):
     finally:
         tracemalloc.stop()
     assert peak < 8 * draws * 8
+
+
+@pytest.mark.parametrize("decay", [0.5, 0.9])  # 41 and 285 kernel terms
+def test_exp_ma_calibration_peaks_below_four_sample_sizes(decay):
+    # The sample and its exponent picks are the only full-length arrays; the
+    # quantile's copy comes after the picks are gone.
+    sc = Scenario(p=20_000, m=1, n=1, beta=0.6, r=0.9, marginal=Exponential(),
+                  dependence=ExponentiatedMA(decay=decay, alpha_range=(0.5, 2.0)), seed=3)
+    draws = math.ceil(50.0 * 20_000 ** 0.9)
+    _component_params(sc.seed, sc.p, sc.dependence)
+    shift_amount.cache_clear()
+    _calibration_sample.cache_clear()
+    tracemalloc.start()
+    try:
+        shift_amount(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * draws * 8
+
+
+@pytest.mark.parametrize("offset_bound", [0.0, 0.3])
+def test_exp_ma_calibration_sample_does_not_depend_on_the_block(offset_bound, monkeypatch):
+    # Blocks of 64 and of 16 draws, the latter shorter than the 40-innovation
+    # overlap between blocks, draw the same stream as one block.
+    model = ExponentiatedMA(decay=0.5, alpha_range=(0.5, 2.0), offset_bound=offset_bound)
+    _calibration_sample.cache_clear()
+    whole = _calibration_sample(5, 300, model, 5_000)
+    for block in (64, 16):
+        monkeypatch.setattr(datagen, "_BLOCK", block)
+        _calibration_sample.cache_clear()
+        assert np.array_equal(_calibration_sample(5, 300, model, 5_000), whole)
+    _calibration_sample.cache_clear()
 
 
 def test_innovations_needed():

@@ -122,6 +122,22 @@ def test_studies_reject_a_method_named_twice_before_any_trial(monkeypatch, study
         run()
 
 
+@pytest.mark.parametrize("study", ["estimate", "sweep", "sample_size"])
+def test_studies_reject_an_empty_method_list_before_any_calibration(monkeypatch, study):
+    def no_calibration(*args):
+        raise AssertionError("a cell was calibrated")
+
+    monkeypatch.setattr(experiments, "checked_shift_amount", no_calibration)
+    monkeypatch.setattr(experiments, "_run_cells", no_calibration)
+    run = {
+        "estimate": lambda: estimate_success_rate(SMALL, [], 4, 0),
+        "sweep": lambda: sweep_beta_r([0.6], [0.7], SMALL, [], 4, 0),
+        "sample_size": lambda: sample_size_study(SMALL, [(1, 1)], 4, 0, methods=[]),
+    }[study]
+    with pytest.raises(ParameterError, match="at least one method"):
+        run()
+
+
 def test_trials_and_loo_reach_the_module_level_classifiers(monkeypatch):
     # Profilers hook these module attributes; the method specs must call
     # through them rather than through references bound at import.
