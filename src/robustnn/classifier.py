@@ -30,12 +30,12 @@ argsort ranks the distinct values, a threshold t becomes the cut
 c = 1 + #(values <= t) in that order, and 1(v > t) is 1(rank(v) >= c).  The
 default grid's cuts follow from its construction (midpoint k passes k + 1
 values, or k + 2 where it rounds onto the upper one); only a caller's grid is
-searched.  Each row's count of components below every cut is a step profile,
-one ``bincount`` of its ranks and a ``cumsum``, with no per-row sort, and one
-pass up the rows keeps each cut's minimum distance and lowest row at it.
-The profiles are built in chunks of cuts, at most ``_CHUNK`` cells (rows x
-cuts) at a time, so a scan's memory is O((m + n) p + grid) and not
-O((m + n) grid), about (m + n)^2 p.
+searched.  Each rank is mapped once to the first grid point, in order of
+cut, at which it is below the threshold.  One pass down the rows then counts
+each row's components below every grid point, one ``bincount`` and one
+``cumsum``, and keeps each point's minimum distance and the lowest row at it.
+Only one row's counts are held at a time, so a scan's memory is
+O((m + n) p + grid) and not O((m + n) grid), about (m + n)^2 p.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
 nearest neighbor on zeroed-below-threshold values v * 1(v > t), and a
@@ -179,28 +179,6 @@ def zp_value(rule: str, p: int, xi_or_c: float) -> float:
     return xi_or_c * math.sqrt(logp)
 
 
-# Profile cells (rows x grid columns) the scan holds at once.  A scan with
-# more goes in chunks of columns; the benchmark's scans (a trial at p = 20000,
-# a 20-row LOO fold at p = 2000) fit in one.
-_CHUNK = 2**20
-
-
-def _step_profiles(ranks: np.ndarray, lo: int, top: int, weights=None) -> np.ndarray:
-    """Per row of ``ranks`` (in [0, top)), the total weight of its entries
-    ranked below each cut c = lo..top, in column c - lo.
-
-    ``weights`` lines up with ``ranks.ravel()``; without it entries count 1.
-    One bincount and one cumsum; ranks below lo share the first bin.
-    ``ranks`` is overwritten with the bin numbers.
-    """
-    rows, width = ranks.shape[0], top + 1 - lo
-    ranks += 1 - lo
-    np.maximum(ranks, 0, out=ranks)
-    ranks += width * np.arange(rows)[:, None]
-    hist = np.bincount(ranks.ravel(), weights, minlength=rows * width).reshape(rows, width)
-    return np.cumsum(hist, axis=1, out=hist)
-
-
 def _pooled_ranks(rows: np.ndarray, floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values >= floor in ``rows``, and each component's rank: 1 + its
     index among them, or 0 below floor.  A threshold t >= floor is the cut
@@ -236,18 +214,6 @@ def _breakpoints(values: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarr
     return np.r_[floor, mid], np.r_[np.count_nonzero(values[:1] == floor), below]
 
 
-def _nearest(d: np.ndarray, c: np.ndarray):
-    """Per column: the minimum of ``d``, the lowest row at it, and ``c`` in that
-    row.  The minimum and that ``c`` are kept in the last rows of ``d`` and ``c``."""
-    low, row, at_row = d[-1], np.full(d.shape[1], d.shape[0] - 1), c[-1]
-    for i in range(d.shape[0] - 2, -1, -1):
-        at = d[i] <= low
-        np.copyto(low, d[i], where=at)
-        np.copyto(row, i, where=at)
-        np.copyto(at_row, c[i], where=at)
-    return low, row, at_row
-
-
 def _median(v: np.ndarray) -> float:
     """np.median of finite values from one partition, the two middle values of
     an even count averaged by the midpoint rule, which cannot overflow."""
@@ -257,81 +223,53 @@ def _median(v: np.ndarray) -> float:
     return float(np.median(v)) if mid == 0 else mid  # +0 and -0 tie: keep np.median's sign
 
 
+def _below(bins: np.ndarray, size: int) -> np.ndarray:
+    """How many of ``bins`` are at or below each of 0..size-1."""
+    hist = np.bincount(bins, minlength=size + 1)[:size]
+    return np.cumsum(hist, out=hist)
+
+
 def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
     """Grid, T, S^2, i_x, i_y at thresholds ts >= floor (default: breakpoints from floor)."""
     values, ranks = _pooled_ranks(np.concatenate([X, Y, z[None]]), floor)
     if ts is None:
-        ts, cuts = _breakpoints(values, floor)
+        ts, cuts = _breakpoints(values, floor)  # non-decreasing
     else:
         cuts = np.searchsorted(values, ts, side="right")
-    top = values.size + 1
-    del values  # keep only what the profiles need
-    lo = int(cuts.min(initial=top))
-    cuts += 1 - lo  # the column of cut 1 + #(values <= t)
+    # A component of rank r is at or below t where r <= #(values <= t).  Put
+    # the grid in order of cut: first[r] points have a cut below r, so the
+    # component is below from point first[r] of that order on.
+    first = np.cumsum(np.bincount(cuts + 1, minlength=values.size + 1)[: values.size + 1])
+    del values  # keep only what the rows need
+    np.take(first, ranks, out=ranks, mode="clip")  # in place; ranks are in range
     # A row and z disagree where the smaller rank is below the cut and the
     # larger is not, so their distance is 2 #(min below) - #(row below) -
     # #(z below).  The z term is common to all rows, moves neither the
     # nearest rows nor T = d_x - d_y, and is left out.
-    r, m = X.shape[0] + Y.shape[0], X.shape[0]
-    keys = np.empty((2 * r, z.size), dtype=np.intp)
-    np.minimum(ranks[:-1], ranks[-1], out=keys[:r])
-    keys[r:] = ranks[:-1]
-    del ranks
-    # Entry (row, rank) adds 1 to the profile of its row from column
-    # rank + 1 - lo on; ranks below lo share column 0.  The columns go in
-    # chunks of ``step``, each a (rows, step) block of at most _CHUNK cells,
-    # and an entry's key is its cell in the chunk-major order of the blocks.
-    rows, width = 2 * r, top + 1 - lo
-    shift = max(1, _CHUNK // rows).bit_length() - 1
-    step = width if rows * width <= _CHUNK else 1 << shift
-    chunks = -(-width // step)
-    keys += 1 - lo
-    np.maximum(keys, 0, out=keys)
-    if chunks > 1:  # the chunk of column c is c >> shift
-        offset = np.empty(z.size, dtype=np.intp)  # a row at a time, in one buffer
-        for row in keys:
-            np.right_shift(row, shift, out=offset)
-            offset *= (rows - 1) << shift
-            row += offset
-    keys += step * np.arange(rows)[:, None]
-    keys = keys.ravel()
-    block = rows * step
-    if chunks > 1:
-        keys.sort()
-        parts = np.split(keys, np.searchsorted(keys, block * np.arange(1, chunks)))
-        # A chunk's grid points: a slice of an ascending grid, else indices.
-        order = np.argsort(cuts, kind="stable") if (cuts[1:] < cuts[:-1]).any() else None
-        ascending = cuts if order is None else cuts[order]
-        points = np.searchsorted(ascending, step * np.arange(chunks + 1))
-        spans = [slice(a, b) if order is None else order[a:b] for a, b in zip(points, points[1:])]
-        out = np.empty((4, cuts.size), dtype=np.int64)  # T, S2, i_x, i_y
-    else:
-        parts, spans = [keys], [slice(None)]
-    del keys  # each part goes once its chunk is counted
-    carry = np.zeros(rows, dtype=np.int64)  # each row's entries left of the chunk
-    for k, at in enumerate(spans):
-        part = parts.pop(0)
-        if k:
-            part -= k * block
-        hist = np.bincount(part, minlength=block).reshape(rows, step)
-        del part
-        hist[:, 0] += carry
-        below = np.cumsum(hist, axis=1, out=hist)
-        carry = below[:, -1].copy()
-        dist, count = below[:r], below[r:]
-        dist *= 2
-        dist -= count
-        d_x, n_x, c_x = _nearest(dist[:m], count[:m])
-        d_y, n_y, c_y = _nearest(dist[m:], count[m:])
-        col = cuts[at]
-        if k:
-            col -= k * step
-        got = ((d_x - d_y)[col], (2 * z.size - c_x - c_y)[col], n_x[col], n_y[col])
-        if chunks == 1:
-            return ts, *got
-        for whole, piece in zip(out, got):
-            whole[at] = piece
-    return ts, *out
+    size, low = cuts.size, np.empty_like(ranks[-1])
+    nearest = []
+    for rows in (ranks[: X.shape[0]], ranks[X.shape[0] : -1]):
+        for i, row in enumerate(rows):
+            count = _below(row, size)
+            dist = _below(np.minimum(row, ranks[-1], out=low), size)
+            dist *= 2
+            dist -= count
+            if i == 0:
+                best, at, at_count = dist, np.zeros(size, dtype=np.int64), count
+                continue
+            closer = dist < best  # strict: ties stay with the lowest row
+            np.copyto(best, dist, where=closer)
+            np.copyto(at, i, where=closer)
+            np.copyto(at_count, count, where=closer)
+        nearest.append((best, at, at_count))
+    (T, i_x, S2), (d_y, i_y, c_y) = nearest  # T and S2 reuse X's arrays
+    T -= d_y
+    S2 += c_y
+    np.subtract(2 * z.size, S2, out=S2)
+    got = (T, S2, i_x, i_y)
+    if np.any(cuts[1:] < cuts[:-1]):  # point g's values sit at first[cuts[g]] of the order
+        got = tuple(a[first[cuts]] for a in got)
+    return ts, *got
 
 
 def threshold_scan(

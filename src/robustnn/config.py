@@ -100,15 +100,21 @@ def parse_dependence(text: str):
     kind = tokens[0].lower()
     params = _parse_kv_tokens(tokens[1:], kind)
 
+    def _number(key: str, value: str) -> float:
+        try:
+            return float(value)
+        except ValueError:
+            raise ConfigurationError(f"non-numeric {key} in {text!r}") from None
+
     def _float(key: str, default: float | None = None) -> float:
         if key not in params:
             if default is None:
                 raise ConfigurationError(f"{kind} requires {key}=")
             return default
-        try:
-            return float(params.pop(key))
-        except ValueError:
-            raise ConfigurationError(f"non-numeric {key} in {text!r}") from None
+        return _number(key, params.pop(key))
+
+    def _floats(key: str) -> tuple[float, ...]:
+        return tuple(_number(key, v) for v in params.pop(key).split(","))
 
     def _done(model):
         if params:
@@ -121,11 +127,10 @@ def parse_dependence(text: str):
         return _done(Independent())
     if kind == "moving_average":
         if "weights" in params:
-            weights = tuple(float(v) for v in params.pop("weights").split(","))
-            return _done(MovingAverage(weights=weights))
+            return _done(MovingAverage(weights=_floats("weights")))
         window = _float("w")
-        if window != int(window) or window < 1:
-            raise ConfigurationError("moving_average w must be a positive integer")
+        if not window.is_integer() or window < 1:  # NaN and inf are not integers
+            raise ConfigurationError(f"moving_average w must be a positive integer, got {window!r}")
         return _done(MovingAverage.equal(int(window)))
     if kind == "ar1":
         return _done(AR1(alpha=_float("alpha")))
@@ -134,10 +139,9 @@ def parse_dependence(text: str):
         lead = _float("lead", 1.0)
         alpha_range = (1.0, 1.0)
         if "alpha_range" in params:
-            bounds = params.pop("alpha_range").split(",")
-            if len(bounds) != 2:
+            alpha_range = _floats("alpha_range")
+            if len(alpha_range) != 2:
                 raise ConfigurationError("alpha_range must be min,max")
-            alpha_range = (float(bounds[0]), float(bounds[1]))
         offset_bound = _float("offset_bound", 0.0)
         innovation = parse_marginal(params.pop("innovation", "exponential").replace(";", " "))
         return _done(

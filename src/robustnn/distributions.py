@@ -33,7 +33,7 @@ the same doubles.  The exponential and Pareto families use no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence, Union
 
 import numpy as np
@@ -340,15 +340,6 @@ def solve_scale(
     return ScaleSolution(a_p=float(a), r=r, p=p, achieved_sum=float(achieved), iterations=iterations)
 
 
-_PARAM_NAMES = {
-    "normal": ("mean", "sd"),
-    "student_t": ("df",),
-    "exponential": (),
-    "subbotin": ("gamma",),
-    "pareto": ("gamma",),
-}
-
-
 def parse_marginal(text: str) -> MarginalSpec:
     """Parse a marginal expression such as ``student_t df=4``.
 
@@ -363,7 +354,7 @@ def parse_marginal(text: str) -> MarginalSpec:
         raise ConfigurationError(
             f"unknown marginal family {tokens[0]!r}; expected one of {sorted(_KINDS)}"
         )
-    allowed = _PARAM_NAMES[kind]
+    allowed = [f.name for f in fields(_KINDS[kind])]
     params: dict[str, float] = {}
     for token in tokens[1:]:
         if "=" not in token:
@@ -382,6 +373,6 @@ def parse_marginal(text: str) -> MarginalSpec:
 def format_marginal(spec: MarginalSpec) -> str:
     """Canonical text form of a marginal spec, inverse of parse_marginal."""
     parts = [spec.kind]
-    for name in _PARAM_NAMES[spec.kind]:
-        parts.append(f"{name}={getattr(spec, name)!r}")
+    for f in fields(spec):
+        parts.append(f"{f.name}={getattr(spec, f.name)!r}")
     return " ".join(parts)

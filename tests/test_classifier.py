@@ -35,7 +35,6 @@ from robustnn import (
     truncate_values,
     zp_value,
 )
-import robustnn.classifier as classifier
 from robustnn.classifier import DEFAULT_C, DEFAULT_XI, METHODS, make_method
 
 
@@ -138,13 +137,6 @@ def test_threshold_scan_matches_pointwise():
             )
 
 
-def in_chunks(cells, scan, *args, **kwargs):
-    """``scan(*args, **kwargs)`` with the scan's chunk budget set to ``cells``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classifier, "_CHUNK", cells)
-        return scan(*args, **kwargs)
-
-
 def assert_same_arrays(got, want):
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype
@@ -171,13 +163,11 @@ def tied_instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tied_instances(), st.integers(1, 4))
-def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance, cells):
-    # A budget of a few cells splits the profiles into chunks of one or two
-    # columns; the result is the one-chunk result, dtypes included.
+@given(tied_instances())
+def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance):
     X, Y, z, ts = instance
     T, S2, i_x, i_y = threshold_scan(X, Y, z, ts)
-    assert_same_arrays(in_chunks(cells, threshold_scan, X, Y, z, ts), (T, S2, i_x, i_y))
+    assert all(a.dtype == np.int64 for a in (T, S2, i_x, i_y))
     for k, t in enumerate(ts):
         stats = compute_T_S(X, Y, z, t)
         assert (T[k], S2[k], i_x[k], i_y[k]) == (stats.T, stats.S2, stats.i_x, stats.i_y)
@@ -219,17 +209,15 @@ def adjacent_instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(adjacent_instances(), st.integers(1, 4))
-def test_default_grid_cuts_match_the_searched_grid(instance, cells):
+@given(adjacent_instances(), st.data())
+def test_default_grid_cuts_match_the_searched_grid(instance, data):
     X, Y, z, t0 = instance
     trace = select_threshold(X, Y, z, t0=t0).trace
-    fields = (trace.ts, trace.T, trace.S2, trace.i_x, trace.i_y)
-    chunked = in_chunks(cells, select_threshold, X, Y, z, t0=t0).trace
-    assert_same_arrays((chunked.ts, chunked.T, chunked.S2, chunked.i_x, chunked.i_y), fields)
-    searched = threshold_scan(X, Y, z, trace.ts)
-    assert_same_arrays(searched, fields[1:])
-    assert_same_arrays(in_chunks(cells, threshold_scan, X, Y, z, trace.ts[::-1]),
-                       [a[::-1] for a in searched])
+    fields = (trace.T, trace.S2, trace.i_x, trace.i_y)
+    assert_same_arrays(threshold_scan(X, Y, z, trace.ts), fields)
+    # A caller's grid in any order is scanned in order of cut and put back.
+    order = np.array(data.draw(st.permutations(range(len(trace)))))
+    assert_same_arrays(threshold_scan(X, Y, z, trace.ts[order]), [a[order] for a in fields])
     for k, t in enumerate(trace.ts):
         assert trace[k] == compute_T_S(X, Y, z, t)
 
@@ -352,21 +340,20 @@ def test_select_threshold_default_t0_is_pooled_median():
     assert decision.trace.ts[0] == 3.5
 
 
-def test_select_threshold_memory_is_linear_in_the_data_and_the_grid(monkeypatch):
+def test_select_threshold_memory_is_linear_in_the_data_and_the_grid():
     # 40 training rows over a grid of about 20,000 points: dense profiles
     # would hold 80 rows x 20,000 columns (13 MB), 27 times the unit below.
     m = n = 20
-    p, cells = 1000, 2**12
+    p = 1000
     rng = np.random.default_rng(31)
     X, Y, z = rng.standard_normal((m, p)), rng.standard_normal((n, p)), rng.standard_normal(p)
-    monkeypatch.setattr(classifier, "_CHUNK", cells)
     tracemalloc.start()
     try:
         decision = select_threshold(X, Y, z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    unit = ((m + n + 1) * p + len(decision.trace) + cells) * 8
+    unit = ((m + n + 1) * p + len(decision.trace)) * 8
     assert peak < 6 * unit
 
 

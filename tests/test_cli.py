@@ -85,6 +85,14 @@ def test_gen_missing_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_infinite_moving_average_window_is_an_error_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SCENARIO_200 + "dependence = moving_average w=inf\n")
+    assert dispatch(["gen", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "moving_average w must be a positive integer, got inf" in err
+
+
 def test_classify_last_row(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SCENARIO_200)
     data = tmp_path / "data.csv"

@@ -72,9 +72,17 @@ def test_parse_dependence_forms():
 def test_parse_dependence_errors():
     for bad in ("", "white_noise", "moving_average", "ar1", "ar1 alpha=x",
                 "moving_average w=5 weights=0.5,0.5",
+                "moving_average w=inf", "moving_average w=nan", "moving_average w=2.5",
+                "exp_ma decay=0.5 alpha_range=0.5",
                 # two-sided innovations are rejected by the model itself
                 "exp_ma decay=0.5 innovation=subbotin;gamma=1.5"):
         with pytest.raises(ConfigurationError):
+            parse_dependence(bad)
+    # A value that is no number is named by its key.
+    for bad, key in (("moving_average weights=0.2,abc", "weights"),
+                     ("moving_average weights=", "weights"),
+                     ("exp_ma decay=0.5 alpha_range=0.5,x", "alpha_range")):
+        with pytest.raises(ConfigurationError, match=f"non-numeric {key} "):
             parse_dependence(bad)
 
 
