@@ -223,9 +223,9 @@ def _median(v: np.ndarray) -> float:
     return float(np.median(v)) if mid == 0 else mid  # +0 and -0 tie: keep np.median's sign
 
 
-def _below(bins: np.ndarray, size: int) -> np.ndarray:
-    """How many of ``bins`` are at or below each of 0..size-1."""
-    hist = np.bincount(bins, minlength=size + 1)[:size]
+def _below(bins: np.ndarray, size: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """How many of ``bins`` (or their total ``weights``) are at or below each of 0..size-1."""
+    hist = np.bincount(bins, weights, minlength=size + 1)[:size]
     return np.cumsum(hist, out=hist)
 
 

@@ -4,15 +4,21 @@ Files are flat ``key = value`` text with one section per concern, read by
 configparser.  Lines starting with ``#`` are comments.  Grammar for the
 compound values:
 
-* marginal: ``family name=value ...`` (``normal``, ``normal mean=0 sd=1``,
-  ``student_t df=4``, ``exponential``, ``subbotin gamma=1.5``,
-  ``pareto gamma=1``).  Blocked layouts join ``spec * count`` segments with
-  ``;``: ``normal * 100; exponential * 9900``.
-* dependence: ``independent``; ``moving_average w=5`` (equal weights) or
-  ``moving_average weights=0.2,0.3,0.5``; ``ar1 alpha=0.5``;
-  ``exp_ma decay=0.5 lead=1 alpha_range=0.5,2 offset_bound=0
-  innovation=exponential`` (innovation parameters use ``;`` in place of
-  spaces: ``innovation=subbotin;gamma=1.5``).
+* marginal and dependence: ``kind name=value ...``, one grammar
+  (``distributions._parse_spec``) for both.  The kind names the family in
+  ``distributions._KINDS`` or the model in ``datagen.DEPENDENCE``, and the
+  names are its dataclass fields; a value is a float, a comma list of floats
+  (``weights``, ``alpha_range``), or a marginal with ``;`` in place of spaces
+  (``innovation``).  Kinds and names are case-insensitive, each name is given
+  at most once, and fields without a default are required.  Marginals:
+  ``normal``, ``normal mean=0 sd=1``, ``student_t df=4``, ``exponential``,
+  ``subbotin gamma=1.5``, ``pareto gamma=1``; blocked layouts join
+  ``spec * count`` segments with ``;``: ``normal * 100; exponential * 9900``.
+  Dependence: ``independent``; ``moving_average weights=0.2,0.3,0.5``, or
+  ``moving_average w=5`` for five equal weights (the one shorthand);
+  ``ar1 alpha=0.5``; ``exp_ma decay=0.5 lead=1 alpha_range=0.5,2
+  offset_bound=0 innovation=pareto;gamma=2``.  The formatters write every
+  field in this form, so ``parse(format(spec)) == spec``.
 * number lists: ``0.1, 0.2, 0.3`` or the inclusive range ``0.1:0.9:0.2``.
 
 ``default_config()`` returns a complete annotated template; every key it
@@ -24,18 +30,11 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import fields
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .classifier import DEFAULT_C, DEFAULT_XI, METHODS, MethodSpec, make_method
-from .datagen import (
-    AR1,
-    PLACEMENTS,
-    ExponentiatedMA,
-    Independent,
-    MovingAverage,
-    Scenario,
-)
-from .distributions import format_marginal, parse_marginal
+from .datagen import DEPENDENCE, PLACEMENTS, DependenceModel, MovingAverage, Scenario
+from .distributions import _format_spec, _parse_spec, format_marginal, parse_marginal
 from .errors import ConfigurationError
 
 __all__ = [
@@ -82,99 +81,22 @@ def parse_number_list(text: str) -> list[float]:
         raise ConfigurationError(f"non-numeric entry in list {text!r}") from None
 
 
-def _parse_kv_tokens(tokens: Sequence[str], what: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for token in tokens:
-        if "=" not in token:
-            raise ConfigurationError(f"malformed {what} parameter {token!r}")
-        key, _, value = token.partition("=")
-        out[key.lower()] = value
-    return out
+def _equal_weights(window: float) -> tuple[float, ...]:
+    if not window.is_integer() or window < 1:  # NaN and inf are not integers
+        raise ConfigurationError(f"moving_average w must be a positive integer, got {window!r}")
+    return MovingAverage.equal(int(window)).weights
 
 
-def parse_dependence(text: str):
+def parse_dependence(text: str) -> DependenceModel:
     """Parse a dependence expression (see the module docstring grammar)."""
-    tokens = text.strip().split()
-    if not tokens:
-        raise ConfigurationError("empty dependence expression")
-    kind = tokens[0].lower()
-    params = _parse_kv_tokens(tokens[1:], kind)
-
-    def _number(key: str, value: str) -> float:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigurationError(f"non-numeric {key} in {text!r}") from None
-
-    def _float(key: str, default: float | None = None) -> float:
-        if key not in params:
-            if default is None:
-                raise ConfigurationError(f"{kind} requires {key}=")
-            return default
-        return _number(key, params.pop(key))
-
-    def _floats(key: str) -> tuple[float, ...]:
-        return tuple(_number(key, v) for v in params.pop(key).split(","))
-
-    def _done(model):
-        if params:
-            raise ConfigurationError(
-                f"{kind} does not take parameter(s) {sorted(params)}"
-            )
-        return model
-
-    if kind == "independent":
-        return _done(Independent())
-    if kind == "moving_average":
-        if "weights" in params:
-            return _done(MovingAverage(weights=_floats("weights")))
-        window = _float("w")
-        if not window.is_integer() or window < 1:  # NaN and inf are not integers
-            raise ConfigurationError(f"moving_average w must be a positive integer, got {window!r}")
-        return _done(MovingAverage.equal(int(window)))
-    if kind == "ar1":
-        return _done(AR1(alpha=_float("alpha")))
-    if kind == "exp_ma":
-        decay = _float("decay")
-        lead = _float("lead", 1.0)
-        alpha_range = (1.0, 1.0)
-        if "alpha_range" in params:
-            alpha_range = _floats("alpha_range")
-            if len(alpha_range) != 2:
-                raise ConfigurationError("alpha_range must be min,max")
-        offset_bound = _float("offset_bound", 0.0)
-        innovation = parse_marginal(params.pop("innovation", "exponential").replace(";", " "))
-        return _done(
-            ExponentiatedMA(
-                decay=decay,
-                lead=lead,
-                alpha_range=alpha_range,
-                offset_bound=offset_bound,
-                innovation=innovation,
-            )
-        )
-    raise ConfigurationError(
-        f"unknown dependence kind {tokens[0]!r}; expected one of "
-        "['independent', 'moving_average', 'ar1', 'exp_ma']"
-    )
+    return _parse_spec(text, DEPENDENCE, "dependence", {"w": ("weights", _equal_weights)})
 
 
-def format_dependence(model) -> str:
+def format_dependence(model: DependenceModel) -> str:
     """Canonical text form of a dependence model, inverse of parse_dependence."""
-    if isinstance(model, Independent):
-        return "independent"
-    if isinstance(model, MovingAverage):
-        return "moving_average weights=" + ",".join(repr(w) for w in model.weights)
-    if isinstance(model, AR1):
-        return f"ar1 alpha={model.alpha!r}"
-    if isinstance(model, ExponentiatedMA):
-        innovation = format_marginal(model.innovation).replace(" ", ";")
-        return (
-            f"exp_ma decay={model.decay!r} lead={model.lead!r} "
-            f"alpha_range={model.alpha_range[0]!r},{model.alpha_range[1]!r} "
-            f"offset_bound={model.offset_bound!r} innovation={innovation}"
-        )
-    raise ConfigurationError(f"unknown dependence model {model!r}")
+    if not isinstance(model, tuple(DEPENDENCE.values())):
+        raise ConfigurationError(f"unknown dependence model {model!r}")
+    return _format_spec(model)
 
 
 def parse_blocked_marginal(text: str):
@@ -319,6 +241,10 @@ def get_setting(
         if optional:
             return None
         raise ConfigurationError(f"no setting [{section}] {key}")
+    return _read(values, section, key, convert)
+
+
+def _read(values: dict, section: str, key: str, convert: Callable[[str], Any]) -> Any:
     try:
         return convert(values[key])
     except ValueError as exc:
@@ -332,36 +258,24 @@ def scenario_from_config(parser: configparser.ConfigParser | None, **overrides) 
     already-built objects.
     """
     values = _section(parser, "scenario")
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    try:
-        marginal = values["marginal"]
-        if isinstance(marginal, str):
-            marginal = parse_blocked_marginal(marginal)
-        dependence = values["dependence"]
-        if isinstance(dependence, str):
-            dependence = parse_dependence(dependence)
-        placement = str(values["shift_placement"]).strip().lower()
-        if placement not in PLACEMENTS:
-            raise ConfigurationError(
-                f"shift_placement must be one of {list(PLACEMENTS)}, got {placement!r}"
-            )
-        return Scenario(
-            p=int(values["p"]),
-            m=int(values["m"]),
-            n=int(values["n"]),
-            beta=float(values["beta"]),
-            r=float(values["r"]),
-            marginal=marginal,
-            dependence=dependence,
-            shift_placement=placement,
-            seed=int(values["seed"]),
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    marginal, dependence = values["marginal"], values["dependence"]
+    if isinstance(marginal, str):
+        marginal = parse_blocked_marginal(marginal)
+    if isinstance(dependence, str):
+        dependence = parse_dependence(dependence)
+    placement = str(values["shift_placement"]).strip().lower()
+    if placement not in PLACEMENTS:
+        raise ConfigurationError(
+            f"shift_placement must be one of {list(PLACEMENTS)}, got {placement!r}"
         )
-    except KeyError as exc:
-        raise ConfigurationError(f"missing scenario key {exc}") from None
-    except ValueError as exc:
-        raise ConfigurationError(f"bad scenario value: {exc}") from None
+    numbers = {
+        key: _read(values, "scenario", key, convert)
+        for key, convert in (
+            ("p", int), ("m", int), ("n", int), ("beta", float), ("r", float), ("seed", int)
+        )
+    }
+    return Scenario(**numbers, marginal=marginal, dependence=dependence, shift_placement=placement)
 
 
 def scenario_fields(scenario: Scenario) -> dict:

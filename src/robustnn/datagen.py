@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -164,7 +164,9 @@ class ExponentiatedMA:
             raise ParameterError(f"decay must lie in (0, 1), got {self.decay!r}")
         if not (math.isfinite(self.lead) and self.lead > 0):
             raise ParameterError(f"lead must be positive, got {self.lead!r}")
-        lo, hi = (float(self.alpha_range[0]), float(self.alpha_range[1]))
+        if len(self.alpha_range) != 2:
+            raise ConfigurationError(f"alpha_range must be (lo, hi), got {self.alpha_range!r}")
+        lo, hi = (float(a) for a in self.alpha_range)
         object.__setattr__(self, "alpha_range", (lo, hi))
         if not (0.0 < lo <= hi) or not math.isfinite(hi):
             raise ParameterError(f"alpha_range must satisfy 0 < lo <= hi, got {(lo, hi)!r}")
@@ -186,6 +188,8 @@ class ExponentiatedMA:
 
 
 DependenceModel = Union[Independent, MovingAverage, AR1, ExponentiatedMA]
+
+DEPENDENCE = {cls.kind: cls for cls in get_args(DependenceModel)}
 
 MarginalField = Union[MarginalSpec, tuple]
 
@@ -220,6 +224,8 @@ class Scenario:
             raise ParameterError(f"beta must lie in (0, 1), got {self.beta!r}")
         if not (0.0 < self.r < 1.0):
             raise ParameterError(f"r must lie in (0, 1), got {self.r!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed!r}")
         if self.shift_placement not in PLACEMENTS:
             raise ParameterError(
                 f"shift_placement must be one of {PLACEMENTS}, got {self.shift_placement!r}"
@@ -474,32 +480,34 @@ def apply_dependence(
     *,
     alphas: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Transform an innovation sequence into p dependent components.
+    """Transform an innovation sequence, or each row of a 2-D array of them,
+    into p dependent components.
 
     ``alphas`` supplies the per-component exponents for ExponentiatedMA; it
     may be omitted when the model's alpha_range is degenerate.
     """
     innovations = np.asarray(innovations, dtype=float)
     needed = innovations_needed(model, p)
-    if innovations.ndim != 1 or innovations.size < needed:
+    if innovations.ndim not in (1, 2) or innovations.shape[-1] < needed:
         raise ShapeError(
             f"need at least {needed} innovations for p = {p}, got shape {innovations.shape}"
         )
-    innovations = innovations[:needed]
+    innovations = innovations[..., :needed]
     if isinstance(model, Independent):
         return innovations.copy()
     if isinstance(model, MovingAverage):
         # U_k = sum_j w_j e_{k+j}: a sliding correlation with the weights.
-        return np.correlate(innovations, np.asarray(model.weights), mode="valid")
+        w = np.asarray(model.weights)
+        return np.apply_along_axis(np.correlate, -1, innovations, w, mode="valid")
     if isinstance(model, AR1):
         from scipy.signal import lfilter
 
         a = model.alpha
         if p == 1 or a == 0.0:
             return innovations.copy()
-        first = innovations[0]
-        rest, _ = lfilter([1.0 - a], [1.0, -a], innovations[1:], zi=[a * first])
-        return np.concatenate(([first], rest))
+        first = innovations[..., :1]
+        rest, _ = lfilter([1.0 - a], [1.0, -a], innovations[..., 1:], axis=-1, zi=a * first)
+        return np.concatenate((first, rest), axis=-1)
     # ExponentiatedMA
     if alphas is None:
         lo, hi = model.alpha_range
@@ -516,23 +524,18 @@ def apply_dependence(
 
 def _draw_rows(scenario: Scenario, rng: np.random.Generator, rows: int) -> np.ndarray:
     """Draw ``rows`` independent process realizations, shape (rows, p)."""
-    model = scenario.dependence
-    p = scenario.p
-    if isinstance(model, Independent):
-        if scenario.is_blocked:
-            parts = [spec.sample(rng, (rows, count)) for spec, count in scenario.marginal]
-            return np.hstack(parts)
-        return scenario.marginal.sample(rng, (rows, p))
-    needed = innovations_needed(model, p)
-    if isinstance(model, ExponentiatedMA):
-        innov = model.innovation.sample(rng, (rows, needed))
-        alphas, offsets = _component_params(scenario.seed, p, model)
-        out = _exp_ma_transform(innov, model.kernel(), alphas)
-        if offsets is not None:
-            out += offsets
-        return out
-    innov = scenario.marginal.sample(rng, (rows, needed))
-    return np.array([apply_dependence(model, row, p) for row in innov])
+    model, p = scenario.dependence, scenario.p
+    if scenario.is_blocked:
+        return np.hstack([spec.sample(rng, (rows, count)) for spec, count in scenario.marginal])
+    law = model.innovation if isinstance(model, ExponentiatedMA) else scenario.marginal
+    innov = law.sample(rng, (rows, innovations_needed(model, p)))
+    if not isinstance(model, ExponentiatedMA):
+        return apply_dependence(model, innov, p)
+    alphas, offsets = _component_params(scenario.seed, p, model)
+    out = apply_dependence(model, innov, p, alphas=alphas)
+    if offsets is not None:
+        out += offsets
+    return out
 
 
 def generate(

@@ -33,7 +33,7 @@ the same doubles.  The exponential and Pareto families use no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Sequence, Union
 
 import numpy as np
@@ -340,39 +340,77 @@ def solve_scale(
     return ScaleSolution(a_p=float(a), r=r, p=p, achieved_sum=float(achieved), iterations=iterations)
 
 
-def parse_marginal(text: str) -> MarginalSpec:
-    """Parse a marginal expression such as ``student_t df=4``.
+def _number(key: str, value: str, text: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigurationError(f"non-numeric {key} in {text!r}") from None
 
-    The first token names the family; the rest are ``name=value`` pairs.
-    Keys and the family name are case-insensitive.
+
+def _parse_spec(text: str, kinds: dict, what: str, aliases: dict | None = None):
+    """Build the spec that ``kind name=value ...`` names.
+
+    ``kinds`` maps each kind to its dataclass, whose fields give the names
+    and how each value reads: a float, a comma list of floats (a tuple
+    field), or a marginal with ``;`` for spaces.  The field types are the
+    annotation strings (``from __future__ import annotations``).  ``aliases``
+    maps another name to a field and a function of its float value.  Names
+    and kinds are case-insensitive.
     """
-    tokens = text.strip().split()
+    tokens = text.split()
     if not tokens:
-        raise ConfigurationError("empty marginal expression")
-    kind = tokens[0].lower()
-    if kind not in _KINDS:
+        raise ConfigurationError(f"empty {what} expression")
+    cls = kinds.get(tokens[0].lower())
+    if cls is None:
         raise ConfigurationError(
-            f"unknown marginal family {tokens[0]!r}; expected one of {sorted(_KINDS)}"
+            f"unknown {what} kind {tokens[0]!r}; expected one of {list(kinds)}"
         )
-    allowed = [f.name for f in fields(_KINDS[kind])]
-    params: dict[str, float] = {}
+    types = {f.name: f.type for f in fields(cls)}
+    params = {}
     for token in tokens[1:]:
-        if "=" not in token:
-            raise ConfigurationError(f"malformed marginal parameter {token!r}")
-        key, _, value = token.partition("=")
+        key, eq, value = token.partition("=")
         key = key.lower()
-        if key not in allowed:
-            raise ConfigurationError(f"{kind} does not take a parameter named {key!r}")
-        try:
-            params[key] = float(value)
-        except ValueError:
-            raise ConfigurationError(f"non-numeric value for {key!r}: {value!r}") from None
-    return _KINDS[kind](**params)
+        name, read = (aliases or {}).get(key, (key, None))
+        if not eq:
+            raise ConfigurationError(f"malformed {cls.kind} parameter {token!r}")
+        if name not in types:
+            raise ConfigurationError(f"{cls.kind} does not take a parameter named {key!r}")
+        if name in params:
+            raise ConfigurationError(f"{cls.kind} sets {name} twice in {text!r}")
+        if read is not None:
+            params[name] = read(_number(key, value, text))
+        elif types[name] == "float":
+            params[name] = _number(key, value, text)
+        elif types[name].startswith("tuple"):
+            params[name] = tuple(_number(key, v, text) for v in value.split(","))
+        else:
+            params[name] = parse_marginal(value.replace(";", " "))
+    for f in fields(cls):
+        if f.name not in params and f.default is MISSING:
+            raise ConfigurationError(f"{cls.kind} requires {f.name}=")
+    return cls(**params)
+
+
+def _format_spec(spec) -> str:
+    """Canonical ``kind name=value ...`` form of a spec, inverse of _parse_spec."""
+    parts = [spec.kind]
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type == "float":
+            text = repr(value)
+        elif f.type.startswith("tuple"):
+            text = ",".join(repr(v) for v in value)
+        else:
+            text = format_marginal(value).replace(" ", ";")
+        parts.append(f"{f.name}={text}")
+    return " ".join(parts)
+
+
+def parse_marginal(text: str) -> MarginalSpec:
+    """Parse a marginal expression such as ``student_t df=4``."""
+    return _parse_spec(text, _KINDS, "marginal")
 
 
 def format_marginal(spec: MarginalSpec) -> str:
     """Canonical text form of a marginal spec, inverse of parse_marginal."""
-    parts = [spec.kind]
-    for f in fields(spec):
-        parts.append(f"{f.name}={getattr(spec, f.name)!r}")
-    return " ".join(parts)
+    return _format_spec(spec)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import _breakpoints, _pooled_ranks, _require_finite
+from .classifier import _below, _breakpoints, _pooled_ranks, _require_finite
 from .classifier import truncate_values
 from .datagen import Independent, Scenario, shift_amount, shift_count
 from .errors import ParameterError, SampleSizeError, ShapeError, UnsupportedSettingError
@@ -119,19 +119,6 @@ class CvCurve:
         return [(float(t), float(v)) for t, v in zip(self.ts, self.values)]
 
 
-def _step_profiles(ranks: np.ndarray, top: int, weights: np.ndarray) -> np.ndarray:
-    """Per row of ``ranks`` (in [1, top)), the total weight of its entries
-    ranked below each cut c = 1..top, in column c - 1.
-
-    ``weights`` lines up with ``ranks.ravel()``.  One bincount and one
-    cumsum; ``ranks`` is overwritten with the bin numbers.
-    """
-    rows = ranks.shape[0]
-    ranks += top * np.arange(rows)[:, None]
-    hist = np.bincount(ranks.ravel(), weights, minlength=rows * top).reshape(rows, top)
-    return np.cumsum(hist, axis=1, out=hist)
-
-
 def _pair_distances(a, b, rank_a, rank_b, top: int) -> np.ndarray:
     """Squared distance between zeroed-below-t copies of a and b at cuts 1..top."""
     lo_rank, hi_rank = np.minimum(rank_a, rank_b), np.maximum(rank_a, rank_b)
@@ -139,8 +126,7 @@ def _pair_distances(a, b, rank_a, rank_b, top: int) -> np.ndarray:
         full = (a - b) ** 2
         at_hi = np.maximum(a, b) ** 2  # weight lost as the cut passes the larger value
         at_lo = full - at_hi  # weight lost as it passes the smaller one
-        lost = _step_profiles(np.stack([lo_rank, hi_rank]), top, np.concatenate([at_lo, at_hi]))
-        d = float(full.sum()) - lost[0] - lost[1]
+        d = float(full.sum()) - _below(lo_rank, top, at_lo) - _below(hi_rank, top, at_hi)
         # Overflowed squares leave inf - inf above; sum what is left at those
         # cuts directly, as cv_error does.  Column j is cut j + 1.
         for j in np.flatnonzero(~np.isfinite(d)):

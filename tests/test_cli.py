@@ -89,8 +89,30 @@ def test_gen_infinite_moving_average_window_is_an_error_line(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SCENARIO_200 + "dependence = moving_average w=inf\n")
     assert dispatch(["gen", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "moving_average w must be a positive integer, got inf" in err
+    assert err == "error: moving_average w must be a positive integer, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("p = 2.5", "error: [scenario] p: invalid literal for int() with base 10: '2.5'\n"),
+        ("seed = x", "error: [scenario] seed: "),
+        ("seed = -1", "error: seed must be nonnegative, got -1\n"),
+    ],
+    ids=["p", "seed", "negative_seed"],
+)
+def test_scenario_error_line_names_the_value(tmp_path, capsys, setting, message):
+    cfg = write_cfg(tmp_path, f"[scenario]\n{setting}\n")
+    assert dispatch(["gen", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_gen_negative_seed_flag_is_an_error_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SCENARIO_200)
+    out = tmp_path / "x.csv"
+    assert dispatch(["gen", "--config", cfg, "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
 
 
 def test_classify_last_row(tmp_path, capsys):

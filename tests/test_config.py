@@ -33,6 +33,7 @@ from robustnn.config import (
     scenario_from_config,
     scenario_to_config_text,
 )
+from robustnn.datagen import DEPENDENCE
 
 
 def test_parse_number_list_explicit():
@@ -86,17 +87,43 @@ def test_parse_dependence_errors():
             parse_dependence(bad)
 
 
+# Each dependence kind's examples with their canonical text.
+DEPENDENCE_EXAMPLES = {
+    "independent": [(Independent(), "independent")],
+    "moving_average": [
+        (MovingAverage.equal(5), "moving_average weights=0.2,0.2,0.2,0.2,0.2"),
+        (MovingAverage((0.2, 0.8)), "moving_average weights=0.2,0.8"),
+    ],
+    "ar1": [(AR1(0.3), "ar1 alpha=0.3")],
+    "exp_ma": [
+        (ExponentiatedMA(decay=0.4, lead=2.0, alpha_range=(0.8, 1.2),
+                         offset_bound=0.05, innovation=Exponential()),
+         "exp_ma decay=0.4 lead=2.0 alpha_range=0.8,1.2 offset_bound=0.05 "
+         "innovation=exponential"),
+        (ExponentiatedMA(decay=0.5, innovation=Pareto(2.0)),
+         "exp_ma decay=0.5 lead=1.0 alpha_range=1.0,1.0 offset_bound=0.0 "
+         "innovation=pareto;gamma=2.0"),
+    ],
+}
+
+
 def test_format_dependence_round_trip():
-    models = [
-        Independent(),
-        MovingAverage.equal(5),
-        MovingAverage((0.2, 0.8)),
-        AR1(0.3),
-        ExponentiatedMA(decay=0.4, lead=2.0, alpha_range=(0.8, 1.2),
-                        offset_bound=0.05, innovation=Exponential()),
-    ]
-    for model in models:
-        assert parse_dependence(format_dependence(model)) == model
+    # Every model in DEPENDENCE needs examples here, so one without a
+    # working grammar fails.
+    for kind, cls in DEPENDENCE.items():
+        for model, text in DEPENDENCE_EXAMPLES[kind]:
+            assert type(model) is cls
+            assert format_dependence(model) == text
+            assert parse_dependence(text) == model
+
+
+def test_parse_dependence_takes_each_parameter_once():
+    with pytest.raises(ConfigurationError, match="ar1 sets alpha twice"):
+        parse_dependence("ar1 alpha=0.1 alpha=0.2")
+    with pytest.raises(ConfigurationError, match="moving_average sets weights twice"):
+        parse_dependence("moving_average weights=0.5,0.5 w=2")
+    with pytest.raises(ConfigurationError, match="ar1 does not take a parameter named 'w'"):
+        parse_dependence("ar1 w=2")
 
 
 def test_blocked_marginal_round_trip():

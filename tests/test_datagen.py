@@ -21,6 +21,7 @@ from robustnn import (
     ParameterError,
     Pareto,
     Scenario,
+    ShapeError,
     StudentT,
     apply_dependence,
     derive_seed,
@@ -32,7 +33,7 @@ from robustnn import (
 )
 import robustnn.datagen as datagen
 from robustnn.datagen import _calibration_sample, _component_params, _exp_ma_transform
-from robustnn.datagen import innovations_needed
+from robustnn.datagen import DEPENDENCE, innovations_needed
 from robustnn.seeds import mix64
 
 
@@ -176,6 +177,29 @@ def test_apply_dependence_validation():
     with pytest.raises(ParameterError):
         model = ExponentiatedMA(decay=0.5, alpha_range=(0.5, 1.5))
         apply_dependence(model, np.ones(innovations_needed(model, 5)), 5)
+
+
+# One model of each kind, with non-trivial parameters.
+ROW_MODELS = {
+    "independent": Independent(),
+    "moving_average": MovingAverage((0.3, -0.2, 0.5, 0.1)),
+    "ar1": AR1(0.7),
+    "exp_ma": ExponentiatedMA(decay=0.5, alpha_range=(0.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(DEPENDENCE))
+def test_apply_dependence_on_rows_equals_row_by_row(kind):
+    model, p = ROW_MODELS[kind], 300
+    rng = np.random.default_rng(9)
+    innov = rng.exponential(1.0, (4, innovations_needed(model, p) + 2))  # extra columns unused
+    alphas = rng.uniform(0.5, 2.0, p)  # read by exp_ma only
+    rows = apply_dependence(model, innov, p, alphas=alphas)
+    assert rows.shape == (4, p)
+    for row, out in zip(innov, rows):
+        np.testing.assert_array_equal(out, apply_dependence(model, row, p, alphas=alphas))
+    with pytest.raises(ShapeError):
+        apply_dependence(model, innov[None], p, alphas=alphas)
 
 
 def _exp_ma_oracle(innov, kernel, alphas):
@@ -338,7 +362,7 @@ def test_scenario_validation():
     ok = dict(p=100, m=1, n=1, beta=0.5, r=0.5, marginal=Normal())
     Scenario(**ok)
     for bad in (dict(ok, p=1), dict(ok, m=0), dict(ok, beta=0.0), dict(ok, r=1.0),
-                dict(ok, shift_placement="middle")):
+                dict(ok, shift_placement="middle"), dict(ok, seed=-1)):
         with pytest.raises(ParameterError):
             Scenario(**bad)
     with pytest.raises(ParameterError):
@@ -414,3 +438,6 @@ def test_dependence_model_validation():
         ExponentiatedMA(decay=0.5, alpha_range=(0.0, 1.0))
     with pytest.raises(ConfigurationError):
         ExponentiatedMA(decay=0.5, innovation=Normal())
+    for alpha_range in ((), (0.5,), (0.5, 2.0, 3.0)):  # not one (lo, hi) pair
+        with pytest.raises(ConfigurationError, match="alpha_range must be"):
+            ExponentiatedMA(decay=0.5, alpha_range=alpha_range)

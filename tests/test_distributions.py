@@ -183,3 +183,7 @@ def test_parse_marginal_errors():
         parse_marginal("normal df=4")
     with pytest.raises(ConfigurationError):
         parse_marginal("normal sd=abc")
+    with pytest.raises(ConfigurationError, match="student_t requires df="):
+        parse_marginal("student_t")
+    with pytest.raises(ConfigurationError, match="normal sets mean twice"):
+        parse_marginal("normal mean=1 mean=2")
