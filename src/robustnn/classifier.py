@@ -74,20 +74,14 @@ __all__ = [
     "ExtremaMethod",
     "MethodSpec",
     "METHODS",
+    "RULES",
     "make_method",
     "evaluate_method",
 ]
 
 Label = Literal["X", "Y"]
 
-INDEPENDENT_RULE = "independent_sqrt_logp"
-DEPENDENT_RULE = "dependent_logp"
-_RULE_ALIASES = {
-    "independent": INDEPENDENT_RULE,
-    INDEPENDENT_RULE: INDEPENDENT_RULE,
-    "dependent": DEPENDENT_RULE,
-    DEPENDENT_RULE: DEPENDENT_RULE,
-}
+RULES = ("independent", "dependent")
 
 DEFAULT_C = 0.5
 # The dependent rule's slope, chosen so xi * log p matches the independent
@@ -163,10 +157,8 @@ def compute_T_S(train_x, train_y, z, t: float) -> ThresholdStatistics:
 
 def zp_value(rule: str, p: int, xi_or_c: float) -> float:
     """Critical value for the threshold search: c*sqrt(log p) or xi*log p."""
-    if rule not in _RULE_ALIASES:
-        raise ParameterError(
-            f"rule must be one of {sorted(set(_RULE_ALIASES))}, got {rule!r}"
-        )
+    if rule not in RULES:
+        raise ParameterError(f"rule must be one of {list(RULES)}, got {rule!r}")
     p = int(p)
     if p < 2:
         raise ParameterError(f"p must be at least 2, got {p}")
@@ -174,9 +166,7 @@ def zp_value(rule: str, p: int, xi_or_c: float) -> float:
     if not 0 <= xi_or_c < math.inf:  # NaN and inf would never let the scan fire
         raise ParameterError(f"xi_or_c must be finite and nonnegative, got {xi_or_c!r}")
     logp = math.log(p)
-    if _RULE_ALIASES[rule] == DEPENDENT_RULE:
-        return xi_or_c * logp
-    return xi_or_c * math.sqrt(logp)
+    return xi_or_c * (logp if rule == "dependent" else math.sqrt(logp))
 
 
 def _pooled_ranks(rows: np.ndarray, floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +307,6 @@ class ThresholdDecision:
     theta: float
     defaulted: bool
     z_p: float
-    rule: str
-    xi_or_c: float
     t0: float
     theta_index: int
     trace: ThresholdTrace = field(repr=False)
@@ -335,7 +323,7 @@ def select_threshold(
     train_x,
     train_y,
     z,
-    rule: str = INDEPENDENT_RULE,
+    rule: str = "independent",
     xi_or_c: float = DEFAULT_C,
     t0: float | None = None,
 ) -> ThresholdDecision:
@@ -369,8 +357,6 @@ def select_threshold(
         theta=theta,
         defaulted=defaulted,
         z_p=z_p,
-        rule=_RULE_ALIASES[rule],
-        xi_or_c=float(xi_or_c),
         t0=t0,
         theta_index=index,
         trace=ThresholdTrace(ts=ts, T=T, S2=S2, i_x=i_x, i_y=i_y),
@@ -381,7 +367,7 @@ def classify_robust(
     train_x,
     train_y,
     z,
-    rule: str = INDEPENDENT_RULE,
+    rule: str = "independent",
     xi_or_c: float = DEFAULT_C,
     t0: float | None = None,
 ) -> tuple[Label, ThresholdDecision]:
@@ -424,12 +410,11 @@ class RobustMethod:
     """Thresholded indicator classifier with data-driven threshold selection."""
 
     name: ClassVar[str] = "robust"
-    rule: str = INDEPENDENT_RULE
+    rule: str = "independent"
     xi_or_c: float = DEFAULT_C
-    t0: float | None = None
 
     def decide(self, train_x, train_y, z) -> tuple[Label, float, bool]:
-        label, decision = classify_robust(train_x, train_y, z, self.rule, self.xi_or_c, self.t0)
+        label, decision = classify_robust(train_x, train_y, z, self.rule, self.xi_or_c)
         return label, decision.theta, decision.defaulted
 
 
@@ -477,7 +462,7 @@ METHODS = {cls.name: cls for cls in get_args(MethodSpec)}
 
 
 def make_method(
-    name: str, rule: str = INDEPENDENT_RULE, c: float | None = None, t: float | None = None
+    name: str, rule: str = "independent", c: float | None = None, t: float | None = None
 ) -> MethodSpec:
     """The method called ``name``, as the config file and the CLI build it.
 
@@ -488,12 +473,10 @@ def make_method(
         raise ConfigurationError(f"unknown method {name!r}; expected one of {list(METHODS)}")
     cls = METHODS[name]
     if cls is RobustMethod:
-        if rule not in _RULE_ALIASES:
-            raise ConfigurationError(
-                f"unknown rule {rule!r}; expected one of {sorted(set(_RULE_ALIASES))}"
-            )
+        if rule not in RULES:
+            raise ConfigurationError(f"unknown rule {rule!r}; expected one of {list(RULES)}")
         if c is None:
-            c = DEFAULT_XI if _RULE_ALIASES[rule] == DEPENDENT_RULE else DEFAULT_C
+            c = DEFAULT_XI if rule == "dependent" else DEFAULT_C
         if not 0 <= c < math.inf:
             raise ConfigurationError(f"robust slope c must be finite and nonnegative, got {c!r}")
         return RobustMethod(rule=rule, xi_or_c=c)

@@ -19,7 +19,7 @@ from configparser import ConfigParser
 from pathlib import Path
 
 from . import __version__
-from .classifier import METHODS, evaluate_method, make_method
+from .classifier import METHODS, RULES, evaluate_method, make_method
 from .config import (
     default_config,
     get_setting,
@@ -39,9 +39,8 @@ from .experiments import (
     success_vs_threshold,
     sweep_beta_r,
     threshold_distribution,
-    write_curve_csv,
-    write_histogram_csv,
-    write_sample_size_csv,
+    write_columns_csv,
+    write_rates_csv,
 )
 from .tuning import apriori_optimal_threshold, select_threshold_cv
 
@@ -84,7 +83,7 @@ def _add_method_flags(sub) -> None:
     sub.add_argument(
         "--rule",
         default="independent",
-        choices=["independent", "dependent"],
+        choices=RULES,
         help="critical-value rule for the robust method",
     )
     sub.add_argument("--t", type=float, default=None, help="threshold for nn_trunc/fixed_threshold")
@@ -215,20 +214,20 @@ def _cmd_threshold_dist(args, argv) -> int:
     parser, scenario = _load_scenario(args)
     trials = _trials(args, parser, "threshold_dist")
     bins = get_setting(parser, "threshold_dist", "bins", int)
-    rule = get_setting(parser, "methods", "robust_rule")
     c = args.c
     if c is None:
         c = get_setting(parser, "threshold_dist", "c", float, optional=True)
-    c_value = make_method("robust", rule, c).xi_or_c  # unset: the rule's default
+    method = make_method("robust", get_setting(parser, "methods", "robust_rule"), c)
     dist = threshold_distribution(
-        scenario, trials, c_value, scenario.seed, bins=bins, workers=args.workers, rule=rule
+        scenario, trials, method, scenario.seed, bins=bins, workers=args.workers
     )
-    write_histogram_csv(args.out, dist)
+    header = ["bin_left", "bin_right", "proportion"]
+    write_columns_csv(args.out, header, dist.bin_left, dist.bin_right, dist.proportion)
     config = {
         "scenario": scenario_fields(scenario),
         "trials": trials,
-        "c": c_value,
-        "rule": rule,
+        "c": method.xi_or_c,
+        "rule": method.rule,
         "bins": bins,
         "defaulted_fraction": dist.defaulted_fraction,
         "shift_amount": dist.shift,
@@ -251,7 +250,7 @@ def _cmd_curves(args, argv) -> int:
         grid = get_setting(parser, "curves", "c_grid", parse_number_list)
         rule = get_setting(parser, "methods", "robust_rule")
         curve = success_vs_c(scenario, grid, trials, scenario.seed, rule=rule)
-    write_curve_csv(args.out, curve.xs, curve.rates, x_name=curve.x_name)
+    write_columns_csv(args.out, [curve.x_name, "value"], curve.xs, curve.rates)
     out = Path(args.out)
     details_path = out.with_suffix("").as_posix() + ".json"
     payload = {
@@ -289,7 +288,7 @@ def _cmd_apriori(args, argv) -> int:
     curve = apriori_optimal_threshold(
         scenario, grid, method, trials=trials, base_seed=scenario.seed
     )
-    write_curve_csv(args.out, curve.ts, curve.values, x_name="t")
+    write_columns_csv(args.out, ["t", "value"], curve.ts, curve.values)
     best = float(curve.values.max())
     config = {
         "scenario": scenario_fields(scenario),
@@ -311,7 +310,7 @@ def _cmd_sample_size(args, argv) -> int:
     rows = sample_size_study(
         scenario, pairs, trials, scenario.seed, methods=methods, workers=args.workers
     )
-    write_sample_size_csv(args.out, rows)
+    write_rates_csv(args.out, ("m", "n"), rows)
     config = {
         "scenario": scenario_fields(scenario),
         "pairs": [[m, n] for m, n in pairs],

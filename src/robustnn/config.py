@@ -69,6 +69,8 @@ def parse_number_list(text: str) -> list[float]:
             start, stop, step = (float(part) for part in parts)
         except ValueError:
             raise ConfigurationError(f"non-numeric range bound in {text!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigurationError(f"range bounds must be finite, got {text!r}")
         if step <= 0 or stop < start:
             raise ConfigurationError(
                 f"range needs step > 0 and stop >= start, got {text!r}"

@@ -483,8 +483,7 @@ def apply_dependence(
     """Transform an innovation sequence, or each row of a 2-D array of them,
     into p dependent components.
 
-    ``alphas`` supplies the per-component exponents for ExponentiatedMA; it
-    may be omitted when the model's alpha_range is degenerate.
+    ``alphas`` supplies the per-component exponents ExponentiatedMA needs.
     """
     innovations = np.asarray(innovations, dtype=float)
     needed = innovations_needed(model, p)
@@ -510,12 +509,7 @@ def apply_dependence(
         return np.concatenate((first, rest), axis=-1)
     # ExponentiatedMA
     if alphas is None:
-        lo, hi = model.alpha_range
-        if lo != hi:
-            raise ParameterError(
-                "apply_dependence needs explicit alphas when alpha_range is not degenerate"
-            )
-        alphas = np.full(p, lo)
+        raise ParameterError("apply_dependence needs the per-component alphas for exp_ma")
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != (p,):
         raise ShapeError(f"alphas must have shape ({p},), got {alphas.shape}")

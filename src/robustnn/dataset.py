@@ -72,10 +72,6 @@ class Dataset:
             )
 
     @property
-    def p(self) -> int:
-        return self.samples.shape[1]
-
-    @property
     def class_labels(self) -> tuple[str, str]:
         """The two labels in sorted order; the first plays the X role."""
         distinct = sorted(set(self.labels))
@@ -206,18 +202,14 @@ def loo_cross_validate(dataset: Dataset, method: MethodSpec) -> LooResult:
     )
 
 
-def dataset_from_generated(data, x_label: str = "X", y_label: str = "Y") -> Dataset:
-    """Bundle a generated draw's training rows and test vector as a Dataset.
+def dataset_from_generated(data) -> Dataset:
+    """Bundle a generated draw's training rows and test vector as a Dataset labeled X and Y.
 
     The test vector is appended last under its true label, so the file
     records the whole trial.
     """
     samples = np.vstack([data.x_samples, data.y_samples, data.z])
-    labels = (
-        [x_label] * data.x_samples.shape[0]
-        + [y_label] * data.y_samples.shape[0]
-        + [x_label if data.z_label == "X" else y_label]
-    )
+    labels = ["X"] * data.x_samples.shape[0] + ["Y"] * data.y_samples.shape[0] + [data.z_label]
     p = samples.shape[1]
     width = len(str(p - 1))
     feature_ids = tuple(f"f{index:0{width}d}" for index in range(p))

@@ -31,6 +31,9 @@ Provided studies:
   standard nearest-neighbor rate measured on the same trials.
 * ``sample_size_study`` - success rates across (m, n) training-size pairs.
 
+``write_rates_csv`` writes the sweep's and the sample-size study's rates, one
+line per key and method; ``write_columns_csv`` the curves and the histogram.
+
 Worker processes are capped by a study's ``workers`` argument, else by the
 ROBUSTNN_THREADS environment variable (0: one worker per CPU; the curves and
 the a priori Monte Carlo read only the variable); the default is serial.
@@ -50,11 +53,9 @@ import numpy as np
 from .classifier import (
     MethodSpec,
     RobustMethod,
-    StandardNNMethod,
     _first_firing,
     classify_nn_standard,
     evaluate_method,
-    make_method,
     select_threshold,
     threshold_scan,
     zp_value,
@@ -69,7 +70,6 @@ __all__ = [
     "SweepGrid",
     "ThresholdDistribution",
     "SuccessCurve",
-    "SampleSizeRow",
     "run_trial",
     "estimate_success_rate",
     "sweep_beta_r",
@@ -78,9 +78,8 @@ __all__ = [
     "success_vs_c",
     "sample_size_study",
     "resolve_workers",
-    "write_curve_csv",
-    "write_histogram_csv",
-    "write_sample_size_csv",
+    "write_rates_csv",
+    "write_columns_csv",
 ]
 
 THREADS_ENV = "ROBUSTNN_THREADS"
@@ -150,6 +149,12 @@ class MethodRate:
     defaulted_fraction: float | None = None
 
 
+def _binomial_se(rate, trials: int):
+    """sqrt(rate * (1 - rate) / trials), a Python float for a scalar rate (CSVs write its repr)."""
+    se = np.sqrt(rate * (1.0 - rate) / trials)
+    return se if np.ndim(se) else float(se)
+
+
 def _run_cells(
     cells: Sequence[tuple[Scenario, tuple[int, ...]]],
     score: Callable,
@@ -201,9 +206,8 @@ def _rates(
     base_seed: int,
     workers: int | None,
 ) -> list[dict[str, MethodRate]]:
-    """Per cell, the rates of ``methods`` keyed by name, over ``run_trial``'s
-    rows; an empty list, or a name given twice, is rejected before any trial
-    runs."""
+    """Per cell, the rates of ``methods`` keyed by name; an empty list, or a
+    name given twice, is rejected before any trial runs."""
     names = _method_names(methods)
     out = []
     for per_trial in _run_cells(cells, run_trial, methods, trials, base_seed, workers):
@@ -213,7 +217,7 @@ def _rates(
             rates[name] = MethodRate(
                 method=name,
                 rate=rate,
-                se=math.sqrt(rate * (1.0 - rate) / trials),
+                se=_binomial_se(rate, trials),
                 trials=trials,
                 defaulted_fraction=None if math.isnan(defaults) else float(defaults) / trials,
             )
@@ -250,24 +254,14 @@ class SweepGrid:
     cells: dict[tuple[int, int, str], MethodRate]
     dominance: dict[tuple[int, int], DominanceCell]
     skipped: set[tuple[int, int]]
-    trials: int
-
-    def rate(self, bi: int, ri: int, method: str) -> MethodRate:
-        return self.cells[(bi, ri, method)]
 
     def to_long_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beta", "r", "method", "rate", "se", "trials"])
-            for bi, beta in enumerate(self.beta_axis):
-                for ri, r in enumerate(self.r_axis):
-                    if (bi, ri) in self.skipped:
-                        continue
-                    for name in self.methods:
-                        cell = self.cells[(bi, ri, name)]
-                        writer.writerow(
-                            [repr(beta), repr(r), name, repr(cell.rate), repr(cell.se), cell.trials]
-                        )
+        """One line per cell and method, in the order of ``cells``."""
+        rows = [
+            ((self.beta_axis[bi], self.r_axis[ri]), rate)
+            for (bi, ri, _), rate in self.cells.items()
+        ]
+        write_rates_csv(path, ("beta", "r"), rows)
 
     def to_dominance_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -328,7 +322,6 @@ def sweep_beta_r(
         cells={(*at, name): rate for at, cell in by_cell.items() for name, rate in cell.items()},
         dominance={at: _dominant(methods, cell) for at, cell in by_cell.items()},
         skipped=skipped,
-        trials=trials_per_cell,
     )
 
 
@@ -347,19 +340,22 @@ class ThresholdDistribution:
 def threshold_distribution(
     scenario: Scenario,
     trials: int,
-    c_value: float,
+    method: RobustMethod,
     base_seed: int,
     *,
     bins: int = 20,
     workers: int | None = None,
-    rule: str = "independent_sqrt_logp",
 ) -> ThresholdDistribution:
     """Distribution of theta / shift over trials for the robust classifier.
 
     The histogram covers non-defaulted selections (proportions sum to 1 when
     any exist); the defaulted fraction is reported separately.
     """
-    method = make_method("robust", rule, c_value)
+    if not isinstance(method, RobustMethod):
+        raise ParameterError(f"threshold_distribution needs a RobustMethod, got {method!r}")
+    zp_value(method.rule, scenario.p, method.xi_or_c)  # a bad rule or slope fails before any trial
+    if bins < 1:
+        raise ParameterError(f"bins must be positive, got {bins}")
     per_trial = _run_cells([(scenario, (0,))], run_trial, [method], trials, base_seed, workers)[0]
     shift = shift_amount(scenario)
     _, defaulted, theta = np.concatenate(per_trial).T
@@ -390,21 +386,21 @@ class SuccessCurve:
     defaulted_fractions: np.ndarray | None
     nn_rate: float
     nn_se: float
-    trials: int
     x_name: str
 
 
-def _success_curve(xs, x_name, trials, correct, nn_correct, defaulted_fractions=None):
-    rates = correct / trials
-    nn_rate = nn_correct / trials
+def _success_curve(scenario, score, grid, xs, x_name, trials, base_seed) -> SuccessCurve:
+    """Run one curve study; ``score`` returns a trial's correct flags over ``grid``,
+    its NN flag and, for the c curve, its defaulted flags over ``grid``."""
+    per_trial = _run_cells([(scenario, (0,))], score, grid, trials, base_seed, None)[0]
+    rates, nn_rate, *defaulted = (sum(flags) / trials for flags in zip(*per_trial))
     return SuccessCurve(
         xs=xs,
         rates=rates,
-        ses=np.sqrt(rates * (1.0 - rates) / trials),
-        defaulted_fractions=defaulted_fractions,
+        ses=_binomial_se(rates, trials),
+        defaulted_fractions=defaulted[0] if defaulted else None,
         nn_rate=nn_rate,
-        nn_se=math.sqrt(nn_rate * (1.0 - nn_rate) / trials),
-        trials=trials,
+        nn_se=_binomial_se(nn_rate, trials),
         x_name=x_name,
     )
 
@@ -433,21 +429,18 @@ def success_vs_threshold(
     if props.size == 0 or np.isnan(props).any():
         raise ParameterError(f"t_grid must be nonempty and free of NaN, got {props.tolist()}")
     ts = props * shift_amount(scenario)
-    per_trial = _run_cells([(scenario, (0,))], _t_grid_trial, ts, trials, base_seed, None)[0]
-    correct, nn_correct = (sum(flags) for flags in zip(*per_trial))
-    return _success_curve(props, "t_over_shift", trials, correct, nn_correct)
+    return _success_curve(scenario, _t_grid_trial, ts, props, "t_over_shift", trials, base_seed)
 
 
-def _c_grid_trial(scenario: Scenario, arg, seed: int, z_from: str):
-    """One curve trial: correct and defaulted flags over ``arg = (method, z_ps)``, and NN's."""
-    method, z_ps = arg
+def _c_grid_trial(scenario: Scenario, z_ps: np.ndarray, seed: int, z_from: str):
+    """One curve trial: the correct flags over the critical values ``z_ps``, NN's, the defaults."""
     data = _draw(scenario, seed, z_from)
     X, Y, z = data.x_samples, data.y_samples, data.z
-    trace = select_threshold(X, Y, z, rule=method.rule, xi_or_c=method.xi_or_c, t0=method.t0).trace
+    trace = select_threshold(X, Y, z).trace  # the scan does not depend on z_p
     hits = [_first_firing(trace.T, trace.S2, z_p) for z_p in z_ps]
     defaulted = np.array([hit is None for hit in hits])
     labels = np.where(trace.T[[0 if hit is None else hit for hit in hits]] <= 0, "X", "Y")
-    return labels == data.z_label, defaulted, classify_nn_standard(X, Y, z) == data.z_label
+    return labels == data.z_label, classify_nn_standard(X, Y, z) == data.z_label, defaulted
 
 
 def success_vs_c(
@@ -456,8 +449,7 @@ def success_vs_c(
     trials: int,
     base_seed: int,
     *,
-    rule: str = "independent_sqrt_logp",
-    t0: float | None = None,
+    rule: str = "independent",
 ) -> SuccessCurve:
     """Success of the robust classifier as the critical-value slope varies.
 
@@ -468,20 +460,7 @@ def success_vs_c(
     if cs.size == 0:
         raise ParameterError("c_grid must be nonempty")
     z_ps = np.array([zp_value(rule, scenario.p, c) for c in cs])
-    arg = (RobustMethod(rule=rule, xi_or_c=cs[0], t0=t0), z_ps)
-    per_trial = _run_cells([(scenario, (0,))], _c_grid_trial, arg, trials, base_seed, None)[0]
-    correct, defaulted, nn_correct = (sum(flags) for flags in zip(*per_trial))
-    return _success_curve(cs, "c", trials, correct, nn_correct, defaulted / trials)
-
-
-@dataclass(frozen=True)
-class SampleSizeRow:
-    m: int
-    n: int
-    method: str
-    rate: float
-    se: float
-    trials: int
+    return _success_curve(scenario, _c_grid_trial, z_ps, cs, "c", trials, base_seed)
 
 
 def sample_size_study(
@@ -490,43 +469,36 @@ def sample_size_study(
     trials: int,
     base_seed: int,
     *,
-    methods: Sequence[MethodSpec] | None = None,
+    methods: Sequence[MethodSpec],
     workers: int | None = None,
-) -> list[SampleSizeRow]:
-    """Success rates across training-sample-size pairs (m, n)."""
-    if methods is None:
-        methods = [RobustMethod(), StandardNNMethod()]
+) -> list[tuple[tuple[int, int], MethodRate]]:
+    """Success rates across training-sample-size pairs: one ((m, n), MethodRate) per method."""
     if not mn_pairs:
         raise ParameterError("mn_pairs must be nonempty")
     pairs = [(int(m), int(n)) for m, n in mn_pairs]
     cells = [(replace(template, m=m, n=n), (k,)) for k, (m, n) in enumerate(pairs)]
     return [
-        SampleSizeRow(m=m, n=n, method=name, rate=rate.rate, se=rate.se, trials=trials)
-        for (m, n), rates in zip(pairs, _rates(cells, methods, trials, base_seed, workers))
-        for name, rate in rates.items()
+        (pair, rate)
+        for pair, rates in zip(pairs, _rates(cells, methods, trials, base_seed, workers))
+        for rate in rates.values()
     ]
 
 
-def write_curve_csv(path, xs, values, x_name: str = "t") -> None:
-    """Two-column CSV: grid value, curve value."""
+def write_rates_csv(path, key_names: Sequence[str], rows) -> None:
+    """Per ``(key, MethodRate)`` row: the key's values, method, repr(rate), repr(se), trials."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([x_name, "value"])
-        for x, v in zip(xs, values):
-            writer.writerow([repr(float(x)), repr(float(v))])
+        writer.writerow([*key_names, "method", "rate", "se", "trials"])
+        for key, rate in rows:
+            writer.writerow(
+                [*map(repr, key), rate.method, repr(rate.rate), repr(rate.se), rate.trials]
+            )
 
 
-def write_histogram_csv(path, dist: ThresholdDistribution) -> None:
+def write_columns_csv(path, header: Sequence[str], *columns) -> None:
+    """One column per sequence under ``header``, each value written as repr(float(v))."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "proportion"])
-        for left, right, prop in zip(dist.bin_left, dist.bin_right, dist.proportion):
-            writer.writerow([repr(float(left)), repr(float(right)), repr(float(prop))])
-
-
-def write_sample_size_csv(path, rows: Sequence[SampleSizeRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "n", "method", "rate", "se", "trials"])
-        for row in rows:
-            writer.writerow([row.m, row.n, row.method, repr(row.rate), repr(row.se), row.trials])
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])

@@ -115,9 +115,6 @@ class CvCurve:
     minimizers: np.ndarray
     theta_cv: float
 
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(float(t), float(v)) for t, v in zip(self.ts, self.values)]
-
 
 def _pair_distances(a, b, rank_a, rank_b, top: int) -> np.ndarray:
     """Squared distance between zeroed-below-t copies of a and b at cuts 1..top."""
@@ -251,7 +248,7 @@ def apriori_success_rate(
     """
     curve = apriori_optimal_threshold(scenario, [t], method, trials=trials, base_seed=base_seed)
     value = float(curve.values[0])
-    se = math.sqrt(value * (1.0 - value) / trials) if method == "monte_carlo" else 0.0
+    se = experiments._binomial_se(value, trials) if method == "monte_carlo" else 0.0
     return SuccessEstimate(value=value, se=se)
 
 

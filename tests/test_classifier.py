@@ -35,7 +35,7 @@ from robustnn import (
     truncate_values,
     zp_value,
 )
-from robustnn.classifier import DEFAULT_C, DEFAULT_XI, METHODS, make_method
+from robustnn.classifier import DEFAULT_C, DEFAULT_XI, METHODS, RULES, make_method
 
 
 def brute_label(X, Y, z, t):
@@ -287,16 +287,13 @@ def test_non_finite_inputs_are_rejected_with_their_position(call):
 
 
 def test_zp_value_closed_forms():
-    assert zp_value("independent_sqrt_logp", 3226, 0.5) == pytest.approx(
-        1.4211789347831216, rel=1e-12
-    )
-    assert zp_value("dependent_logp", 20000, 0.16) == pytest.approx(
-        1.5845580084057804, rel=1e-12
-    )
-    assert zp_value("independent", 100, 0.5) == zp_value("independent_sqrt_logp", 100, 0.5)
+    assert zp_value("independent", 3226, 0.5) == pytest.approx(1.4211789347831216, rel=1e-12)
+    assert zp_value("dependent", 20000, 0.16) == pytest.approx(1.5845580084057804, rel=1e-12)
+    assert zp_value("independent", 100, 0.5) == 0.5 * math.sqrt(math.log(100))
     assert zp_value("dependent", 100, 0.2) == 0.2 * math.log(100)
-    with pytest.raises(ParameterError):
-        zp_value("bonferroni", 100, 0.5)
+    for rule in ("bonferroni", "independent_sqrt_logp", "dependent_logp"):
+        with pytest.raises(ParameterError, match="rule must be one of"):
+            zp_value(rule, 100, 0.5)
     with pytest.raises(ParameterError):
         zp_value("independent", 1, 0.5)
     with pytest.raises(ParameterError):
@@ -436,7 +433,7 @@ def test_classify_extrema():
 
 
 DISPATCH_SPECS = {
-    "robust": RobustMethod(xi_or_c=0.4, t0=0.0),
+    "robust": RobustMethod(xi_or_c=0.4),
     "nn": StandardNNMethod(),
     "nn_trunc": TruncatedNNMethod(t=2.0),
     "fixed_threshold": FixedThresholdMethod(t=2.0),
@@ -449,7 +446,7 @@ def test_evaluate_method_dispatch(name):
     # A method added to the table without a spec here, or without its
     # labelling function, fails.
     X, Y, z = random_instance(np.random.default_rng(24))
-    label, decision = classify_robust(X, Y, z, xi_or_c=0.4, t0=0.0)
+    label, decision = classify_robust(X, Y, z, xi_or_c=0.4)
     expected = {
         "robust": (label, decision.theta, decision.defaulted),
         "nn": (classify_nn_standard(X, Y, z), None, None),
@@ -469,20 +466,21 @@ def test_evaluate_method_rejects_a_non_spec():
 
 
 def test_make_method_rejects_an_unknown_rule():
-    with pytest.raises(ConfigurationError) as info:
-        make_method("robust", rule="bogus")
-    assert str(info.value) == (
-        "unknown rule 'bogus'; expected one of "
-        "['dependent', 'dependent_logp', 'independent', 'independent_sqrt_logp']"
-    )
-    assert make_method("robust", rule="dependent_logp").xi_or_c == DEFAULT_XI
+    assert RULES == ("independent", "dependent")
+    for rule in ("bogus", "independent_sqrt_logp", "dependent_logp"):
+        with pytest.raises(ConfigurationError) as info:
+            make_method("robust", rule=rule)
+        assert str(info.value) == (
+            f"unknown rule {rule!r}; expected one of ['independent', 'dependent']"
+        )
+    assert make_method("robust", rule="dependent").xi_or_c == DEFAULT_XI
 
 
 def test_defaults():
     assert DEFAULT_C == 0.5
     assert DEFAULT_XI == 0.16
     m = RobustMethod()
-    assert m.rule == "independent_sqrt_logp" and m.xi_or_c == 0.5 and m.t0 is None
+    assert m.rule == "independent" and m.xi_or_c == 0.5
 
 
 def test_shape_validation():

@@ -1,11 +1,12 @@
 """End-to-end command behavior: files written, exit codes, reproducibility."""
 
+import argparse
 import json
 
 import pytest
 
 import robustnn.cli as cli
-from robustnn.classifier import DEFAULT_C, DEFAULT_XI, evaluate_method
+from robustnn.classifier import DEFAULT_C, DEFAULT_XI, RULES, RobustMethod, evaluate_method
 from robustnn.cli import dispatch
 from robustnn.config import load_config, methods_from_config, scenario_from_config
 from robustnn.datagen import shift_amount
@@ -387,18 +388,47 @@ def test_unknown_robust_rule_is_an_error_line_before_calibration(
         (["--c", "nan"], ""),
         ([], "[threshold_dist]\nc = -1\n"),
         ([], "[methods]\nrobust_rule = x\n"),
+        ([], "[methods]\nrobust_rule = independent_sqrt_logp\n"),
+        ([], "[threshold_dist]\nbins = 0\n"),
+        ([], "[threshold_dist]\nbins = -3\n"),
     ],
-    ids=["nan_c_flag", "negative_c_setting", "bad_rule"],
+    ids=[
+        "nan_c_flag", "negative_c_setting", "bad_rule", "long_rule", "zero_bins", "negative_bins"
+    ],
 )
 def test_bad_threshold_dist_method_is_an_error_line_before_calibration(
     tmp_path, capsys, argv, setting
 ):
     cfg = write_cfg(tmp_path, SCENARIO_200 + setting)
     shift_amount.cache_clear()
-    out = str(tmp_path / "hist.csv")
-    assert dispatch(["threshold-dist", "--config", cfg, *argv, "--out", out]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    out = tmp_path / "hist.csv"
+    argv = ["threshold-dist", "--config", cfg, "--trials", "6", *argv, "--out", str(out)]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
+    assert not out.exists()
+
+
+def test_rule_flag_choices_are_the_rule_table(capsys):
+    actions = cli._build_parser()._actions
+    subs = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("classify", "loo"):
+        rule = next(a for a in subs.choices[command]._actions if a.dest == "rule")
+        assert tuple(rule.choices) == RULES
+    argv = ["classify", "--data", "d.csv", "--rule", "independent_sqrt_logp"]
+    assert dispatch(argv) == 2
+    assert "invalid choice: 'independent_sqrt_logp'" in capsys.readouterr().err
+
+
+def test_non_finite_range_bound_is_an_error_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SCENARIO_200 + "[curves]\nt_grid = 0:inf:1\ntrials = 2\n")
+    out = tmp_path / "curve.csv"
+    assert dispatch(["curves", "--kind", "threshold", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: [curves] t_grid: range bounds must be finite, got '0:inf:1'\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["curves", "threshold-dist"])
@@ -423,7 +453,8 @@ def test_studies_read_the_configured_robust_rule(tmp_path, capsys, kind):
         expected = success_vs_c(scenario, [0.16, 0.3], 6, scenario.seed, rule="dependent")
         assert rates == expected.rates.tolist()
     else:
-        dist = threshold_distribution(scenario, 6, 0.3, scenario.seed, bins=20, rule="dependent")
+        method = RobustMethod(rule="dependent", xi_or_c=0.3)
+        dist = threshold_distribution(scenario, 6, method, scenario.seed, bins=20)
         assert outputs["dependent"].splitlines()[1:] == [
             f"{float(a)!r},{float(b)!r},{float(q)!r}"
             for a, b, q in zip(dist.bin_left, dist.bin_right, dist.proportion)

@@ -53,6 +53,13 @@ def test_parse_number_list_errors():
             parse_number_list(bad)
 
 
+@pytest.mark.parametrize("text", ["0:inf:1", "0:nan:1", "-inf:0:1", "0:1:inf"])
+def test_parse_number_list_rejects_a_non_finite_range_bound(text):
+    with pytest.raises(ConfigurationError) as info:
+        parse_number_list(text)
+    assert str(info.value) == f"range bounds must be finite, got {text!r}"
+
+
 def test_parse_dependence_forms():
     assert parse_dependence("independent") == Independent()
     assert parse_dependence("moving_average w=5") == MovingAverage.equal(5)

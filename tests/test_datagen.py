@@ -160,14 +160,14 @@ def test_apply_dependence_exp_ma_short_kernel():
     # innovations shifted by about decay * max
     model = ExponentiatedMA(decay=1e-6)
     innov = np.random.default_rng(4).exponential(1.0, 50 + model.kernel().size - 1)
-    out = apply_dependence(model, innov, 50)
+    out = apply_dependence(model, innov, 50, alphas=np.ones(50))
     np.testing.assert_allclose(out, innov[:50], atol=1e-4)
 
 
 def test_apply_dependence_exp_ma_unit_sum():
     model = ExponentiatedMA(decay=0.5)
     need = innovations_needed(model, 10)
-    out = apply_dependence(model, np.ones(need), 10)
+    out = apply_dependence(model, np.ones(need), 10, alphas=np.ones(10))
     np.testing.assert_allclose(out, 2.0, atol=1e-10)  # geometric sum 1/(1-0.5)
 
 

@@ -36,7 +36,7 @@ def make_dataset():
 
 def test_dataset_invariants():
     ds = make_dataset()
-    assert ds.p == 3
+    assert ds.samples.shape[1] == 3
     assert ds.class_labels == ("normal", "tumor")  # sorted, first plays the X role
     assert ds.rows_of("tumor").shape == (2, 3)
     with pytest.raises(DatasetError):
@@ -123,7 +123,7 @@ def test_dataset_from_generated():
 
 def test_loo_separable_is_perfect():
     ds = make_dataset()
-    for method in (StandardNNMethod(), RobustMethod(t0=1.0)):
+    for method in (StandardNNMethod(), RobustMethod()):
         result = loo_cross_validate(ds, method)
         assert result.accuracy == 1.0
         assert result.correct == result.total == 4

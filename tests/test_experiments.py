@@ -38,12 +38,7 @@ from robustnn import (
     threshold_distribution,
 )
 from robustnn.datagen import _calibration_sample
-from robustnn.experiments import (
-    resolve_workers,
-    write_curve_csv,
-    write_histogram_csv,
-    write_sample_size_csv,
-)
+from robustnn.experiments import resolve_workers, write_columns_csv, write_rates_csv
 
 SMALL = Scenario(p=300, m=1, n=1, beta=0.6, r=0.7, marginal=Normal(), seed=0)
 METHODS = [RobustMethod(), StandardNNMethod()]
@@ -168,8 +163,8 @@ def test_parallel_sweep_and_sample_size_match_serial():
     parallel = sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 6, base_seed=3, workers=2)
     assert serial == parallel
     pairs = [(1, 1), (2, 1)]
-    serial = sample_size_study(SMALL, pairs, trials=6, base_seed=4, workers=1)
-    parallel = sample_size_study(SMALL, pairs, trials=6, base_seed=4, workers=2)
+    serial = sample_size_study(SMALL, pairs, trials=6, base_seed=4, methods=METHODS, workers=1)
+    parallel = sample_size_study(SMALL, pairs, trials=6, base_seed=4, methods=METHODS, workers=2)
     assert serial == parallel
 
 
@@ -185,9 +180,11 @@ def test_parallel_study_starts_one_pool(monkeypatch):
     monkeypatch.setenv("ROBUSTNN_THREADS", "2")  # curves and apriori take no workers argument
     studies = [
         lambda: sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 4, base_seed=3, workers=2),
-        lambda: sample_size_study(SMALL, [(1, 1), (2, 1)], trials=4, base_seed=4, workers=2),
+        lambda: sample_size_study(
+            SMALL, [(1, 1), (2, 1)], trials=4, base_seed=4, methods=METHODS, workers=2
+        ),
         lambda: estimate_success_rate(SMALL, METHODS, trials=8, base_seed=5, workers=2),
-        lambda: threshold_distribution(SMALL, trials=8, c_value=0.3, base_seed=6, workers=2),
+        lambda: threshold_distribution(SMALL, 8, RobustMethod(xi_or_c=0.3), 6, workers=2),
         lambda: success_vs_threshold(SMALL, [0.2, 0.6], trials=8, base_seed=7),
         lambda: success_vs_c(SMALL, [0.2, 0.6], trials=8, base_seed=8),
         lambda: apriori_optimal_threshold(SMALL, [0.5, 1.0], "monte_carlo", trials=8),
@@ -223,8 +220,8 @@ def test_sweep_beta_r_grid(tmp_path):
     for bi in range(2):
         for ri in range(2):
             winner = grid.dominance[(bi, ri)]
-            best = max(grid.rate(bi, ri, name).rate for name in grid.methods)
-            assert grid.rate(bi, ri, winner.method).rate == best
+            best = max(grid.cells[(bi, ri, name)].rate for name in grid.methods)
+            assert grid.cells[(bi, ri, winner.method)].rate == best
 
     long_csv = tmp_path / "sweep.csv"
     grid.to_long_csv(long_csv)
@@ -285,7 +282,7 @@ def test_sweep_skips_degenerate_cells():
 
 
 def test_threshold_distribution():
-    dist = threshold_distribution(SMALL, trials=60, c_value=0.3, base_seed=11, bins=12)
+    dist = threshold_distribution(SMALL, 60, RobustMethod(xi_or_c=0.3), 11, bins=12)
     assert dist.shift == pytest.approx(shift_amount(SMALL))
     assert 0.0 <= dist.defaulted_fraction < 1.0
     assert type(dist.defaulted_fraction) is float  # the CLI prints its repr
@@ -293,8 +290,23 @@ def test_threshold_distribution():
     assert dist.bin_left.size == dist.bin_right.size == dist.proportion.size == 12
     assert np.all(dist.bin_right > dist.bin_left)
     assert dist.proportion.sum() == pytest.approx(1.0 - dist.defaulted_fraction)
-    again = threshold_distribution(SMALL, trials=60, c_value=0.3, base_seed=11, bins=12)
+    again = threshold_distribution(SMALL, 60, RobustMethod(xi_or_c=0.3), 11, bins=12)
     np.testing.assert_array_equal(dist.thetas, again.thetas)
+
+
+def test_threshold_distribution_rejects_a_bad_spec_before_any_trial(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_run_cells", no_trials)
+    for method, bins, message in [
+        (StandardNNMethod(), 20, "needs a RobustMethod"),
+        (RobustMethod(xi_or_c=math.nan), 20, "xi_or_c must be finite"),
+        (RobustMethod(rule="independent_sqrt_logp"), 20, "rule must be one of"),
+        (RobustMethod(), 0, "bins must be positive, got 0"),
+    ]:
+        with pytest.raises(ParameterError, match=message):
+            threshold_distribution(SMALL, 8, method, 0, bins=bins)
 
 
 def test_success_vs_threshold_curve():
@@ -302,7 +314,6 @@ def test_success_vs_threshold_curve():
     curve = success_vs_threshold(SMALL, props, trials=40, base_seed=13)
     np.testing.assert_allclose(curve.xs, props)
     assert curve.x_name == "t_over_shift"
-    assert curve.trials == 40
     assert len(curve.rates) == 3
     # far above the support every T is 0, ties go to X, labels alternate
     assert curve.rates[-1] == 0.5
@@ -351,34 +362,37 @@ def test_success_vs_c_matches_direct_classification():
 
 def test_sample_size_study():
     dense = Scenario(p=200, m=1, n=1, beta=0.6, r=0.8, marginal=StudentT(4.0), seed=0)
-    rows = sample_size_study(dense, [(1, 1), (2, 3)], trials=20, base_seed=19)
-    assert [(row.m, row.n) for row in rows] == [(1, 1), (1, 1), (2, 3), (2, 3)]
-    assert {row.method for row in rows} == {"robust", "nn"}
+    rows = sample_size_study(dense, [(1, 1), (2, 3)], trials=20, base_seed=19, methods=METHODS)
+    assert [pair for pair, _ in rows] == [(1, 1), (1, 1), (2, 3), (2, 3)]
+    assert [rate.method for _, rate in rows] == ["robust", "nn", "robust", "nn"]
     first = estimate_success_rate(dense, METHODS, trials=20, base_seed=19, cell_index=0)
-    assert rows[0].rate == first["robust"].rate
-    assert rows[1].rate == first["nn"].rate
+    assert rows[0][1] == first["robust"]
+    assert rows[1][1] == first["nn"]
 
 
 def test_csv_writers(tmp_path):
     curve_path = tmp_path / "curve.csv"
-    write_curve_csv(curve_path, [0.1, 0.25], [0.5, 0.625], x_name="c")
+    write_columns_csv(curve_path, ["c", "value"], [0.1, 0.25], [0.5, 0.625])
     with open(curve_path) as fh:
         rows = list(csv.reader(fh))
     assert rows == [["c", "value"], ["0.1", "0.5"], ["0.25", "0.625"]]
 
-    dist = threshold_distribution(SMALL, trials=30, c_value=0.3, base_seed=2, bins=5)
+    dist = threshold_distribution(SMALL, 30, RobustMethod(xi_or_c=0.3), 2, bins=5)
     hist_path = tmp_path / "hist.csv"
-    write_histogram_csv(hist_path, dist)
+    write_columns_csv(
+        hist_path, ["bin_left", "bin_right", "proportion"],
+        dist.bin_left, dist.bin_right, dist.proportion,
+    )
     with open(hist_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["bin_left", "bin_right", "proportion"]
     assert len(rows) == 6
     assert float(rows[1][0]) == dist.bin_left[0]
 
-    srows = sample_size_study(SMALL, [(1, 2)], trials=10, base_seed=4)
+    srows = sample_size_study(SMALL, [(1, 2)], trials=10, base_seed=4, methods=METHODS)
     size_path = tmp_path / "sizes.csv"
-    write_sample_size_csv(size_path, srows)
+    write_rates_csv(size_path, ("m", "n"), srows)
     with open(size_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["m", "n", "method", "rate", "se", "trials"]
-    assert rows[1][:3] == ["1", "2", "robust"]
+    assert rows[1] == ["1", "2", "robust", repr(srows[0][1].rate), repr(srows[0][1].se), "10"]

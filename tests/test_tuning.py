@@ -110,7 +110,7 @@ def test_select_threshold_cv_curve_matches_cv_error():
     X = [[0.0], [2.0]]
     Y = [[1.0], [3.0]]
     curve = select_threshold_cv(X, Y)
-    for t, v in curve.pairs():
+    for t, v in zip(curve.ts, curve.values):
         assert v == enum_cv(t, X, Y)
     assert curve.theta_cv == float(curve.minimizers[0])
     assert curve.theta_cv == min(curve.minimizers)
@@ -125,7 +125,7 @@ def test_cv_error_and_curve_agree_on_rounding_ties():
     curve = select_threshold_cv(X, Y)
     assert curve.theta_cv == -np.inf
     assert curve.values[0] == 0.0
-    for t, v in curve.pairs():
+    for t, v in zip(curve.ts, curve.values):
         assert cv_error(t, X, Y) == v
     assert cv_error(curve.theta_cv, X, Y) == float(curve.values.min())
 
