@@ -36,6 +36,9 @@ each row's components below every grid point, one ``bincount`` and one
 ``cumsum``, and keeps each point's minimum distance and the lowest row at it.
 Only one row's counts are held at a time, so a scan's memory is
 O((m + n) p + grid) and not O((m + n) grid), about (m + n)^2 p.
+Leave-one-out folds of N rows all pool the same N rows, so they share one
+ranking and each row's counts below every cut; a fold adds only its t0 and
+one pass down its training rows.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
 nearest neighbor on zeroed-below-threshold values v * 1(v > t), and a
@@ -219,6 +222,43 @@ def _below(bins: np.ndarray, size: int, weights: np.ndarray | None = None) -> np
     return np.cumsum(hist, out=hist)
 
 
+def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, ...]:
+    """T, S^2, i_x, i_y at ``size`` grid points, from ranks mapped so that a
+    component of mapped rank r is below the threshold from point r on.
+
+    ``sides`` are X's and Y's (rows, counts): counts[i] is row i's own
+    ``_below(row, size)``, or counts is None to count here.  A row and z
+    disagree where the smaller rank is below the threshold and the larger is
+    not, so their distance is 2 #(min below) - #(row below) - #(z below).
+    The z term is common to all rows, moves neither the nearest rows nor
+    T = d_x - d_y, and is left out.
+    """
+    low = np.empty_like(z)
+    nearest = []
+    for rows, counts in sides:
+        for i, row in enumerate(rows):
+            count = _below(row, size) if counts is None else counts[i]
+            dist = _below(np.minimum(row, z, out=low), size)
+            dist *= 2
+            dist -= count
+            if i == 0:
+                # at_count is written to below; a caller's counts are of a
+                # narrower dtype than int64, so astype copies them.
+                best, at = dist, np.zeros(size, dtype=np.int64)
+                at_count = count.astype(np.int64, copy=False)
+                continue
+            closer = dist < best  # strict: ties stay with the lowest row
+            np.copyto(best, dist, where=closer)
+            np.copyto(at, i, where=closer)
+            np.copyto(at_count, count, where=closer)
+        nearest.append((best, at, at_count))
+    (T, i_x, S2), (d_y, i_y, c_y) = nearest  # T and S2 reuse X's arrays
+    T -= d_y
+    S2 += c_y
+    np.subtract(2 * z.size, S2, out=S2)
+    return T, S2, i_x, i_y
+
+
 def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
     """Grid, T, S^2, i_x, i_y at thresholds ts >= floor (default: breakpoints from floor)."""
     values, ranks = _pooled_ranks(np.concatenate([X, Y, z[None]]), floor)
@@ -232,31 +272,8 @@ def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
     first = np.cumsum(np.bincount(cuts + 1, minlength=values.size + 1)[: values.size + 1])
     del values  # keep only what the rows need
     np.take(first, ranks, out=ranks, mode="clip")  # in place; ranks are in range
-    # A row and z disagree where the smaller rank is below the cut and the
-    # larger is not, so their distance is 2 #(min below) - #(row below) -
-    # #(z below).  The z term is common to all rows, moves neither the
-    # nearest rows nor T = d_x - d_y, and is left out.
-    size, low = cuts.size, np.empty_like(ranks[-1])
-    nearest = []
-    for rows in (ranks[: X.shape[0]], ranks[X.shape[0] : -1]):
-        for i, row in enumerate(rows):
-            count = _below(row, size)
-            dist = _below(np.minimum(row, ranks[-1], out=low), size)
-            dist *= 2
-            dist -= count
-            if i == 0:
-                best, at, at_count = dist, np.zeros(size, dtype=np.int64), count
-                continue
-            closer = dist < best  # strict: ties stay with the lowest row
-            np.copyto(best, dist, where=closer)
-            np.copyto(at, i, where=closer)
-            np.copyto(at_count, count, where=closer)
-        nearest.append((best, at, at_count))
-    (T, i_x, S2), (d_y, i_y, c_y) = nearest  # T and S2 reuse X's arrays
-    T -= d_y
-    S2 += c_y
-    np.subtract(2 * z.size, S2, out=S2)
-    got = (T, S2, i_x, i_y)
+    nx = X.shape[0]
+    got = _nearest(ranks[-1], cuts.size, ((ranks[:nx], None), (ranks[nx:-1], None)))
     if np.any(cuts[1:] < cuts[:-1]):  # point g's values sit at first[cuts[g]] of the order
         got = tuple(a[first[cuts]] for a in got)
     return ts, *got
@@ -306,7 +323,6 @@ class ThresholdDecision:
 
     theta: float
     defaulted: bool
-    z_p: float
     t0: float
     theta_index: int
     trace: ThresholdTrace = field(repr=False)
@@ -356,7 +372,6 @@ def select_threshold(
     return ThresholdDecision(
         theta=theta,
         defaulted=defaulted,
-        z_p=z_p,
         t0=t0,
         theta_index=index,
         trace=ThresholdTrace(ts=ts, T=T, S2=S2, i_x=i_x, i_y=i_y),
@@ -375,6 +390,52 @@ def classify_robust(
     decision = select_threshold(train_x, train_y, z, rule=rule, xi_or_c=xi_or_c, t0=t0)
     label: Label = "X" if decision.trace.T[decision.theta_index] <= 0 else "Y"
     return label, decision
+
+
+def _leave_one_out(
+    samples: np.ndarray, in_x: np.ndarray, rule: str, xi_or_c: float
+) -> list[tuple[Label, float, bool]]:
+    """``classify_robust``'s (label, theta, defaulted) for each row of
+    ``samples`` held out, trained on the rest (rows with ``in_x`` on the X
+    side), from one ranking of all the rows.
+
+    Every fold pools the same rows, so one ranking of the values at or
+    above the least t0 serves them all.  Fold i's values are the common ones
+    from lo_i = #(values < t0_i) on, its grid is t0_i and the common
+    midpoints from lo_i, and a common rank r is below the threshold at
+    common cut c exactly when r <= c.  Each row's own count below every cut
+    is made once and shared by the folds; a fold counts only its pairs
+    min(rank_j, rank_i).  Leaving out one row's p values moves the pooled
+    median across at most p values, so lo_i <= p, and a fold's pass covers
+    every common cut rather than only its own.
+    """
+    n, p = samples.shape
+    z_p = zp_value(rule, p, xi_or_c)
+    folds = [
+        (np.flatnonzero(rest & in_x), np.flatnonzero(rest & ~in_x))
+        for rest in (np.arange(n) != i for i in range(n))
+    ]
+    # The pooled training values in select_threshold's order: X's rows, then Y's.
+    t0s = [_median(samples[np.r_[xs, ys]].ravel()) for xs, ys in folds]
+    # No fold reads a value below the least t0, so rank from there.
+    values, ranks = _pooled_ranks(samples, min(t0s))
+    ts, cuts = _breakpoints(values, -np.inf)  # -inf, then every midpoint
+    counts = np.empty((n, values.size + 1), dtype=np.min_scalar_type(p))
+    for row, out in zip(ranks, counts):
+        out[:] = _below(row, out.size)
+    los = np.searchsorted(values, t0s, side="left")
+    his = np.searchsorted(values, t0s, side="right")
+    verdicts = []
+    for i, ((xs, ys), t0, lo, hi) in enumerate(zip(folds, t0s, los, his)):
+        sides = (([ranks[j] for j in js], [counts[j] for j in js]) for js in (xs, ys))
+        T, S2 = _nearest(ranks[i], values.size + 1, sides)[:2]
+        grid = np.r_[hi, cuts[lo + 1 :]]  # t0, then the midpoints above it
+        T, S2 = T[grid], S2[grid]
+        hit = _first_firing(T, S2, z_p)
+        index = 0 if hit is None else hit
+        theta = t0 if index == 0 else float(ts[lo + index])
+        verdicts.append(("X" if T[index] <= 0 else "Y", theta, hit is None))
+    return verdicts
 
 
 def classify_nn_standard(train_x, train_y, z) -> Label:

@@ -54,8 +54,12 @@ __all__ = [
 ]
 
 
+_MAX_RANGE_POINTS = 10**6
+
+
 def parse_number_list(text: str) -> list[float]:
-    """Parse ``a, b, c`` or the inclusive range ``start:stop:step``."""
+    """Parse ``a, b, c`` or the inclusive range ``start:stop:step`` of at
+    most a million points."""
     text = text.strip()
     if not text:
         raise ConfigurationError("empty number list")
@@ -75,7 +79,10 @@ def parse_number_list(text: str) -> list[float]:
             raise ConfigurationError(
                 f"range needs step > 0 and stop >= start, got {text!r}"
             )
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9  # inf where the bounds or the count overflow
+        if not steps < _MAX_RANGE_POINTS:
+            raise ConfigurationError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
+        count = int(math.floor(steps)) + 1
         return [start + i * step for i in range(count)]
     try:
         return [float(part) for part in text.split(",") if part.strip()]

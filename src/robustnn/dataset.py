@@ -6,6 +6,11 @@ feature ids; each subsequent row is a class label and p numeric cells
 distinct labels must appear.
 The lexicographically smaller label plays the X role in every classifier
 so that tie rules and confusion counts are deterministic.
+
+Leave-one-out holds out each row in turn.  The robust folds all pool the
+same rows, so they share one ranking of them and each row's counts below
+every cut (``classifier._leave_one_out``), with the verdicts of running
+``classify_robust`` fold by fold; the other methods run fold by fold.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import MethodSpec, evaluate_method
+from .classifier import MethodSpec, RobustMethod, _leave_one_out, evaluate_method
 from .errors import DatasetError, ProtocolError
 
 __all__ = [
@@ -172,8 +177,10 @@ class LooResult:
 def loo_cross_validate(dataset: Dataset, method: MethodSpec) -> LooResult:
     """Hold out each row in turn, train on the rest, and tally the verdicts.
 
-    The robust method re-selects its threshold inside every fold.  Requires
-    at least two rows per class so every fold keeps a trainer on each side.
+    The robust method re-selects its threshold inside every fold; its folds
+    pool the same rows, so they share one ranking and each row's counts.
+    Other methods run fold by fold through ``evaluate_method``.  Requires at
+    least two rows per class so every fold keeps a trainer on each side.
     """
     first, second = dataset.class_labels
     counts = {lab: sum(x == lab for x in dataset.labels) for lab in (first, second)}
@@ -183,15 +190,21 @@ def loo_cross_validate(dataset: Dataset, method: MethodSpec) -> LooResult:
                 f"class {lab!r} has {count} sample(s); leave-one-out needs at least 2"
             )
     labels = np.array(dataset.labels)
+    if isinstance(method, RobustMethod):
+        verdicts = _leave_one_out(dataset.samples, labels == first, method.rule, method.xi_or_c)
+    else:
+        verdicts = (
+            evaluate_method(
+                dataset.rows_of(first, i), dataset.rows_of(second, i), dataset.samples[i], method
+            )
+            for i in range(len(labels))
+        )
     confusion = {(a, b): 0 for a in (first, second) for b in (first, second)}
     correct = 0
-    for i in range(len(labels)):
-        label, _, _ = evaluate_method(
-            dataset.rows_of(first, i), dataset.rows_of(second, i), dataset.samples[i], method
-        )
+    for true, (label, _, _) in zip(labels, verdicts):
         predicted = first if label == "X" else second
-        confusion[(str(labels[i]), predicted)] += 1
-        correct += predicted == labels[i]
+        confusion[(str(true), predicted)] += 1
+        correct += predicted == true
     total = len(labels)
     return LooResult(
         accuracy=correct / total,

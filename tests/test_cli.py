@@ -431,6 +431,19 @@ def test_non_finite_range_bound_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0:1e9:1e-9"])
+def test_sweep_range_with_too_many_points_is_an_error_line(tmp_path, capsys, grid):
+    cfg = write_cfg(tmp_path, SCENARIO_200 + f"[sweep]\nbeta_grid = {grid}\nr_grid = 0.5\n")
+    shift_amount.cache_clear()
+    out = tmp_path / "grid.csv"
+    assert dispatch(["sweep", "--config", cfg, "--trials", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [sweep] beta_grid: range {grid!r} has more than 1000000 points\n"
+    )
+    assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["curves", "threshold-dist"])
 def test_studies_read_the_configured_robust_rule(tmp_path, capsys, kind):
     text = (

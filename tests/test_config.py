@@ -60,6 +60,20 @@ def test_parse_number_list_rejects_a_non_finite_range_bound(text):
     assert str(info.value) == f"range bounds must be finite, got {text!r}"
 
 
+@pytest.mark.parametrize(
+    "text", ["0:1e300:1e-300", "0:1e9:1e-9", "-1e308:1e308:1", "1:1000001:1"]
+)
+def test_parse_number_list_caps_the_range_points(text):
+    with pytest.raises(ConfigurationError) as info:
+        parse_number_list(text)
+    assert str(info.value) == f"range {text!r} has more than 1000000 points"
+
+
+def test_parse_number_list_allows_the_capped_count():
+    grid = parse_number_list("1:1000000:1")
+    assert len(grid) == 10**6 and grid[-1] == 1e6
+
+
 def test_parse_dependence_forms():
     assert parse_dependence("independent") == Independent()
     assert parse_dependence("moving_average w=5") == MovingAverage.equal(5)

@@ -2,21 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import robustnn.classifier as classifier
+import robustnn.dataset as dataset_module
 from robustnn import (
     Dataset,
     DatasetError,
+    ExtremaMethod,
     Normal,
+    ParameterError,
     ProtocolError,
     RobustMethod,
     Scenario,
     StandardNNMethod,
+    classify_extrema,
+    classify_nn_standard,
+    classify_robust,
     dataset_from_generated,
     generate,
     load_dataset,
     loo_cross_validate,
     save_dataset,
 )
+from robustnn.classifier import DEFAULT_C, RULES
 
 
 def make_dataset():
@@ -154,17 +165,78 @@ def test_loo_counts_match_manual_folds():
     samples = np.vstack([rng.normal(0, 1, (4, 6)), rng.normal(1.5, 1, (4, 6))])
     labels = ("a",) * 4 + ("b",) * 4
     ds = Dataset(tuple(f"f{i}" for i in range(6)), samples, labels)
-    result = loo_cross_validate(ds, StandardNNMethod())
-    from robustnn import classify_nn_standard
+    for method, classify in (
+        (StandardNNMethod(), classify_nn_standard),
+        (ExtremaMethod(), classify_extrema),
+    ):
+        confusion = {(t, q): 0 for t in "ab" for q in "ab"}
+        for i in range(8):
+            mask = np.ones(8, dtype=bool)
+            mask[i] = False
+            held = samples[i]
+            train_a = samples[mask & (np.arange(8) < 4)]
+            train_b = samples[mask & (np.arange(8) >= 4)]
+            pred = classify(train_a, train_b, held)  # "a" sorts first: X role
+            confusion[(labels[i], "a" if pred == "X" else "b")] += 1
+        result = loo_cross_validate(ds, method)
+        assert result.confusion == confusion, method.name
+        assert result.correct == confusion[("a", "a")] + confusion[("b", "b")]
+        assert result.total == 8
 
-    manual = 0
-    for i in range(8):
-        mask = np.ones(8, dtype=bool)
-        mask[i] = False
-        held = samples[i]
-        train_a = samples[mask & (np.arange(8) < 4)]
-        train_b = samples[mask & (np.arange(8) >= 4)]
-        pred = classify_nn_standard(train_a, train_b, held)  # "a" sorts first: X role
-        manual += (pred == "X") == (i < 4)
-    assert result.correct == manual
-    assert result.total == 8
+
+# Ties of small integers, +0.0 beside -0.0, and values whose sums overflow.
+tie_heavy = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([1.7e308, -1.7e308, 1.6e308, -1.6e308]),
+)
+
+
+@st.composite
+def labeled_rows(draw):
+    """Rows of two classes (at least 2 each) in a random order, a rule and a slope."""
+    n_x, n_y, p = draw(st.integers(2, 5)), draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    samples = draw(arrays(float, (n_x + n_y, p), elements=tie_heavy))
+    in_x = np.array(draw(st.permutations([True] * n_x + [False] * n_y)))
+    return samples, in_x, draw(st.sampled_from(RULES)), draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+
+ZEROS = np.array([[0.0, -0.0], [-0.0, 1.0], [-0.0, 0.0], [0.0, -0.0], [1.0, -0.0]])
+NEAR_MAX = np.array(
+    [[1.7e308, -1.7e308], [1.6e308, 1.7e308], [-1.7e308, 1.7e308], [1.7e308, 1.6e308]]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_rows())
+@example((ZEROS, np.array([True, False, True, False, False]), "independent", DEFAULT_C))
+@example((NEAR_MAX, np.array([True, True, False, False]), "dependent", 0.3))
+def test_robust_loo_matches_fold_by_fold_classify_robust(instance):
+    samples, in_x, rule, c = instance
+    verdicts = classifier._leave_one_out(samples, in_x, rule, c)
+    assert len(verdicts) == len(samples)
+    for i, (label, theta, defaulted) in enumerate(verdicts):
+        rest = np.arange(len(samples)) != i
+        want, decision = classify_robust(
+            samples[rest & in_x], samples[rest & ~in_x], samples[i], rule, c
+        )
+        # repr round-trips a double, so equal reprs are equal bits, sign of zero included.
+        assert (label, repr(theta), defaulted) == (want, repr(decision.theta), decision.defaulted)
+    ds = Dataset(
+        tuple(f"f{k}" for k in range(samples.shape[1])),
+        samples,
+        tuple("a" if x else "b" for x in in_x),
+    )
+    result = loo_cross_validate(ds, RobustMethod(rule=rule, xi_or_c=c))
+    assert result.correct == sum((v[0] == "X") == x for v, x in zip(verdicts, in_x))
+
+
+def test_robust_loo_rejects_p_1_before_any_fold(monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("a fold ran")
+
+    monkeypatch.setattr(classifier, "_nearest", no_fold)
+    monkeypatch.setattr(dataset_module, "evaluate_method", no_fold)
+    ds = Dataset(("g",), np.array([[0.0], [1.0], [2.0], [3.0]]), ("u", "u", "v", "v"))
+    with pytest.raises(ParameterError, match="^p must be at least 2, got 1$"):
+        loo_cross_validate(ds, RobustMethod())

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import robustnn.classifier as classifier
+import robustnn.dataset as dataset
 import robustnn.experiments as experiments
 from robustnn import (
     ConfigurationError,
@@ -136,20 +137,26 @@ def test_studies_reject_an_empty_method_list_before_any_calibration(monkeypatch,
 def test_trials_and_loo_reach_the_module_level_classifiers(monkeypatch):
     # Profilers hook these module attributes; the method specs must call
     # through them rather than through references bound at import.
-    calls = {"select_threshold": 0, "classify_extrema": 0}
-    for name in calls:
-        def spy(*args, _name=name, _real=getattr(classifier, name), **kwargs):
+    calls = {"select_threshold": 0, "classify_extrema": 0, "_leave_one_out": 0}
+    for module, name in (
+        (classifier, "select_threshold"),
+        (classifier, "classify_extrema"),
+        (dataset, "_leave_one_out"),
+    ):
+        def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(classifier, name, spy)
+        monkeypatch.setattr(module, name, spy)
     methods = [RobustMethod(), ExtremaMethod()]
     run_trial(SMALL, methods, seed=1, z_from="X")
-    assert calls == {"select_threshold": 1, "classify_extrema": 1}
+    assert calls == {"select_threshold": 1, "classify_extrema": 1, "_leave_one_out": 0}
     data = generate(replace(SMALL, m=2, n=2), "X", np.random.default_rng(2))
     for method in methods:
         loo_cross_validate(dataset_from_generated(data), method)
-    assert calls == {"select_threshold": 1 + 5, "classify_extrema": 1 + 5}  # 5 folds each
+    # The 5 robust folds share one ranking in one call; the 5 extrema folds
+    # each call the classifier.
+    assert calls == {"select_threshold": 1, "classify_extrema": 1 + 5, "_leave_one_out": 1}
 
 
 def test_estimate_success_rate_parallel_matches_serial():
