@@ -7,189 +7,25 @@ the sign of that statistic.  The package bundles the classifier and its
 competitors, sparse-mean-shift data generators with several dependence
 structures, threshold tuning (cross-validation and an a priori analysis),
 a Monte Carlo experiment engine, and a CSV/CLI front end.
+
+The package namespace is the union of the library modules' ``__all__``;
+``robustnn.cli`` is the command-line entry point and stays out of it.
 """
 
-from .classifier import (
-    DEFAULT_C,
-    DEFAULT_XI,
-    ExtremaMethod,
-    FixedThresholdMethod,
-    MethodSpec,
-    RobustMethod,
-    StandardNNMethod,
-    ThresholdDecision,
-    ThresholdStatistics,
-    ThresholdTrace,
-    TruncatedNNMethod,
-    classify_extrema,
-    classify_nn_standard,
-    classify_nn_truncated,
-    classify_robust,
-    compute_T_S,
-    evaluate_method,
-    select_threshold,
-    threshold_scan,
-    truncate_values,
-    zp_value,
+from . import (
+    classifier, config, datagen, dataset, distributions, errors, experiments, seeds, tuning,
 )
-from .datagen import (
-    AR1,
-    ExponentiatedMA,
-    GeneratedData,
-    Independent,
-    MovingAverage,
-    Scenario,
-    apply_dependence,
-    gen_mixed_light_heavy,
-    generate,
-    place_shifts,
-    shift_amount,
-    shift_count,
-)
-from .dataset import (
-    Dataset,
-    LooResult,
-    dataset_from_generated,
-    load_dataset,
-    loo_cross_validate,
-    save_dataset,
-)
-from .distributions import (
-    Exponential,
-    Normal,
-    Pareto,
-    ScaleSolution,
-    StudentT,
-    Subbotin,
-    format_marginal,
-    parse_marginal,
-    solve_scale,
-)
-from .errors import (
-    ConfigurationError,
-    DatasetError,
-    DegenerateScenarioError,
-    DomainError,
-    ParameterError,
-    ProtocolError,
-    RobustnnError,
-    SampleSizeError,
-    ShapeError,
-    SolverError,
-    UnsupportedSettingError,
-)
-from .experiments import (
-    MethodRate,
-    SuccessCurve,
-    SweepGrid,
-    ThresholdDistribution,
-    estimate_success_rate,
-    run_trial,
-    sample_size_study,
-    success_vs_c,
-    success_vs_threshold,
-    sweep_beta_r,
-    threshold_distribution,
-)
-from .seeds import derive_seed
-from .tuning import (
-    AprioriCurve,
-    CvCurve,
-    SuccessEstimate,
-    apriori_optimal_threshold,
-    apriori_success_rate,
-    cv_error,
-    select_threshold_cv,
-)
+from .classifier import *
+from .config import *
+from .datagen import *
+from .dataset import *
+from .distributions import *
+from .errors import *
+from .experiments import *
+from .seeds import *
+from .tuning import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # classifier
-    "DEFAULT_C",
-    "DEFAULT_XI",
-    "RobustMethod",
-    "StandardNNMethod",
-    "TruncatedNNMethod",
-    "FixedThresholdMethod",
-    "ExtremaMethod",
-    "MethodSpec",
-    "ThresholdStatistics",
-    "ThresholdTrace",
-    "ThresholdDecision",
-    "compute_T_S",
-    "zp_value",
-    "threshold_scan",
-    "select_threshold",
-    "classify_robust",
-    "classify_nn_standard",
-    "classify_nn_truncated",
-    "classify_extrema",
-    "truncate_values",
-    "evaluate_method",
-    # datagen
-    "Scenario",
-    "GeneratedData",
-    "Independent",
-    "MovingAverage",
-    "AR1",
-    "ExponentiatedMA",
-    "place_shifts",
-    "generate",
-    "apply_dependence",
-    "gen_mixed_light_heavy",
-    "shift_amount",
-    "shift_count",
-    # dataset
-    "Dataset",
-    "LooResult",
-    "load_dataset",
-    "save_dataset",
-    "loo_cross_validate",
-    "dataset_from_generated",
-    # distributions
-    "Normal",
-    "StudentT",
-    "Exponential",
-    "Subbotin",
-    "Pareto",
-    "ScaleSolution",
-    "solve_scale",
-    "parse_marginal",
-    "format_marginal",
-    # errors
-    "RobustnnError",
-    "ParameterError",
-    "DomainError",
-    "ShapeError",
-    "ConfigurationError",
-    "DegenerateScenarioError",
-    "SampleSizeError",
-    "UnsupportedSettingError",
-    "ProtocolError",
-    "DatasetError",
-    "SolverError",
-    # experiments
-    "MethodRate",
-    "SweepGrid",
-    "ThresholdDistribution",
-    "SuccessCurve",
-    "run_trial",
-    "estimate_success_rate",
-    "sweep_beta_r",
-    "threshold_distribution",
-    "success_vs_threshold",
-    "success_vs_c",
-    "sample_size_study",
-    # seeds
-    "derive_seed",
-    # tuning
-    "CvCurve",
-    "cv_error",
-    "select_threshold_cv",
-    "SuccessEstimate",
-    "AprioriCurve",
-    "apriori_success_rate",
-    "apriori_optimal_threshold",
-]
+_MODULES = (classifier, config, datagen, dataset, distributions, errors, experiments, seeds, tuning)
+__all__ = ["__version__"] + [name for module in _MODULES for name in module.__all__]

@@ -57,6 +57,8 @@ import numpy as np
 from .errors import ConfigurationError, ParameterError, ShapeError
 
 __all__ = [
+    "DEFAULT_C",
+    "DEFAULT_XI",
     "Label",
     "ThresholdStatistics",
     "ThresholdTrace",
@@ -438,11 +440,26 @@ def _leave_one_out(
     return verdicts
 
 
+def _nearest_squared(X: np.ndarray, Y: np.ndarray, z: np.ndarray) -> list[float]:
+    """Each class's least squared Euclidean distance to z.
+
+    Where one overflows, both are computed again on the values times a power
+    of two chosen so that no difference, square or sum of p squares can
+    overflow; the common power of two keeps the distances' order."""
+    with np.errstate(over="ignore"):
+        dx, dy = (((A - z) ** 2).sum(axis=1).min() for A in (X, Y))
+    if not (math.isinf(dx) or math.isinf(dy)):
+        return [dx, dy]
+    e = int(np.frexp(max(np.abs(A).max() for A in (X, Y, z)))[1])
+    # |values| < 2**e, so a scaled difference is below 2**h, and p * 4**h < 2**1023.
+    h = (1023 - z.size.bit_length()) // 2
+    scale = math.ldexp(1.0, h - e - 1)
+    return [((A * scale - z * scale) ** 2).sum(axis=1).min() for A in (X, Y)]
+
+
 def classify_nn_standard(train_x, train_y, z) -> Label:
     """Nearest neighbor on squared Euclidean distance; ties go to X."""
-    X, Y, z = _check_inputs(train_x, train_y, z)
-    dx = ((X - z) ** 2).sum(axis=1).min()
-    dy = ((Y - z) ** 2).sum(axis=1).min()
+    dx, dy = _nearest_squared(*_check_inputs(train_x, train_y, z))
     return "X" if dx <= dy else "Y"
 
 
@@ -462,8 +479,11 @@ def classify_nn_truncated(train_x, train_y, z, t: float) -> Label:
 def classify_extrema(train_x, train_y, z) -> Label:
     """Assign z to the population whose training maximum is nearest max(z)."""
     X, Y, z = _check_inputs(train_x, train_y, z)
-    mz = z.max()
-    return "X" if abs(X.max() - mz) <= abs(Y.max() - mz) else "Y"
+    mx, my, mz = float(X.max()), float(Y.max()), float(z.max())  # floats overflow silently
+    dx, dy = abs(mx - mz), abs(my - mz)
+    if math.isinf(dx) or math.isinf(dy):  # halved, no difference of two of them overflows
+        dx, dy = abs(mx / 2 - mz / 2), abs(my / 2 - mz / 2)
+    return "X" if dx <= dy else "Y"
 
 
 @dataclass(frozen=True)

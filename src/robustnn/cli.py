@@ -418,6 +418,11 @@ def dispatch(argv) -> int:
     except RobustnnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # Inputs fail with their own error lines, so a file named here is an output.
+        what = f"cannot write {exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {what}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

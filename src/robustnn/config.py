@@ -214,7 +214,7 @@ def default_config() -> str:
 def load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigurationError(f"{path}: {exc.strerror or exc}") from None

@@ -1,9 +1,9 @@
 """Labeled two-class CSV datasets and leave-one-out evaluation.
 
-File format: UTF-8 CSV whose header starts with ``label`` followed by the
-feature ids; each subsequent row is a class label and p numeric cells
-(scientific notation accepted, NaN and infinities rejected).  Exactly two
-distinct labels must appear.
+File format: UTF-8 CSV, with or without a byte-order mark, whose header
+starts with ``label`` followed by distinct feature ids; each subsequent row
+is a class label and p numeric cells (scientific notation accepted, NaN and
+infinities rejected).  Exactly two distinct labels must appear.
 The lexicographically smaller label plays the X role in every classifier
 so that tie rules and confusion counts are deterministic.
 
@@ -16,6 +16,7 @@ every cut (``classifier._leave_one_out``), with the verdicts of running
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,7 @@ class Dataset:
 def load_dataset(path) -> Dataset:
     """Read and validate a labeled CSV file; errors carry the line number."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DatasetError(f"{path}: {exc.strerror or exc}") from None
     with fh:
@@ -112,6 +113,9 @@ def load_dataset(path) -> Dataset:
         feature_ids = tuple(header[1:])
         if not feature_ids:
             raise DatasetError(f"{path}, line 1: no feature columns")
+        repeated = [name for name, k in Counter(feature_ids).items() if k > 1]
+        if repeated:
+            raise DatasetError(f"{path}, line 1: duplicate feature id {repeated[0]!r}")
         rows: list[list[float]] = []
         labels: list[str] = []
         lines: list[int] = []

@@ -5,6 +5,12 @@ so callers (and the command-line driver) can distinguish diagnosed failures
 from genuine bugs.
 """
 
+__all__ = [
+    "RobustnnError", "ParameterError", "DomainError", "ShapeError", "SolverError",
+    "ConfigurationError", "DegenerateScenarioError", "SampleSizeError",
+    "UnsupportedSettingError", "ProtocolError", "DatasetError",
+]
+
 
 class RobustnnError(Exception):
     """Base class for all errors raised by robustnn."""

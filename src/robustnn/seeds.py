@@ -25,6 +25,8 @@ The result is used directly as a numpy default_rng seed.
 
 from __future__ import annotations
 
+__all__ = ["derive_seed"]
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -5,6 +5,7 @@ indicator vectors per row, Hamming distances, nearest rows with lowest-index
 ties, and a python loop over every candidate threshold.
 """
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -36,6 +37,7 @@ from robustnn import (
     zp_value,
 )
 from robustnn.classifier import DEFAULT_C, DEFAULT_XI, METHODS, RULES, make_method
+from robustnn.cli import dispatch
 
 
 def brute_label(X, Y, z, t):
@@ -430,6 +432,43 @@ def test_classify_extrema():
     assert classify_extrema([[1.0, 5.0]], [[9.0, 2.0]], [6.5, 0.0]) == "X"
     assert classify_extrema([[1.0, 4.0]], [[9.0, 2.0]], [8.0, 0.0]) == "Y"
     assert classify_extrema([[2.0, 4.0]], [[6.0, 2.0]], [5.0, 0.0]) == "X"  # tie
+
+
+def test_nn_rules_near_float_max_compare_without_overflow():
+    X, Y, z = [[1.7e308, 1.0]], [[-1e308, 1.0]], [-1.7e308, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Both distances overflow; in exact arithmetic Y's is the smaller.
+        assert classify_nn_standard(X, Y, z) == "Y"
+        assert classify_nn_standard(Y, X, z) == "X"
+        assert classify_nn_standard(X, X, z) == "X"  # tie
+        assert classify_nn_truncated(X, Y, z, t=-1.79e308) == "Y"
+        assert classify_nn_truncated(Y, X, z, t=-1.79e308) == "X"
+        # No difference overflows, only the sum of the squares.
+        big = np.full((1, 5000), 1e200)
+        assert classify_nn_standard(big, -big, 0.9 * big[0]) == "X"
+        assert classify_nn_standard(-big, big, 0.9 * big[0]) == "Y"
+
+
+def test_extrema_near_float_max_compares_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Both differences overflow; Y's maximum is the nearer one.
+        assert classify_extrema([[1.7e308]], [[1.6e308]], [-1.7e308]) == "Y"
+        assert classify_extrema([[1.6e308]], [[1.7e308]], [-1.7e308]) == "X"
+        assert classify_extrema([[1.7e308]], [[1.7e308]], [-1.7e308]) == "X"  # tie
+        assert classify_extrema([[1.7e308]], [[-1e308]], [-1.7e308]) == "Y"
+
+
+def test_loo_nn_near_float_max_is_exact_and_silent(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text(
+        "label,f0,f1\nX,1.7e308,1.0\nX,1.6e308,1.0\nY,-1e308,1.0\nY,-1.7e308,1.0\n"
+    )
+    out = tmp_path / "loo.json"
+    assert dispatch(["loo", "--data", str(data), "--method", "nn", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["accuracy"] == 1.0
 
 
 DISPATCH_SPECS = {

@@ -492,3 +492,24 @@ def test_loo_names_the_csv_line_of_a_non_finite_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {data}, line 3: feature 'f0' is nan, not a finite number\n"
     assert not (tmp_path / "loo.json").exists()
+
+
+def test_gen_to_an_unwritable_path_is_an_error_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SCENARIO_200)
+    out = tmp_path / "missing" / "g.csv"
+    assert dispatch(["gen", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert captured.out == ""
+
+
+def test_sweep_to_an_unwritable_path_is_an_error_line(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "[scenario]\np = 60\nbeta = 0.6\nr = 0.7\nseed = 1\n"
+        "[sweep]\nbeta_grid = 0.6\nr_grid = 0.5\ntrials = 1\n",
+    )
+    out = tmp_path / "missing" / "grid.csv"
+    code = dispatch(["sweep", "--config", cfg, "--workers", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"

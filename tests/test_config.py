@@ -200,6 +200,12 @@ def test_load_config_overrides(tmp_path):
     assert scenario_from_config(load_config(path2)).dependence == AR1(0.3)
 
 
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "marked.ini"
+    path.write_bytes(b"\xef\xbb\xbf[scenario]\np = 500\n")
+    assert scenario_from_config(load_config(path)).p == 500
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigurationError):
         load_config(tmp_path / "nope.ini")

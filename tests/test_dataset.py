@@ -113,6 +113,25 @@ def test_load_dataset_rejects_non_finite_values(tmp_path, cell):
     assert str(info.value) == f"{path}, line 4: feature 'g2' is {value}, not a finite number"
 
 
+def test_load_dataset_skips_a_byte_order_mark(tmp_path):
+    text = "label,g1,g2\nu,1.0,2.0\nv,3.0,4.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    a, b = load_dataset(marked), load_dataset(plain)
+    assert a.feature_ids == b.feature_ids == ("g1", "g2")
+    assert a.labels == b.labels
+    np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def test_load_dataset_names_the_first_duplicate_feature_id(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("label,g1,g2,g3,g2,g1\nu,1,2,3,4,5\nv,1,2,3,4,5\n")
+    with pytest.raises(DatasetError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}, line 1: duplicate feature id 'g1'"
+
+
 def test_load_dataset_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("label,g1,g2\nu,1.0,2.0\n\nv,3.0,4.0\n\n")

@@ -1,10 +1,12 @@
-"""Imports: every export resolves, and scipy stays off the import path (each
-scipy submodule loads in the function using it)."""
+"""Imports: the package exports the union of its modules' lists, every export
+resolves, the README quick start runs, and scipy stays off the import path
+(each scipy submodule loads in the function using it)."""
 
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import robustnn
 
 SRC = str(Path(robustnn.__file__).resolve().parent.parent)
+README = Path(SRC).parent / "README.md"
 
 SWEEP_EXPMA = """\
 [scenario]
@@ -69,11 +72,38 @@ def test_student_t_scale_loads_only_scipy_special(tmp_path):
         assert not any(m == heavy or m.startswith(heavy + ".") for m in loaded), heavy
 
 
+LIBRARY_MODULES = (
+    "classifier", "config", "datagen", "dataset", "distributions",
+    "errors", "experiments", "seeds", "tuning",
+)
+
+
 def test_every_export_resolves():
     modules = [robustnn] + [
         importlib.import_module(f"robustnn.{info.name}")
         for info in pkgutil.iter_modules(robustnn.__path__)
     ]
-    for module in modules:  # errors.py has no __all__
+    for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_package_exports_are_the_union_of_the_module_lists():
+    modules = [importlib.import_module(f"robustnn.{name}") for name in LIBRARY_MODULES]
+    assert robustnn.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+    assert len(set(robustnn.__all__)) == len(robustnn.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(robustnn, name) is getattr(module, name), name
+    assert "dispatch" not in robustnn.__all__ and "main" not in robustnn.__all__
+
+
+def test_readme_quick_start_runs(tmp_path):
+    quick_start = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
