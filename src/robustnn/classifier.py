@@ -440,20 +440,23 @@ def _leave_one_out(
     return verdicts
 
 
-def _nearest_squared(X: np.ndarray, Y: np.ndarray, z: np.ndarray) -> list[float]:
-    """Each class's least squared Euclidean distance to z.
+def _overflow_scale(*arrays: np.ndarray) -> float:
+    """A power of two that keeps every difference of values of ``arrays`` times
+    it, its square and a sum of p squares (p the last axis's length) finite."""
+    e = int(np.frexp(max(np.abs(a).max() for a in arrays))[1])
+    # |values| < 2**e, so a scaled difference is below 2**h, and p * 4**h < 2**1023.
+    h = (1023 - arrays[-1].shape[-1].bit_length()) // 2
+    return math.ldexp(1.0, h - e - 1)
 
-    Where one overflows, both are computed again on the values times a power
-    of two chosen so that no difference, square or sum of p squares can
-    overflow; the common power of two keeps the distances' order."""
+
+def _nearest_squared(X: np.ndarray, Y: np.ndarray, z: np.ndarray) -> list[float]:
+    """Each class's least squared Euclidean distance to z; where one
+    overflows, both are computed again on values times ``_overflow_scale``."""
     with np.errstate(over="ignore"):
         dx, dy = (((A - z) ** 2).sum(axis=1).min() for A in (X, Y))
     if not (math.isinf(dx) or math.isinf(dy)):
         return [dx, dy]
-    e = int(np.frexp(max(np.abs(A).max() for A in (X, Y, z)))[1])
-    # |values| < 2**e, so a scaled difference is below 2**h, and p * 4**h < 2**1023.
-    h = (1023 - z.size.bit_length()) // 2
-    scale = math.ldexp(1.0, h - e - 1)
+    scale = _overflow_scale(X, Y, z)
     return [((A * scale - z * scale) ** 2).sum(axis=1).min() for A in (X, Y)]
 
 

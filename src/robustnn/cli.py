@@ -13,7 +13,9 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from configparser import ConfigParser
 from pathlib import Path
@@ -34,12 +36,13 @@ from .datagen import Scenario, generate
 from .dataset import dataset_from_generated, load_dataset, loo_cross_validate, save_dataset
 from .errors import ConfigurationError, RobustnnError
 from .experiments import (
-    sample_size_study,
+    grid_study,
     success_vs_c,
     success_vs_threshold,
     sweep_beta_r,
     threshold_distribution,
     write_columns_csv,
+    write_dominance_csv,
     write_rates_csv,
 )
 from .tuning import apriori_optimal_threshold, select_threshold_cv
@@ -87,6 +90,15 @@ def _add_method_flags(sub) -> None:
         help="critical-value rule for the robust method",
     )
     sub.add_argument("--t", type=float, default=None, help="threshold for nn_trunc/fixed_threshold")
+
+
+def _check_out(path) -> None:
+    """Fail before any work when the folder of the outputs cannot be written."""
+    folder = Path(path).parent
+    if not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
+        missing = errno.ENOTDIR if folder.exists() else errno.ENOENT
+        code = errno.EACCES if folder.is_dir() else missing
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def _load_scenario(args) -> tuple[ConfigParser | None, Scenario]:
@@ -188,23 +200,23 @@ def _cmd_sweep(args, argv) -> int:
     r_grid = get_setting(parser, "sweep", "r_grid", parse_number_list)
     trials = _trials(args, parser, "sweep")
     methods = methods_from_config(parser)
-    grid = sweep_beta_r(
+    rates = sweep_beta_r(
         beta_grid, r_grid, scenario, methods, trials, scenario.seed, workers=args.workers
     )
     out = Path(args.out)
     dominance_path = out.with_name(out.stem + "_dominance" + out.suffix)
-    grid.to_long_csv(out)
-    grid.to_dominance_csv(dominance_path)
+    write_rates_csv(out, ("beta", "r"), [(b, r) for b in beta_grid for r in r_grid], rates)
+    write_dominance_csv(dominance_path, beta_grid, r_grid, methods, rates)
     config = {
         "scenario": scenario_fields(scenario),
-        "beta_grid": list(grid.beta_axis),
-        "r_grid": list(grid.r_axis),
-        "methods": list(grid.methods),
+        "beta_grid": beta_grid,
+        "r_grid": r_grid,
+        "methods": [m.name for m in methods],
         "trials_per_cell": trials,
     }
     print(
-        f"swept {len(grid.beta_axis)}x{len(grid.r_axis)} cells "
-        f"({len(grid.skipped)} skipped), {trials} trials each -> {out}"
+        f"swept {len(beta_grid)}x{len(r_grid)} cells "
+        f"({rates.count(None)} skipped), {trials} trials each -> {out}"
     )
     _write_manifest(out, "sweep", argv, config, scenario.seed, [out, dominance_path])
     return 0
@@ -307,17 +319,17 @@ def _cmd_sample_size(args, argv) -> int:
     pairs = get_setting(parser, "sample_size", "pairs", parse_mn_pairs)
     trials = _trials(args, parser, "sample_size")
     methods = methods_from_config(parser)
-    rows = sample_size_study(
-        scenario, pairs, trials, scenario.seed, methods=methods, workers=args.workers
+    rates = grid_study(
+        scenario, ("m", "n"), pairs, methods, trials, scenario.seed, workers=args.workers
     )
-    write_rates_csv(args.out, ("m", "n"), rows)
+    write_rates_csv(args.out, ("m", "n"), pairs, rates)
     config = {
         "scenario": scenario_fields(scenario),
         "pairs": [[m, n] for m, n in pairs],
         "methods": [m.name for m in methods],
         "trials": trials,
     }
-    print(f"{len(rows)} (m, n, method) rows -> {args.out}")
+    print(f"{len(methods) * (len(pairs) - rates.count(None))} (m, n, method) rows -> {args.out}")
     _write_manifest(args.out, "sample-size", argv, config, scenario.seed, [args.out])
     return 0
 
@@ -414,6 +426,7 @@ def dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _check_out(args.out)
         return args.func(args, argv)
     except RobustnnError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -218,6 +218,8 @@ def load_config(path) -> configparser.ConfigParser:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigurationError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     return parser

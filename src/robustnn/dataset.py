@@ -91,6 +91,14 @@ class Dataset:
         return self.samples[mask]
 
 
+def _utf8_lines(path, fh):
+    """The lines of ``fh``; a byte that does not decode is a DatasetError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_dataset(path) -> Dataset:
     """Read and validate a labeled CSV file; errors carry the line number."""
     try:
@@ -98,7 +106,7 @@ def load_dataset(path) -> Dataset:
     except OSError as exc:
         raise DatasetError(f"{path}: {exc.strerror or exc}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:

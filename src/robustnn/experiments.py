@@ -20,19 +20,18 @@ and independent of execution order, so parallel runs equal serial ones.
 Provided studies:
 
 * ``estimate_success_rate`` - per-method success rates on one scenario.
-* ``sweep_beta_r`` - a grid over (beta, r) sparsity/signal exponents, with a
-  per-cell dominance map (ties resolve toward a robust method and are
-  flagged).  Degenerate cells are skipped, not failed.
+* ``grid_study`` - those rates on each cell of a list of Scenario field
+  overrides, skipping degenerate cells: ``sweep_beta_r`` over (beta, r)
+  sparsity/signal exponents, the CLI's sample-size study over (m, n) pairs.
 * ``threshold_distribution`` - histogram of selected thresholds as a
   proportion of the shift amount, plus the defaulted fraction.
 * ``success_vs_threshold`` / ``success_vs_c`` - success curves over a fixed
   threshold grid (selection bypassed) or over the critical-value slope c,
   sharing one dataset per trial across the whole grid and overlaying the
   standard nearest-neighbor rate measured on the same trials.
-* ``sample_size_study`` - success rates across (m, n) training-size pairs.
 
-``write_rates_csv`` writes the sweep's and the sample-size study's rates, one
-line per key and method; ``write_columns_csv`` the curves and the histogram.
+``write_rates_csv`` writes a grid study's rates, ``write_dominance_csv`` the
+sweep's best method per cell, ``write_columns_csv`` the curves and histogram.
 
 Worker processes are capped by a study's ``workers`` argument, else by the
 ROBUSTNN_THREADS environment variable (0: one worker per CPU; the curves and
@@ -46,6 +45,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,18 +67,18 @@ from .seeds import derive_seed
 
 __all__ = [
     "MethodRate",
-    "SweepGrid",
     "ThresholdDistribution",
     "SuccessCurve",
     "run_trial",
     "estimate_success_rate",
+    "grid_study",
     "sweep_beta_r",
     "threshold_distribution",
     "success_vs_threshold",
     "success_vs_c",
-    "sample_size_study",
     "resolve_workers",
     "write_rates_csv",
+    "write_dominance_csv",
     "write_columns_csv",
 ]
 
@@ -238,52 +238,35 @@ def estimate_success_rate(
     return _rates([(scenario, (cell_index,))], methods, trials, base_seed, workers)[0]
 
 
-@dataclass(frozen=True)
-class DominanceCell:
-    method: str
-    tied: bool
-
-
-@dataclass
-class SweepGrid:
-    """Success rates over a (beta, r) grid with a per-cell dominance map."""
-
-    beta_axis: tuple[float, ...]
-    r_axis: tuple[float, ...]
-    methods: tuple[str, ...]
-    cells: dict[tuple[int, int, str], MethodRate]
-    dominance: dict[tuple[int, int], DominanceCell]
-    skipped: set[tuple[int, int]]
-
-    def to_long_csv(self, path) -> None:
-        """One line per cell and method, in the order of ``cells``."""
-        rows = [
-            ((self.beta_axis[bi], self.r_axis[ri]), rate)
-            for (bi, ri, _), rate in self.cells.items()
-        ]
-        write_rates_csv(path, ("beta", "r"), rows)
-
-    def to_dominance_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beta"] + [repr(r) for r in self.r_axis])
-            for bi, beta in enumerate(self.beta_axis):
-                row: list[str] = [repr(beta)]
-                for ri in range(len(self.r_axis)):
-                    if (bi, ri) in self.skipped:
-                        row.append("skipped")
-                    else:
-                        cell = self.dominance[(bi, ri)]
-                        row.append(cell.method + ("*" if cell.tied else ""))
-                writer.writerow(row)
-
-
-def _dominant(methods: Sequence[MethodSpec], rates: dict[str, MethodRate]) -> DominanceCell:
-    best = max(rate.rate for rate in rates.values())
-    tied = [method for method in methods if rates[method.name].rate == best]
-    # Break ties toward a robust method, then method order.
-    first = next((method for method in tied if isinstance(method, RobustMethod)), tied[0])
-    return DominanceCell(method=first.name, tied=len(tied) > 1)
+def grid_study(
+    template: Scenario,
+    fields: Sequence[str],
+    cells: Sequence[Sequence],
+    methods: Sequence[MethodSpec],
+    trials: int,
+    base_seed: int,
+    *,
+    workers: int | None = None,
+) -> list[dict[str, MethodRate] | None]:
+    """Per cell k, the rates of ``methods`` on ``template`` with the fields
+    named in ``fields`` set to ``cells[k]``, its trials seeded with key (k,).
+    A degenerate cell is skipped and reads None; when no cell is live, the
+    first cell's DegenerateScenarioError is raised."""
+    _method_names(methods)  # before any cell is calibrated
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
+    live, errors = {}, []
+    for k, values in enumerate(cells):
+        scenario = replace(template, **dict(zip(fields, values, strict=True)))
+        try:
+            checked_shift_amount(scenario)
+            live[k] = (scenario, (k,))
+        except DegenerateScenarioError as exc:
+            errors.append(exc)
+    if not live:
+        raise errors[0] if errors else ParameterError("a grid study needs at least one cell")
+    rates = dict(zip(live, _rates(list(live.values()), methods, trials, base_seed, workers)))
+    return [rates.get(k) for k in range(len(cells))]
 
 
 def sweep_beta_r(
@@ -295,33 +278,11 @@ def sweep_beta_r(
     base_seed: int,
     *,
     workers: int | None = None,
-) -> SweepGrid:
-    """Run every (beta, r) cell of the grid; degenerate cells are skipped."""
-    beta_axis = tuple(float(b) for b in beta_grid)
-    r_axis = tuple(float(r) for r in r_grid)
-    if not beta_axis or not r_axis:
-        raise ParameterError("beta_grid and r_grid must be nonempty")
-    names = _method_names(methods)  # before any cell is calibrated
-    live: dict[tuple[int, int], tuple[Scenario, tuple[int]]] = {}
-    skipped: set[tuple[int, int]] = set()
-    for bi, beta in enumerate(beta_axis):
-        for ri, r in enumerate(r_axis):
-            scenario = replace(template, beta=beta, r=r)
-            try:
-                checked_shift_amount(scenario)
-            except DegenerateScenarioError:
-                skipped.add((bi, ri))
-                continue
-            live[(bi, ri)] = (scenario, (bi * len(r_axis) + ri,))
-    rates = _rates(list(live.values()), methods, trials_per_cell, base_seed, workers)
-    by_cell = dict(zip(live, rates))
-    return SweepGrid(
-        beta_axis=beta_axis,
-        r_axis=r_axis,
-        methods=names,
-        cells={(*at, name): rate for at, cell in by_cell.items() for name, rate in cell.items()},
-        dominance={at: _dominant(methods, cell) for at, cell in by_cell.items()},
-        skipped=skipped,
+) -> list[dict[str, MethodRate] | None]:
+    """The grid study whose cell bi * len(r_grid) + ri is (beta_grid[bi], r_grid[ri])."""
+    cells = list(product(beta_grid, r_grid))
+    return grid_study(
+        template, ("beta", "r"), cells, methods, trials_per_cell, base_seed, workers=workers
     )
 
 
@@ -463,36 +424,38 @@ def success_vs_c(
     return _success_curve(scenario, _c_grid_trial, z_ps, cs, "c", trials, base_seed)
 
 
-def sample_size_study(
-    template: Scenario,
-    mn_pairs: Sequence[tuple[int, int]],
-    trials: int,
-    base_seed: int,
-    *,
-    methods: Sequence[MethodSpec],
-    workers: int | None = None,
-) -> list[tuple[tuple[int, int], MethodRate]]:
-    """Success rates across training-sample-size pairs: one ((m, n), MethodRate) per method."""
-    if not mn_pairs:
-        raise ParameterError("mn_pairs must be nonempty")
-    pairs = [(int(m), int(n)) for m, n in mn_pairs]
-    cells = [(replace(template, m=m, n=n), (k,)) for k, (m, n) in enumerate(pairs)]
-    return [
-        (pair, rate)
-        for pair, rates in zip(pairs, _rates(cells, methods, trials, base_seed, workers))
-        for rate in rates.values()
-    ]
-
-
-def write_rates_csv(path, key_names: Sequence[str], rows) -> None:
-    """Per ``(key, MethodRate)`` row: the key's values, method, repr(rate), repr(se), trials."""
+def write_rates_csv(path, fields: Sequence[str], cells: Sequence[Sequence], rates) -> None:
+    """One line per method of each live cell of a grid study, in cell order:
+    the cell's ``fields`` values, method, repr(rate), repr(se), trials."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([*key_names, "method", "rate", "se", "trials"])
-        for key, rate in rows:
-            writer.writerow(
-                [*map(repr, key), rate.method, repr(rate.rate), repr(rate.se), rate.trials]
-            )
+        writer.writerow([*fields, "method", "rate", "se", "trials"])
+        for values, cell in zip(cells, rates, strict=True):
+            for rate in (cell or {}).values():
+                writer.writerow(
+                    [*map(repr, values), rate.method, repr(rate.rate), repr(rate.se), rate.trials]
+                )
+
+
+def write_dominance_csv(path, beta_grid, r_grid, methods: Sequence[MethodSpec], rates) -> None:
+    """The sweep's dominance map: per beta and r, the best method of the cell
+    in ``rates`` (row-major), starred when tied, or "skipped".  Ties break
+    toward a robust method, then method order."""
+
+    def best(cell: dict[str, MethodRate] | None) -> str:
+        if cell is None:
+            return "skipped"
+        top = max(rate.rate for rate in cell.values())
+        tied = [method for method in methods if cell[method.name].rate == top]
+        first = next((method for method in tied if isinstance(method, RobustMethod)), tied[0])
+        return first.name + ("*" if len(tied) > 1 else "")
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["beta", *map(repr, r_grid)])
+        for bi, beta in enumerate(beta_grid):
+            row = rates[bi * len(r_grid) : (bi + 1) * len(r_grid)]
+            writer.writerow([repr(beta), *map(best, row)])
 
 
 def write_columns_csv(path, header: Sequence[str], *columns) -> None:

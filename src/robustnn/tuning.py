@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import _below, _breakpoints, _pooled_ranks, _require_finite
+from .classifier import _below, _breakpoints, _overflow_scale, _pooled_ranks, _require_finite
 from .classifier import truncate_values
 from .datagen import Independent, Scenario, shift_amount, shift_count
 from .errors import ParameterError, SampleSizeError, ShapeError, UnsupportedSettingError
@@ -80,29 +80,38 @@ def _check_cv_inputs(samples_x, samples_y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _is_error(same: np.ndarray, other: np.ndarray) -> np.ndarray:
+def _is_error(same: np.ndarray, other: np.ndarray, unit: float = 1.0) -> np.ndarray:
     """Whether the nearest same-class distance exceeds the nearest other-class one.
 
     Distances are sums taken in different orders, so two that tie in real
     arithmetic can differ by an ulp; the guard keeps such ties non-errors, as
     exact ties are.  Gaps below the guard do not otherwise occur: integer
-    data has gaps >= 1 and continuous draws never land this close.
+    data has gaps >= 1 and continuous draws never land this close.  ``unit``
+    is the square of the scale the values were multiplied by.
     """
-    return same > other + _TIE_GUARD * (1.0 + other)
+    return same > other + _TIE_GUARD * (unit + other)
 
 
 def cv_error(t: float, samples_x, samples_y) -> float:
-    """Leave-one-out error sum at truncation level t; a value in [0, 2]."""
+    """Leave-one-out error sum at truncation level t; a value in [0, 2].
+
+    Where a nearest distance overflows, all of them are computed again on the
+    values times ``_overflow_scale`` of the samples."""
     X, Y = _check_cv_inputs(samples_x, samples_y)
-    Xp = truncate_values(X, t)
-    Yp = truncate_values(Y, t)
-    dxx = ((Xp[:, None, :] - Xp[None, :, :]) ** 2).sum(axis=2)
-    dyy = ((Yp[:, None, :] - Yp[None, :, :]) ** 2).sum(axis=2)
-    dxy = ((Xp[:, None, :] - Yp[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(dxx, np.inf)
-    np.fill_diagonal(dyy, np.inf)
-    err_x = float(_is_error(dxx.min(axis=1), dxy.min(axis=1)).mean())
-    err_y = float(_is_error(dyy.min(axis=0), dxy.min(axis=0)).mean())
+    Xp, Yp = truncate_values(X, t), truncate_values(Y, t)
+    for factor in (1.0, _overflow_scale(X, Y)):
+        A, B = Xp * factor, Yp * factor
+        with np.errstate(over="ignore"):
+            dxx = ((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)
+            dyy = ((B[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+            dxy = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(dxx, np.inf)
+        np.fill_diagonal(dyy, np.inf)
+        near = [dxx.min(axis=1), dxy.min(axis=1), dyy.min(axis=0), dxy.min(axis=0)]
+        if not any(np.isinf(d).any() for d in near):
+            break
+    err_x = float(_is_error(near[0], near[1], factor * factor).mean())
+    err_y = float(_is_error(near[2], near[3], factor * factor).mean())
     return err_x + err_y
 
 
@@ -123,12 +132,7 @@ def _pair_distances(a, b, rank_a, rank_b, top: int) -> np.ndarray:
         full = (a - b) ** 2
         at_hi = np.maximum(a, b) ** 2  # weight lost as the cut passes the larger value
         at_lo = full - at_hi  # weight lost as it passes the smaller one
-        d = float(full.sum()) - _below(lo_rank, top, at_lo) - _below(hi_rank, top, at_hi)
-        # Overflowed squares leave inf - inf above; sum what is left at those
-        # cuts directly, as cv_error does.  Column j is cut j + 1.
-        for j in np.flatnonzero(~np.isfinite(d)):
-            d[j] = np.where(lo_rank > j, full, np.where(hi_rank > j, at_hi, 0.0)).sum()
-    return d
+        return float(full.sum()) - _below(lo_rank, top, at_lo) - _below(hi_rank, top, at_hi)
 
 
 def _error_rate(same: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -147,15 +151,20 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     ts, cuts = _breakpoints(pooled, -np.inf)
     ts, cuts = np.append(ts, pooled[-1]), np.append(cuts, pooled.size)
     # Nearest distance at every cut to a row of the same class and of the other.
-    same = np.full((len(rows), pooled.size + 1), np.inf)
+    top = pooled.size + 1
+    same = np.full((len(rows), top), np.inf)
     other = same.copy()
+    overflow = np.zeros(top, dtype=bool)  # cuts where a distance is not finite
     for i, j in zip(*np.triu_indices(len(rows), 1)):
         near = same if (i < m) == (j < m) else other
-        d = _pair_distances(rows[i], rows[j], ranks[i], ranks[j], pooled.size + 1)
+        d = _pair_distances(rows[i], rows[j], ranks[i], ranks[j], top)
+        overflow |= ~np.isfinite(d)
         for k in (i, j):
             np.minimum(near[k], d, out=near[k])
     errors = _error_rate(same[:m], other[:m]) + _error_rate(same[m:], other[m:])
     values = errors[cuts]  # column c - 1 holds cut c = 1 + #(values <= t)
+    for k in np.flatnonzero(overflow[cuts]):  # cv_error rescales where distances overflow
+        values[k] = cv_error(ts[k], X, Y)
     best = values.min()
     minimizers = ts[values == best]
     return CvCurve(ts=ts, values=values, minimizers=minimizers, theta_cv=float(minimizers[0]))

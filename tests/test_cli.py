@@ -6,6 +6,7 @@ import json
 import pytest
 
 import robustnn.cli as cli
+import robustnn.experiments as experiments
 from robustnn.classifier import DEFAULT_C, DEFAULT_XI, RULES, RobustMethod, evaluate_method
 from robustnn.cli import dispatch
 from robustnn.config import load_config, methods_from_config, scenario_from_config
@@ -513,3 +514,73 @@ def test_sweep_to_an_unwritable_path_is_an_error_line(tmp_path, capsys):
     code = dispatch(["sweep", "--config", cfg, "--workers", "1", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
+STUDY_60 = (
+    "[scenario]\np = 60\nbeta = 0.6\nr = 0.7\nseed = 1\n"
+    "[sweep]\nbeta_grid = 0.6\nr_grid = 0.5\ntrials = 2\n"
+    "[sample_size]\npairs = 1,1\ntrials = 2\n"
+    "[threshold_dist]\ntrials = 2\n"
+    "[curves]\nc_grid = 0.3\nt_grid = 0.4\ntrials = 2\n"
+    "[apriori]\nt_grid = 0.5\nmethod = monte_carlo\ntrials = 2\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"], ["sample-size"], ["threshold-dist"], ["curves", "--kind", "c"],
+    ["curves", "--kind", "threshold"], ["apriori"],
+], ids=["sweep", "sample-size", "threshold-dist", "curves-c", "curves-threshold", "apriori"])
+@pytest.mark.parametrize("folder, reason", [
+    ("missing", "No such file or directory"), ("a_file", "Not a directory"),
+])
+def test_study_checks_its_out_path_before_any_trial(
+    tmp_path, capsys, monkeypatch, argv, folder, reason
+):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_run_cells", no_trials)
+    cfg = write_cfg(tmp_path, STUDY_60)
+    (tmp_path / "a_file").write_text("")
+    out = tmp_path / folder / "o.csv"
+    assert dispatch([*argv, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert captured.out == ""
+
+
+def test_all_degenerate_sweep_and_sample_size_print_one_error_line(tmp_path, capsys):
+    # At p = 200 the calibrated shift for r = 0.1 is negative.
+    cfg = write_cfg(
+        tmp_path,
+        "[scenario]\np = 200\nbeta = 0.6\nr = 0.1\nseed = 5\n"
+        "[sweep]\nbeta_grid = 0.6, 0.8\nr_grid = 0.1\ntrials = 2\n"
+        "[sample_size]\npairs = 1,1; 2,1\ntrials = 2\n",
+    )
+    errors = []
+    for command in ("sweep", "sample-size"):
+        out = tmp_path / f"{command}.csv"
+        assert dispatch([command, "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: calibrated shift amount -")
+
+
+def test_config_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"[scenario]\np = 200  # caf\xe9\n")
+    out = tmp_path / "g.csv"
+    assert dispatch(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (invalid continuation byte)\n"
+    assert not out.exists()
+
+
+def test_dataset_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"label,caf\xe9\nX,1\nY,2\nX,3\n")
+    out = tmp_path / "loo.json"
+    assert dispatch(["loo", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data}: not UTF-8 text (invalid continuation byte)\n"
+    assert not out.exists()

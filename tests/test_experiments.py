@@ -1,4 +1,4 @@
-"""Experiment engine: pairing, determinism, sweeps, curves, and CSV output."""
+"""Experiment engine: pairing, determinism, grid studies, curves, and CSV output."""
 
 import csv
 import math
@@ -13,6 +13,7 @@ import robustnn.dataset as dataset
 import robustnn.experiments as experiments
 from robustnn import (
     ConfigurationError,
+    DegenerateScenarioError,
     ExponentiatedMA,
     ExtremaMethod,
     FixedThresholdMethod,
@@ -29,9 +30,9 @@ from robustnn import (
     estimate_success_rate,
     evaluate_method,
     generate,
+    grid_study,
     loo_cross_validate,
     run_trial,
-    sample_size_study,
     shift_amount,
     success_vs_c,
     success_vs_threshold,
@@ -39,7 +40,8 @@ from robustnn import (
     threshold_distribution,
 )
 from robustnn.datagen import _calibration_sample
-from robustnn.experiments import resolve_workers, write_columns_csv, write_rates_csv
+from robustnn.experiments import MethodRate, resolve_workers, write_columns_csv
+from robustnn.experiments import write_dominance_csv, write_rates_csv
 
 SMALL = Scenario(p=300, m=1, n=1, beta=0.6, r=0.7, marginal=Normal(), seed=0)
 METHODS = [RobustMethod(), StandardNNMethod()]
@@ -112,7 +114,7 @@ def test_studies_reject_a_method_named_twice_before_any_trial(monkeypatch, study
     run = {
         "estimate": lambda: estimate_success_rate(SMALL, methods, 4, 0),
         "sweep": lambda: sweep_beta_r([0.6], [0.7], SMALL, methods, 4, 0),
-        "sample_size": lambda: sample_size_study(SMALL, [(1, 1)], 4, 0, methods=methods),
+        "sample_size": lambda: grid_study(SMALL, ("m", "n"), [(1, 1)], methods, 4, 0),
     }[study]
     with pytest.raises(ParameterError, match="method names must be distinct"):
         run()
@@ -128,7 +130,7 @@ def test_studies_reject_an_empty_method_list_before_any_calibration(monkeypatch,
     run = {
         "estimate": lambda: estimate_success_rate(SMALL, [], 4, 0),
         "sweep": lambda: sweep_beta_r([0.6], [0.7], SMALL, [], 4, 0),
-        "sample_size": lambda: sample_size_study(SMALL, [(1, 1)], 4, 0, methods=[]),
+        "sample_size": lambda: grid_study(SMALL, ("m", "n"), [(1, 1)], [], 4, 0),
     }[study]
     with pytest.raises(ParameterError, match="at least one method"):
         run()
@@ -170,8 +172,8 @@ def test_parallel_sweep_and_sample_size_match_serial():
     parallel = sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 6, base_seed=3, workers=2)
     assert serial == parallel
     pairs = [(1, 1), (2, 1)]
-    serial = sample_size_study(SMALL, pairs, trials=6, base_seed=4, methods=METHODS, workers=1)
-    parallel = sample_size_study(SMALL, pairs, trials=6, base_seed=4, methods=METHODS, workers=2)
+    serial = grid_study(SMALL, ("m", "n"), pairs, METHODS, 6, base_seed=4, workers=1)
+    parallel = grid_study(SMALL, ("m", "n"), pairs, METHODS, 6, base_seed=4, workers=2)
     assert serial == parallel
 
 
@@ -187,9 +189,7 @@ def test_parallel_study_starts_one_pool(monkeypatch):
     monkeypatch.setenv("ROBUSTNN_THREADS", "2")  # curves and apriori take no workers argument
     studies = [
         lambda: sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 4, base_seed=3, workers=2),
-        lambda: sample_size_study(
-            SMALL, [(1, 1), (2, 1)], trials=4, base_seed=4, methods=METHODS, workers=2
-        ),
+        lambda: grid_study(SMALL, ("m", "n"), [(1, 1), (2, 1)], METHODS, 4, 4, workers=2),
         lambda: estimate_success_rate(SMALL, METHODS, trials=8, base_seed=5, workers=2),
         lambda: threshold_distribution(SMALL, 8, RobustMethod(xi_or_c=0.3), 6, workers=2),
         lambda: success_vs_threshold(SMALL, [0.2, 0.6], trials=8, base_seed=7),
@@ -217,50 +217,74 @@ def test_resolve_workers(monkeypatch):
 
 
 def test_sweep_beta_r_grid(tmp_path):
-    grid = sweep_beta_r(
-        [0.5, 0.7], [0.4, 0.8], SMALL, METHODS, trials_per_cell=20, base_seed=3
-    )
-    assert grid.beta_axis == (0.5, 0.7)
-    assert grid.r_axis == (0.4, 0.8)
-    assert grid.methods == ("robust", "nn")
-    assert not grid.skipped
-    for bi in range(2):
-        for ri in range(2):
-            winner = grid.dominance[(bi, ri)]
-            best = max(grid.cells[(bi, ri, name)].rate for name in grid.methods)
-            assert grid.cells[(bi, ri, winner.method)].rate == best
+    rates = sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, trials_per_cell=20, base_seed=3)
+    assert len(rates) == 4 and None not in rates
+    assert [list(cell) for cell in rates] == [["robust", "nn"]] * 4
 
     long_csv = tmp_path / "sweep.csv"
-    grid.to_long_csv(long_csv)
+    write_rates_csv(long_csv, ("beta", "r"), list(product([0.5, 0.7], [0.4, 0.8])), rates)
     with open(long_csv) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["beta", "r", "method", "rate", "se", "trials"]
     assert len(rows) == 1 + 2 * 2 * 2
+    assert rows[3][:3] == ["0.5", "0.8", "robust"]  # row-major cells, methods in order
     dom_csv = tmp_path / "dom.csv"
-    grid.to_dominance_csv(dom_csv)
+    write_dominance_csv(dom_csv, [0.5, 0.7], [0.4, 0.8], METHODS, rates)
     with open(dom_csv) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["beta", "0.4", "0.8"]
     assert len(rows) == 3
+    for bi in range(2):
+        for ri in range(2):
+            cell = rates[bi * 2 + ri]
+            winner = rows[1 + bi][1 + ri].rstrip("*")
+            assert cell[winner].rate == max(rate.rate for rate in cell.values())
+
+
+def test_dominance_ties_go_to_a_robust_method_then_method_order(tmp_path):
+    methods = [StandardNNMethod(), RobustMethod(), ExtremaMethod()]
+
+    def cell(*values):
+        return {
+            method.name: MethodRate(method.name, value, 0.0, 10)
+            for method, value in zip(methods, values)
+        }
+
+    rates = [cell(0.5, 0.5, 0.4), cell(0.6, 0.4, 0.6), cell(0.1, 0.2, 0.3), None]
+    path = tmp_path / "dom.csv"
+    write_dominance_csv(path, [0.5, 0.6], [0.3, 0.7], methods, rates)
+    assert path.read_text().splitlines() == [
+        "beta,0.3,0.7",
+        "0.5,robust*,nn*",
+        "0.6,extrema,skipped",
+    ]
 
 
 def test_sweep_cells_match_standalone_estimates():
-    grid = sweep_beta_r([0.6], [0.5, 0.7], SMALL, METHODS, trials_per_cell=16, base_seed=8)
+    rates = sweep_beta_r([0.6], [0.5, 0.7], SMALL, METHODS, trials_per_cell=16, base_seed=8)
     for ri, r in enumerate((0.5, 0.7)):
         sc = replace(SMALL, beta=0.6, r=r)
         standalone = estimate_success_rate(
             sc, METHODS, trials=16, base_seed=8, cell_index=0 * 2 + ri
         )
-        for name in ("robust", "nn"):
-            assert grid.cells[(0, ri, name)] == standalone[name]
+        assert rates[ri] == standalone
+
+
+def test_one_axis_grid_study_is_the_matching_sweep_line():
+    rs = [0.5, 0.7]
+    by_r = grid_study(replace(SMALL, beta=0.6), ("r",), [(r,) for r in rs], METHODS, 8, 5)
+    assert by_r == sweep_beta_r([0.6], rs, SMALL, METHODS, 8, 5)
+    betas = [0.5, 0.7]
+    by_beta = grid_study(replace(SMALL, r=0.8), ("beta",), [(b,) for b in betas], METHODS, 8, 5)
+    assert by_beta == sweep_beta_r(betas, [0.8], SMALL, METHODS, 8, 5)
 
 
 def test_sweep_past_128_cells_calibrates_each_cell_once():
     betas = [0.5 + 0.03 * k for k in range(15)]
     rs = [0.3 + 0.06 * k for k in range(10)]
     shift_amount.cache_clear()
-    grid = sweep_beta_r(betas, rs, SMALL, METHODS, 2, 1)
-    assert not grid.skipped
+    rates = sweep_beta_r(betas, rs, SMALL, METHODS, 2, 1)
+    assert None not in rates
     assert shift_amount.cache_info().misses == len(betas) * len(rs)
 
 
@@ -282,10 +306,34 @@ def test_exp_ma_study_draws_one_calibration_sample_and_drops_it():
 
 def test_sweep_skips_degenerate_cells():
     tiny = Scenario(p=10, m=1, n=1, beta=0.5, r=0.5, marginal=Normal())
-    grid = sweep_beta_r([0.02, 0.6], [0.5], tiny, METHODS, trials_per_cell=6, base_seed=1)
-    assert (0, 0) in grid.skipped  # round(10^0.98) = 10 shifts leave no contrast
-    assert (1, 0) in grid.dominance
-    assert (0, 0, "robust") not in grid.cells
+    rates = sweep_beta_r([0.02, 0.6], [0.5], tiny, METHODS, trials_per_cell=6, base_seed=1)
+    assert rates[0] is None  # round(10^0.98) = 10 shifts leave no contrast
+    # The live cell keeps its key, 1, as if the skipped cell had run.
+    live = replace(tiny, beta=0.6, r=0.5)
+    assert rates[1] == estimate_success_rate(live, METHODS, 6, 1, cell_index=1)
+
+
+@pytest.mark.parametrize("study", ["sweep", "sample_size"])
+def test_grid_with_no_live_cell_raises_the_first_cells_error(study):
+    tiny = Scenario(p=10, m=1, n=1, beta=0.02, r=0.5, marginal=Normal())
+    run = {
+        # Cell 0 has a shift on every component, cell 1 a negative shift.
+        "sweep": lambda: sweep_beta_r([0.02], [0.5, 0.1], tiny, METHODS, 4, 0),
+        "sample_size": lambda: grid_study(tiny, ("m", "n"), [(1, 1), (2, 1)], METHODS, 4, 0),
+    }[study]
+    with pytest.raises(DegenerateScenarioError, match=r"shift count round\(p\^\(1-beta\)\) = 10"):
+        run()
+
+
+def test_grid_study_rejects_bad_arguments_before_any_calibration(monkeypatch):
+    def no_calibration(*args):
+        raise AssertionError("a cell was calibrated")
+
+    monkeypatch.setattr(experiments, "checked_shift_amount", no_calibration)
+    for cells, trials, message in [([(0.7,)], 0, "trials must be positive"),
+                                   ([], 4, "at least one cell")]:
+        with pytest.raises(ParameterError, match=message):
+            grid_study(SMALL, ("r",), cells, METHODS, trials, 0)
 
 
 def test_threshold_distribution():
@@ -369,12 +417,12 @@ def test_success_vs_c_matches_direct_classification():
 
 def test_sample_size_study():
     dense = Scenario(p=200, m=1, n=1, beta=0.6, r=0.8, marginal=StudentT(4.0), seed=0)
-    rows = sample_size_study(dense, [(1, 1), (2, 3)], trials=20, base_seed=19, methods=METHODS)
-    assert [pair for pair, _ in rows] == [(1, 1), (1, 1), (2, 3), (2, 3)]
-    assert [rate.method for _, rate in rows] == ["robust", "nn", "robust", "nn"]
-    first = estimate_success_rate(dense, METHODS, trials=20, base_seed=19, cell_index=0)
-    assert rows[0][1] == first["robust"]
-    assert rows[1][1] == first["nn"]
+    pairs = [(1, 1), (2, 3)]
+    rates = grid_study(dense, ("m", "n"), pairs, METHODS, trials=20, base_seed=19)
+    assert [list(cell) for cell in rates] == [["robust", "nn"]] * 2
+    for k, (m, n) in enumerate(pairs):
+        sized = replace(dense, m=m, n=n)
+        assert rates[k] == estimate_success_rate(sized, METHODS, 20, 19, cell_index=k)
 
 
 def test_csv_writers(tmp_path):
@@ -396,10 +444,12 @@ def test_csv_writers(tmp_path):
     assert len(rows) == 6
     assert float(rows[1][0]) == dist.bin_left[0]
 
-    srows = sample_size_study(SMALL, [(1, 2)], trials=10, base_seed=4, methods=METHODS)
+    rates = grid_study(SMALL, ("m", "n"), [(1, 2)], METHODS, trials=10, base_seed=4)
+    robust = rates[0]["robust"]
     size_path = tmp_path / "sizes.csv"
-    write_rates_csv(size_path, ("m", "n"), srows)
+    write_rates_csv(size_path, ("m", "n"), [(1, 2), (3, 4)], rates + [None])
     with open(size_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["m", "n", "method", "rate", "se", "trials"]
-    assert rows[1] == ["1", "2", "robust", repr(srows[0][1].rate), repr(srows[0][1].se), "10"]
+    assert rows[1] == ["1", "2", "robust", repr(robust.rate), repr(robust.se), "10"]
+    assert len(rows) == 3  # the skipped (3, 4) cell writes no line

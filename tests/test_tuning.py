@@ -186,10 +186,28 @@ def test_cv_grid_finite_near_float_max():
         curve = select_threshold_cv(X, Y)
     assert curve.ts[0] == -np.inf
     assert np.isfinite(curve.ts[1:]).all() and (np.diff(curve.ts) > 0).all()
-    with np.errstate(over="ignore"):
-        want = np.array([enum_cv(t, X, Y) for t in curve.ts])
-    assert want.max() > 0
+    # The enumeration on the values times 2**-515, which no square overflows;
+    # the power of two commutes with the truncation.
+    scale = 2.0**-515
+    want = np.array([enum_cv(t * scale, X * scale, Y * scale) for t in curve.ts])
+    assert want[0] == 2 / 3 + 1  # overflowed distances would all tie and read 0
     np.testing.assert_array_equal(curve.values, want)
+    for t, value in zip(curve.ts, curve.values):
+        assert cv_error(t, X, Y) == value
+
+
+@pytest.mark.parametrize("X, Y, at_minus_inf", [
+    ([[1.7e308, 1.0], [1.6e308, 1.0]], [[-1e308, 1.0], [-1.7e308, 1.0]], 0.0),
+    # Each row is nearer the other class; overflowed distances would all tie.
+    ([[1.7e308], [-1.7e308]], [[1.6e308], [-1.6e308]], 2.0),
+])
+def test_cv_error_near_float_max_does_not_overflow(X, Y, at_minus_inf):
+    # pytest turns numpy's overflow RuntimeWarning into an error.
+    assert cv_error(-1.8e308, X, Y) == at_minus_inf
+    curve = select_threshold_cv(X, Y)
+    assert curve.values[0] == at_minus_inf
+    for t, value in zip(curve.ts, curve.values):
+        assert cv_error(t, X, Y) == value
 
 
 def test_select_threshold_cv_memory_grows_with_rows_not_pairs():
