@@ -442,22 +442,26 @@ def _leave_one_out(
 
 def _overflow_scale(*arrays: np.ndarray) -> float:
     """A power of two that keeps every difference of values of ``arrays`` times
-    it, its square and a sum of p squares (p the last axis's length) finite."""
-    e = int(np.frexp(max(np.abs(a).max() for a in arrays))[1])
+    it, its square and a sum of p squares (p the last axis's length) finite.
+    Squared distances on values times it are the unscaled ones times its square,
+    but none overflows, and a square underflows only for a difference some 1e145
+    times below the largest value.  The exponent stops at 1023 (data < 1e-157)."""
+    e = int(np.frexp(max(max(a.max(), -a.min()) for a in arrays))[1])
     # |values| < 2**e, so a scaled difference is below 2**h, and p * 4**h < 2**1023.
     h = (1023 - arrays[-1].shape[-1].bit_length()) // 2
-    return math.ldexp(1.0, h - e - 1)
+    return math.ldexp(1.0, min(h - e - 1, 1023))
 
 
 def _nearest_squared(X: np.ndarray, Y: np.ndarray, z: np.ndarray) -> list[float]:
-    """Each class's least squared Euclidean distance to z; where one
-    overflows, both are computed again on values times ``_overflow_scale``."""
-    with np.errstate(over="ignore"):
-        dx, dy = (((A - z) ** 2).sum(axis=1).min() for A in (X, Y))
-    if not (math.isinf(dx) or math.isinf(dy)):
-        return [dx, dy]
+    """Each class's least squared Euclidean distance to z, on values times
+    ``_overflow_scale``: comparable between the classes, not in data units."""
     scale = _overflow_scale(X, Y, z)
-    return [((A * scale - z * scale) ** 2).sum(axis=1).min() for A in (X, Y)]
+    zs, buf = z * scale, np.empty((max(len(X), len(Y)), z.size))  # reused: no page faults
+    nearest = []
+    for A in (X, Y):
+        d = np.subtract(np.multiply(A, scale, out=buf[: len(A)]), zs, out=buf[: len(A)])
+        nearest.append(np.square(d, out=d).sum(axis=1).min())
+    return nearest
 
 
 def classify_nn_standard(train_x, train_y, z) -> Label:

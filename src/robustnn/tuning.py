@@ -7,18 +7,22 @@ errors on the zeroed-below-t training vectors: with v' = v * 1(v > t),
           + (1/n) sum_j 1{ min_{j1 != j} ||Y'_j1 - Y'_j|| > min_i ||X'_i - Y'_j|| },
 
 distances squared Euclidean and the comparisons strict, so exact ties count
-as non-errors; so do gaps within a relative 1e-9, which are rounding.  CV
-is piecewise constant in t; ``select_threshold_cv`` evaluates it on a grid
-covering every constancy interval and reports the infimum of the minimizers.
+as non-errors; so do gaps within 1e-9 of the other-class distance, which are
+rounding.  Distances are taken once, on values times ``_overflow_scale``, so
+CV does not depend on the data's units.  CV is piecewise constant in t;
+``select_threshold_cv`` evaluates it on a grid covering every constancy
+interval and reports the infimum of the minimizers.
 
 The curve comes from one pooled argsort: each grid point is a cut in
 the rank order, and the values ranked below it are zeroed.  Component k of
 a pair a, b adds (a_k - b_k)^2 until the smaller value is zeroed, then
-max(a_k, b_k)^2 until the larger is, so the pair's distance at every cut is
-its full distance minus two step profiles (``bincount`` of the change ranks
-weighted by the weight lost there, then ``cumsum``).  Each unordered pair is
-folded once into per-row minima over its own class and over the other, so
-memory is O((m + n) * grid).
+max(a_k, b_k)^2 until the larger is.  So the pair's distance at a cut is a
+sum from the top rank down (one ``bincount``, then ``cumsum``) over the
+components that differ: max(a_k, b_k)^2 at the larger value's rank and
+(a_k - b_k)^2 - max(a_k, b_k)^2 at the smaller's.  Where all that remains is
+zeroed or equal it is exactly 0.  Each unordered pair is folded once into
+per-row minima over its own class and over the other, so memory is
+O((m + n) * grid).
 
 ``apriori_success_rate`` predicts the balanced success probability of the
 fixed-threshold indicator classifier when m = n = 1 with independent
@@ -61,7 +65,7 @@ _TIE_GUARD = 1e-9
 
 def _as_rows(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
+    if a.ndim != 2 or a.shape[1] < 1:
         raise ShapeError(f"{name} must be a (rows, p) array, got shape {a.shape}")
     return a
 
@@ -80,38 +84,31 @@ def _check_cv_inputs(samples_x, samples_y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _is_error(same: np.ndarray, other: np.ndarray, unit: float = 1.0) -> np.ndarray:
+def _is_error(same: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Whether the nearest same-class distance exceeds the nearest other-class one.
 
     Distances are sums taken in different orders, so two that tie in real
     arithmetic can differ by an ulp; the guard keeps such ties non-errors, as
-    exact ties are.  Gaps below the guard do not otherwise occur: integer
-    data has gaps >= 1 and continuous draws never land this close.  ``unit``
-    is the square of the scale the values were multiplied by.
+    exact ties are.  It is relative, so it holds at any scale of the data, and
+    gaps below it do not otherwise occur: continuous draws never land this close.
     """
-    return same > other + _TIE_GUARD * (unit + other)
+    return same > other + _TIE_GUARD * other
 
 
 def cv_error(t: float, samples_x, samples_y) -> float:
     """Leave-one-out error sum at truncation level t; a value in [0, 2].
 
-    Where a nearest distance overflows, all of them are computed again on the
-    values times ``_overflow_scale`` of the samples."""
+    Distances are taken on the truncated values times ``_overflow_scale``."""
     X, Y = _check_cv_inputs(samples_x, samples_y)
-    Xp, Yp = truncate_values(X, t), truncate_values(Y, t)
-    for factor in (1.0, _overflow_scale(X, Y)):
-        A, B = Xp * factor, Yp * factor
-        with np.errstate(over="ignore"):
-            dxx = ((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)
-            dyy = ((B[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-            dxy = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(dxx, np.inf)
-        np.fill_diagonal(dyy, np.inf)
-        near = [dxx.min(axis=1), dxy.min(axis=1), dyy.min(axis=0), dxy.min(axis=0)]
-        if not any(np.isinf(d).any() for d in near):
-            break
-    err_x = float(_is_error(near[0], near[1], factor * factor).mean())
-    err_y = float(_is_error(near[2], near[3], factor * factor).mean())
+    scale = _overflow_scale(X, Y)
+    A, B = truncate_values(X, t) * scale, truncate_values(Y, t) * scale
+    dxx = ((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)
+    dyy = ((B[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    dxy = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(dxx, np.inf)
+    np.fill_diagonal(dyy, np.inf)
+    err_x = float(_is_error(dxx.min(axis=1), dxy.min(axis=1)).mean())
+    err_y = float(_is_error(dyy.min(axis=0), dxy.min(axis=0)).mean())
     return err_x + err_y
 
 
@@ -126,13 +123,14 @@ class CvCurve:
 
 
 def _pair_distances(a, b, rank_a, rank_b, top: int) -> np.ndarray:
-    """Squared distance between zeroed-below-t copies of a and b at cuts 1..top."""
-    lo_rank, hi_rank = np.minimum(rank_a, rank_b), np.maximum(rank_a, rank_b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        full = (a - b) ** 2
-        at_hi = np.maximum(a, b) ** 2  # weight lost as the cut passes the larger value
-        at_lo = full - at_hi  # weight lost as it passes the smaller one
-        return float(full.sum()) - _below(lo_rank, top, at_lo) - _below(hi_rank, top, at_hi)
+    """Squared distance between zeroed-below-t copies of a and b at cuts 1..top,
+    summed from the top rank down over the components where a and b differ."""
+    differ = a != b
+    a, b, rank_a, rank_b = a[differ], b[differ], rank_a[differ], rank_b[differ]
+    at_hi = np.maximum(a, b) ** 2  # the distance while only the larger value is kept
+    ranks = np.concatenate([np.maximum(rank_a, rank_b), np.minimum(rank_a, rank_b)])
+    weights = np.concatenate([at_hi, (a - b) ** 2 - at_hi])  # with it, (a - b)^2 once both are
+    return _below(top - ranks, top, weights)[::-1]
 
 
 def _error_rate(same: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -154,17 +152,14 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     top = pooled.size + 1
     same = np.full((len(rows), top), np.inf)
     other = same.copy()
-    overflow = np.zeros(top, dtype=bool)  # cuts where a distance is not finite
+    rows *= _overflow_scale(rows)  # ranks and ts above come from the unscaled values
     for i, j in zip(*np.triu_indices(len(rows), 1)):
         near = same if (i < m) == (j < m) else other
         d = _pair_distances(rows[i], rows[j], ranks[i], ranks[j], top)
-        overflow |= ~np.isfinite(d)
         for k in (i, j):
             np.minimum(near[k], d, out=near[k])
     errors = _error_rate(same[:m], other[:m]) + _error_rate(same[m:], other[m:])
     values = errors[cuts]  # column c - 1 holds cut c = 1 + #(values <= t)
-    for k in np.flatnonzero(overflow[cuts]):  # cv_error rescales where distances overflow
-        values[k] = cv_error(ts[k], X, Y)
     best = values.min()
     minimizers = ts[values == best]
     return CvCurve(ts=ts, values=values, minimizers=minimizers, theta_cv=float(minimizers[0]))

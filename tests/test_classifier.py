@@ -450,6 +450,13 @@ def test_nn_rules_near_float_max_compare_without_overflow():
         assert classify_nn_standard(-big, big, 0.9 * big[0]) == "Y"
 
 
+def test_nn_rules_compare_tiny_distances_without_underflow():
+    # Unscaled, both squared distances underflow to 0 and tie.
+    assert classify_nn_standard([[1e-200]], [[3e-200]], [2.9e-200]) == "Y"
+    assert classify_nn_standard([[3e-200]], [[1e-200]], [2.9e-200]) == "X"
+    assert classify_nn_truncated([[1e-200]], [[3e-200]], [2.9e-200], t=0.0) == "Y"
+
+
 def test_extrema_near_float_max_compares_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

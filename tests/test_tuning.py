@@ -16,6 +16,7 @@ from robustnn import (
     Normal,
     SampleSizeError,
     Scenario,
+    ShapeError,
     StudentT,
     UnsupportedSettingError,
     apriori_optimal_threshold,
@@ -106,6 +107,22 @@ def test_cv_error_sample_size_guard():
         cv_error(0.0, [[1.0, 2.0]], [[1.0, 2.0], [2.0, 1.0]])
 
 
+def test_cv_rejects_samples_without_components():
+    X, Y = np.zeros((2, 0)), np.zeros((2, 0))
+    message = r"samples_x must be a \(rows, p\) array, got shape \(2, 0\)"
+    with pytest.raises(ShapeError, match=message):
+        select_threshold_cv(X, Y)
+    with pytest.raises(ShapeError, match=message):
+        cv_error(0.0, X, Y)
+
+
+def test_cv_error_on_tiny_values_takes_the_largest_scale():
+    # The scale's exponent would exceed 1023 below about 1e-157; it stops there.
+    X = [[1e-200, 0.0], [0.0, 1e-200]]
+    Y = [[2e-200, 0.0], [0.0, 2e-200]]
+    assert cv_error(0.0, X, Y) == 2.0  # every row is nearer the other class
+
+
 def test_select_threshold_cv_curve_matches_cv_error():
     X = [[0.0], [2.0]]
     Y = [[1.0], [3.0]]
@@ -167,12 +184,43 @@ def tied_samples(draw):
 @settings(max_examples=300, deadline=None)
 @given(tied_samples())
 def test_select_threshold_cv_matches_enumeration_with_ties(samples):
-    # Tied change points share one bin and are summed before the prefix
+    # Tied change points share one bin and are summed before the running
     # sum; the curve must still equal the enumeration at every grid point.
     X, Y = samples
     curve = select_threshold_cv(X, Y)
     want = np.array([enum_cv(t, X, Y) for t in curve.ts])
     np.testing.assert_array_equal(curve.values, want)
+
+
+def test_select_threshold_cv_matches_cv_error_on_wide_magnitudes():
+    # With one component 1e4 times the others, a distance taken as the full
+    # distance minus the zeroed part leaves rounding noise where the rows tie.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        X, Y = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        X[:, 0] *= 1e4
+        Y[:, 0] *= 1e4
+        curve = select_threshold_cv(X, Y)
+        want = [cv_error(t, X, Y) for t in curve.ts]
+        np.testing.assert_array_equal(curve.values, want, err_msg=f"seed {seed}")
+
+
+def test_cv_does_not_depend_on_the_units():
+    X, Y = np.array([[0.0], [2e-5]]), np.array([[1e-5], [3e-5]])
+    small = select_threshold_cv(X, Y)
+    unit = select_threshold_cv(X * 1e5, Y * 1e5)
+    np.testing.assert_array_equal(unit.values, [2, 2, 2, 0.5, 0])
+    np.testing.assert_array_equal(small.values, unit.values)
+    assert small.theta_cv == 3e-5
+    rng = np.random.default_rng(37)
+    X, Y = rng.standard_t(2, (4, 6)), rng.standard_t(2, (3, 6))
+    curve = select_threshold_cv(X, Y)
+    for k in (-1000, -500, 500):
+        scaled = select_threshold_cv(np.ldexp(X, k), np.ldexp(Y, k))
+        np.testing.assert_array_equal(scaled.ts, np.ldexp(curve.ts, k))
+        np.testing.assert_array_equal(scaled.values, curve.values)
+        for t, value in zip(scaled.ts[::5], scaled.values[::5]):
+            assert cv_error(t, np.ldexp(X, k), np.ldexp(Y, k)) == value
 
 
 def test_cv_grid_finite_near_float_max():
