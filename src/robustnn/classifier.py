@@ -37,8 +37,12 @@ each row's components below every grid point, one ``bincount`` and one
 Only one row's counts are held at a time, so a scan's memory is
 O((m + n) p + grid) and not O((m + n) grid), about (m + n)^2 p.
 Leave-one-out folds of N rows all pool the same N rows, so they share one
-ranking and each row's counts below every cut; a fold adds only its t0 and
-one pass down its training rows.
+ranking and each row's counts below every cut.  Two rows' indicator distance
+at every cut is the same in every fold that trains on both, up to a term the
+held-out row adds to all its distances alike.  So each unordered pair's
+profile is made once, counted by one sort of its p values, and folded into
+both rows' nearest rows of the other's class; a fold adds only its t0 and
+its grid.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
 nearest neighbor on zeroed-below-threshold values v * 1(v > t), and a
@@ -224,30 +228,37 @@ def _below(bins: np.ndarray, size: int, weights: np.ndarray | None = None) -> np
     return np.cumsum(hist, out=hist)
 
 
+def _below_by_sort(bins: np.ndarray, size: int, dtype) -> np.ndarray:
+    """``_below(bins, size)`` of non-negative ``bins``, in ``dtype``, from one
+    sort: the count is k from the k-th smallest bin up to the next one.
+
+    Cheaper than ``_below`` when there are far fewer bins than ``size``."""
+    edges = np.sort(bins)
+    k = edges.searchsorted(size)  # bins >= size are below no point
+    gaps = np.append(edges[:k], size)
+    gaps[1:] -= edges[:k]
+    return np.repeat(np.arange(k + 1, dtype=dtype), gaps)
+
+
 def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, ...]:
     """T, S^2, i_x, i_y at ``size`` grid points, from ranks mapped so that a
     component of mapped rank r is below the threshold from point r on.
 
-    ``sides`` are X's and Y's (rows, counts): counts[i] is row i's own
-    ``_below(row, size)``, or counts is None to count here.  A row and z
-    disagree where the smaller rank is below the threshold and the larger is
-    not, so their distance is 2 #(min below) - #(row below) - #(z below).
-    The z term is common to all rows, moves neither the nearest rows nor
-    T = d_x - d_y, and is left out.
+    ``sides`` are X's and Y's rows.  A row and z disagree where the smaller
+    rank is below the threshold and the larger is not, so their distance is
+    2 #(min below) - #(row below) - #(z below).  The z term is common to all
+    rows, moves neither the nearest rows nor T = d_x - d_y, and is left out.
     """
     low = np.empty_like(z)
     nearest = []
-    for rows, counts in sides:
+    for rows in sides:
         for i, row in enumerate(rows):
-            count = _below(row, size) if counts is None else counts[i]
+            count = _below(row, size)
             dist = _below(np.minimum(row, z, out=low), size)
             dist *= 2
             dist -= count
             if i == 0:
-                # at_count is written to below; a caller's counts are of a
-                # narrower dtype than int64, so astype copies them.
-                best, at = dist, np.zeros(size, dtype=np.int64)
-                at_count = count.astype(np.int64, copy=False)
+                best, at, at_count = dist, np.zeros(size, dtype=np.int64), count
                 continue
             closer = dist < best  # strict: ties stay with the lowest row
             np.copyto(best, dist, where=closer)
@@ -275,7 +286,7 @@ def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
     del values  # keep only what the rows need
     np.take(first, ranks, out=ranks, mode="clip")  # in place; ranks are in range
     nx = X.shape[0]
-    got = _nearest(ranks[-1], cuts.size, ((ranks[:nx], None), (ranks[nx:-1], None)))
+    got = _nearest(ranks[-1], cuts.size, (ranks[:nx], ranks[nx:-1]))
     if np.any(cuts[1:] < cuts[:-1]):  # point g's values sit at first[cuts[g]] of the order
         got = tuple(a[first[cuts]] for a in got)
     return ts, *got
@@ -399,40 +410,69 @@ def _leave_one_out(
 ) -> list[tuple[Label, float, bool]]:
     """``classify_robust``'s (label, theta, defaulted) for each row of
     ``samples`` held out, trained on the rest (rows with ``in_x`` on the X
-    side), from one ranking of all the rows.
+    side), from one ranking of all the rows and one profile per pair of rows.
 
     Every fold pools the same rows, so one ranking of the values at or
     above the least t0 serves them all.  Fold i's values are the common ones
     from lo_i = #(values < t0_i) on, its grid is t0_i and the common
     midpoints from lo_i, and a common rank r is below the threshold at
-    common cut c exactly when r <= c.  Each row's own count below every cut
-    is made once and shared by the folds; a fold counts only its pairs
-    min(rank_j, rank_i).  Leaving out one row's p values moves the pooled
-    median across at most p values, so lo_i <= p, and a fold's pass covers
-    every common cut rather than only its own.
+    common cut c exactly when r <= c.  Rows a and b are at indicator
+    distance D_ab(c) = 2 #(min(r_a, r_b) <= c) - C_a(c) - C_b(c), C_j(c)
+    being row j's own count below c.  D is symmetric, and fold i's distance
+    to a training row is D less C_i, which cancels in T = d_x - d_y.  So
+    each unordered pair's profile is made once and folded into a's least
+    distance to b's class and b's least distance to a's, with the lowest row
+    at it for S^2.  Leaving out one row's p values moves the pooled median
+    across at most p values, so lo_i <= p, and the pair profiles cover every
+    common cut rather than only a fold's own.
     """
     n, p = samples.shape
     z_p = zp_value(rule, p, xi_or_c)
-    folds = [
-        (np.flatnonzero(rest & in_x), np.flatnonzero(rest & ~in_x))
+    # The pooled training values in select_threshold's order: X's rows, then Y's.
+    t0s = [
+        _median(np.concatenate([samples[rest & in_x], samples[rest & ~in_x]]).ravel())
         for rest in (np.arange(n) != i for i in range(n))
     ]
-    # The pooled training values in select_threshold's order: X's rows, then Y's.
-    t0s = [_median(samples[np.r_[xs, ys]].ravel()) for xs, ys in folds]
     # No fold reads a value below the least t0, so rank from there.
     values, ranks = _pooled_ranks(samples, min(t0s))
     ts, cuts = _breakpoints(values, -np.inf)  # -inf, then every midpoint
-    counts = np.empty((n, values.size + 1), dtype=np.min_scalar_type(p))
+    size = values.size + 1
+    dtype = np.min_scalar_type(p + 1)  # a distance is at most p; p + 1 is "no row yet"
+    counts = np.empty((n, size), dtype)
     for row, out in zip(ranks, counts):
-        out[:] = _below(row, out.size)
+        out[:] = _below_by_sort(row, size, dtype)
+    # best[i, s] is row i's least distance to a row of class s (0: X, 1: Y)
+    # at every common cut, and at[i, s] the lowest row at it.
+    best = np.full((n, 2, size), p + 1, dtype)
+    at = np.zeros((n, 2, size), np.min_scalar_type(n))
+    side = [0 if x else 1 for x in in_x]
+    dist, closer = np.empty(size, dtype), np.empty(size, bool)
+    for a in range(n):
+        for b in range(a + 1, n):
+            # 2 #(min below) - C_a - C_b, as two differences that are >= 0.
+            both = _below_by_sort(np.minimum(ranks[a], ranks[b]), size, dtype)
+            np.subtract(both, counts[a], out=dist)
+            dist += np.subtract(both, counts[b], out=both)
+            # Row i's partners come in increasing order, so a strict < keeps
+            # the lowest row on ties.
+            for i, j in ((a, b), (b, a)):
+                near = best[i, side[j]]
+                np.less(dist, near, out=closer)
+                np.minimum(near, dist, out=near)
+                np.copyto(at[i, side[j]], j, where=closer)
     los = np.searchsorted(values, t0s, side="left")
     his = np.searchsorted(values, t0s, side="right")
     verdicts = []
-    for i, ((xs, ys), t0, lo, hi) in enumerate(zip(folds, t0s, los, his)):
-        sides = (([ranks[j] for j in js], [counts[j] for j in js]) for js in (xs, ys))
-        T, S2 = _nearest(ranks[i], values.size + 1, sides)[:2]
+    for i, (t0, lo, hi) in enumerate(zip(t0s, los, his)):
         grid = np.r_[hi, cuts[lo + 1 :]]  # t0, then the midpoints above it
-        T, S2 = T[grid], S2[grid]
+        T = best[i, 0].take(grid).astype(np.int64)
+        T -= best[i, 1].take(grid)
+        S2 = np.full(grid.size, 2 * p, dtype=np.int64)
+        for nearest in at[i]:  # S^2 = 2p - C_{i_x} - C_{i_y}
+            flat = nearest.take(grid).astype(np.intp)
+            flat *= size
+            flat += grid
+            S2 -= counts.take(flat)
         hit = _first_firing(T, S2, z_p)
         index = 0 if hit is None else hit
         theta = t0 if index == 0 else float(ts[lo + index])

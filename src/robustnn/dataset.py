@@ -8,8 +8,9 @@ The lexicographically smaller label plays the X role in every classifier
 so that tie rules and confusion counts are deterministic.
 
 Leave-one-out holds out each row in turn.  The robust folds all pool the
-same rows, so they share one ranking of them and each row's counts below
-every cut (``classifier._leave_one_out``), with the verdicts of running
+same rows, so they share one ranking of them, each row's counts below every
+cut and each unordered pair's indicator distance at every cut, made once
+(``classifier._leave_one_out``), with the verdicts of running
 ``classify_robust`` fold by fold; the other methods run fold by fold.
 """
 
@@ -190,7 +191,8 @@ def loo_cross_validate(dataset: Dataset, method: MethodSpec) -> LooResult:
     """Hold out each row in turn, train on the rest, and tally the verdicts.
 
     The robust method re-selects its threshold inside every fold; its folds
-    pool the same rows, so they share one ranking and each row's counts.
+    pool the same rows, so they share one ranking, each row's counts and
+    each pair of rows' distances.
     Other methods run fold by fold through ``evaluate_method``.  Requires at
     least two rows per class so every fold keeps a trainer on each side.
     """

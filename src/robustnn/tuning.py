@@ -123,14 +123,15 @@ class CvCurve:
 
 
 def _pair_distances(a, b, rank_a, rank_b, top: int) -> np.ndarray:
-    """Squared distance between zeroed-below-t copies of a and b at cuts 1..top,
-    summed from the top rank down over the components where a and b differ."""
+    """Squared distance between zeroed-below-t copies of a and b at cuts
+    top..1 (index k holds cut top - k), summed from the top rank down over
+    the components where a and b differ."""
     differ = a != b
     a, b, rank_a, rank_b = a[differ], b[differ], rank_a[differ], rank_b[differ]
     at_hi = np.maximum(a, b) ** 2  # the distance while only the larger value is kept
     ranks = np.concatenate([np.maximum(rank_a, rank_b), np.minimum(rank_a, rank_b)])
     weights = np.concatenate([at_hi, (a - b) ** 2 - at_hi])  # with it, (a - b)^2 once both are
-    return _below(top - ranks, top, weights)[::-1]
+    return _below(top - ranks, top, weights)
 
 
 def _error_rate(same: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -148,7 +149,8 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     # between consecutive distinct values, and the top value (all zeroed).
     ts, cuts = _breakpoints(pooled, -np.inf)
     ts, cuts = np.append(ts, pooled[-1]), np.append(cuts, pooled.size)
-    # Nearest distance at every cut to a row of the same class and of the other.
+    # Nearest distance at every cut to a row of the same class and of the
+    # other, in _pair_distances's order: column k holds cut top - k.
     top = pooled.size + 1
     same = np.full((len(rows), top), np.inf)
     other = same.copy()
@@ -159,7 +161,7 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
         for k in (i, j):
             np.minimum(near[k], d, out=near[k])
     errors = _error_rate(same[:m], other[:m]) + _error_rate(same[m:], other[m:])
-    values = errors[cuts]  # column c - 1 holds cut c = 1 + #(values <= t)
+    values = errors[::-1][cuts]  # reversed, column c - 1 holds cut c = 1 + #(values <= t)
     best = values.min()
     minimizers = ts[values == best]
     return CvCurve(ts=ts, values=values, minimizers=minimizers, theta_cv=float(minimizers[0]))

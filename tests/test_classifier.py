@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,6 +37,7 @@ from robustnn import (
     zp_value,
 )
 from robustnn.classifier import DEFAULT_C, DEFAULT_XI, METHODS, RULES, make_method
+from robustnn.classifier import _below, _below_by_sort
 from robustnn.cli import dispatch
 
 
@@ -173,6 +174,28 @@ def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance):
     for k, t in enumerate(ts):
         stats = compute_T_S(X, Y, z, t)
         assert (T[k], S2[k], i_x[k], i_y[k]) == (stats.T, stats.S2, stats.i_x, stats.i_y)
+
+
+# Leave-one-out counts in np.min_scalar_type(p + 1): uint8, uint16 and uint32.
+LOO_COUNT_DTYPES = [np.min_scalar_type(p + 1) for p in (2, 255, 65535)]
+
+bins_and_size = st.integers(1, 40).flatmap(
+    lambda size: st.tuples(
+        arrays(np.intp, st.integers(0, 60), elements=st.integers(0, size + 3)), st.just(size)
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bins_and_size, st.sampled_from(LOO_COUNT_DTYPES))
+@example((np.array([], dtype=np.intp), 1), np.dtype(np.uint8))
+@example((np.array([], dtype=np.intp), 7), np.dtype(np.uint16))
+@example((np.array([3, 0, 1, 1, 0, 5], dtype=np.intp), 1), np.dtype(np.uint32))
+def test_below_by_sort_matches_below(bins_size, dtype):
+    bins, size = bins_size  # duplicates, and bins >= size that count nowhere
+    got = _below_by_sort(bins, size, dtype)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, _below(bins, size))
 
 
 def test_scan_grid_finite_near_float_max():

@@ -212,9 +212,10 @@ tie_heavy = st.one_of(
 
 
 @st.composite
-def labeled_rows(draw):
-    """Rows of two classes (at least 2 each) in a random order, a rule and a slope."""
-    n_x, n_y, p = draw(st.integers(2, 5)), draw(st.integers(2, 5)), draw(st.integers(2, 5))
+def labeled_rows(draw, max_rows=5):
+    """Rows of two classes (2 to ``max_rows`` each) in a random order, a rule and a slope."""
+    n_x, n_y = draw(st.integers(2, max_rows)), draw(st.integers(2, max_rows))
+    p = draw(st.integers(2, 5))
     samples = draw(arrays(float, (n_x + n_y, p), elements=tie_heavy))
     in_x = np.array(draw(st.permutations([True] * n_x + [False] * n_y)))
     return samples, in_x, draw(st.sampled_from(RULES)), draw(st.sampled_from([0.0, 0.3, 1.0]))
@@ -226,12 +227,21 @@ NEAR_MAX = np.array(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(labeled_rows())
-@example((ZEROS, np.array([True, False, True, False, False]), "independent", DEFAULT_C))
-@example((NEAR_MAX, np.array([True, True, False, False]), "dependent", 0.3))
-def test_robust_loo_matches_fold_by_fold_classify_robust(instance):
-    samples, in_x, rule, c = instance
+def far_apart(p):
+    """Three X rows of 1s and three Y rows of -1s, interleaved.  Leaving out an
+    X row puts t0 at -1, where that row is at indicator distance p from every
+    Y row: T = -p and S^2 = p.  The slope puts z_p between sqrt(p / 2) and
+    sqrt(p), so t0 fires only with the right S^2."""
+    in_x = np.array([True, False] * 3)
+    return np.where(in_x, 1.0, -1.0)[:, None].repeat(p, axis=1), in_x, "independent", 6.0
+
+
+# 256 equal X rows, then two more X rows and two Y rows, so that in many
+# folds the nearest rows sit at indices 256 to 259, past uint8.
+MANY_ROWS = np.array([[-1.0, -1.0]] * 256 + [[1.0, 2.0]] * 2 + [[2.0, 1.0], [0.0, 2.0]])
+
+
+def assert_loo_matches_fold_by_fold(samples, in_x, rule, c):
     verdicts = classifier._leave_one_out(samples, in_x, rule, c)
     assert len(verdicts) == len(samples)
     for i, (label, theta, defaulted) in enumerate(verdicts):
@@ -250,11 +260,31 @@ def test_robust_loo_matches_fold_by_fold_classify_robust(instance):
     assert result.correct == sum((v[0] == "X") == x for v, x in zip(verdicts, in_x))
 
 
+@settings(max_examples=200, deadline=None)
+@given(labeled_rows())
+@example((ZEROS, np.array([True, False, True, False, False]), "independent", DEFAULT_C))
+@example((NEAR_MAX, np.array([True, True, False, False]), "dependent", 0.3))
+def test_robust_loo_matches_fold_by_fold_classify_robust(instance):
+    assert_loo_matches_fold_by_fold(*instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_rows(max_rows=8))
+@example(far_apart(254))  # distances in uint8, with p + 1 = 255 for "no row yet"
+@example(far_apart(255))  # the first p whose p + 1 needs uint16
+@example(far_apart(256))
+@example((MANY_ROWS, np.arange(260) < 258, "independent", DEFAULT_C))  # rows past uint8
+def test_robust_loo_matches_fold_by_fold_with_many_partners(instance):
+    # Up to 7 partners of a class per row exercise the pair order and the
+    # lowest-row rule on ties.
+    assert_loo_matches_fold_by_fold(*instance)
+
+
 def test_robust_loo_rejects_p_1_before_any_fold(monkeypatch):
     def no_fold(*args):
         raise AssertionError("a fold ran")
 
-    monkeypatch.setattr(classifier, "_nearest", no_fold)
+    monkeypatch.setattr(classifier, "_below_by_sort", no_fold)
     monkeypatch.setattr(dataset_module, "evaluate_method", no_fold)
     ds = Dataset(("g",), np.array([[0.0], [1.0], [2.0], [3.0]]), ("u", "u", "v", "v"))
     with pytest.raises(ParameterError, match="^p must be at least 2, got 1$"):
