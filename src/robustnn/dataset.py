@@ -7,11 +7,17 @@ infinities rejected).  Exactly two distinct labels must appear.
 The lexicographically smaller label plays the X role in every classifier
 so that tie rules and confusion counts are deterministic.
 
+A file is read whole and its cells parsed by one ``np.loadtxt`` call.  A
+file that parse does not take (quotes, spellings only ``float()`` accepts,
+any error) is read again row by row with ``float()`` on each cell, which
+gives the same values and names the line of an error.
+
 Leave-one-out holds out each row in turn.  The robust folds all pool the
-same rows, so they share one ranking of them, each row's counts below every
-cut and each unordered pair's indicator distance at every cut, made once
-(``classifier._leave_one_out``), with the verdicts of running
-``classify_robust`` fold by fold; the other methods run fold by fold.
+same rows, so they share one sort of them for every fold's t0, one ranking,
+each row's counts below every cut and each unordered pair's indicator
+distance at every cut, made once (``classifier._leave_one_out``), with the
+verdicts of running ``classify_robust`` fold by fold; the other methods run
+fold by fold.
 """
 
 from __future__ import annotations
@@ -100,8 +106,61 @@ def _utf8_lines(path, fh):
         raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _parse_plain(text: str) -> Dataset | None:
+    """The dataset in ``text`` from one vectorised parse of its cells, or None
+    where the row reader must decide: a file with quotes, a lone carriage
+    return or any line, cell or label the row reader would reject, and cells
+    ``np.loadtxt`` does not take, such as ``1_000``.  Both parsers round
+    correctly, so the cells they both take have the same bits."""
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:  # csv ends a line at a lone one too
+            return None
+    header, *lines = text.split("\n")
+    header = header.split(",")
+    feature_ids = tuple(header[1:])
+    if header[0] != LABEL_COLUMN or not feature_ids or len(set(feature_ids)) < len(feature_ids):
+        return None
+    rows = [line.split(",", 1) for line in lines if line]  # csv skips empty lines
+    # np.loadtxt skips an empty line, so a row without cells goes to the row reader
+    if not rows or any(len(row) < 2 or not row[1] for row in rows):
+        return None
+    labels = tuple(label for label, _ in rows)
+    if len(set(labels)) != 2:
+        return None
+    try:
+        samples = np.loadtxt(
+            [cells for _, cells in rows], delimiter=",", comments=None, dtype=float, ndmin=2
+        )
+    except ValueError:
+        return None
+    if samples.shape != (len(rows), len(feature_ids)) or not np.isfinite(samples).all():
+        return None
+    return Dataset(feature_ids=feature_ids, samples=samples, labels=labels)
+
+
 def load_dataset(path) -> Dataset:
-    """Read and validate a labeled CSV file; errors carry the line number."""
+    """Read and validate a labeled CSV file; errors carry the line number.
+
+    A plain file is read by one vectorised parse (``_parse_plain``); any
+    other, and every invalid one, by the row reader ``_read_rows``."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DatasetError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        text = None  # the row reader says where, after any error before it
+    dataset = None if text is None else _parse_plain(text)
+    return _read_rows(path) if dataset is None else dataset
+
+
+def _read_rows(path) -> Dataset:
+    """``load_dataset`` row by row, with ``float()`` on each cell: the
+    reference for the vectorised parse, and the reader that names the line of
+    an error."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:

@@ -20,9 +20,10 @@ max(a_k, b_k)^2 until the larger is.  So the pair's distance at a cut is a
 sum from the top rank down (one ``bincount``, then ``cumsum``) over the
 components that differ: max(a_k, b_k)^2 at the larger value's rank and
 (a_k - b_k)^2 - max(a_k, b_k)^2 at the smaller's.  Where all that remains is
-zeroed or equal it is exactly 0.  Each unordered pair is folded once into
-per-row minima over its own class and over the other, so memory is
-O((m + n) * grid).
+zeroed or equal it is exactly 0.  Two pairs share one ``bincount`` and one
+complex ``cumsum``, one pair in each part, with the same sums as their own.
+Each unordered pair is folded once into per-row minima over its own class
+and over the other, so memory is O((m + n) * grid).
 
 ``apriori_success_rate`` predicts the balanced success probability of the
 fixed-threshold indicator classifier when m = n = 1 with independent
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import _below, _breakpoints, _overflow_scale, _pooled_ranks, _require_finite
+from .classifier import _breakpoints, _overflow_scale, _pooled_ranks, _require_finite
 from .classifier import truncate_values
 from .datagen import Independent, Scenario, shift_amount, shift_count
 from .errors import ParameterError, SampleSizeError, ShapeError, UnsupportedSettingError
@@ -122,16 +123,16 @@ class CvCurve:
     theta_cv: float
 
 
-def _pair_distances(a, b, rank_a, rank_b, top: int) -> np.ndarray:
-    """Squared distance between zeroed-below-t copies of a and b at cuts
-    top..1 (index k holds cut top - k), summed from the top rank down over
-    the components where a and b differ."""
+def _pair_steps(a, b, rank_a, rank_b) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and steps of the squared distance between zeroed-below-t copies
+    of a and b, over the components where they differ: summed from the top
+    rank down, the steps at ranks r >= c give the distance at cut c."""
     differ = a != b
     a, b, rank_a, rank_b = a[differ], b[differ], rank_a[differ], rank_b[differ]
     at_hi = np.maximum(a, b) ** 2  # the distance while only the larger value is kept
     ranks = np.concatenate([np.maximum(rank_a, rank_b), np.minimum(rank_a, rank_b)])
     weights = np.concatenate([at_hi, (a - b) ** 2 - at_hi])  # with it, (a - b)^2 once both are
-    return _below(top - ranks, top, weights)
+    return ranks, weights
 
 
 def _error_rate(same: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -150,16 +151,23 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     ts, cuts = _breakpoints(pooled, -np.inf)
     ts, cuts = np.append(ts, pooled[-1]), np.append(cuts, pooled.size)
     # Nearest distance at every cut to a row of the same class and of the
-    # other, in _pair_distances's order: column k holds cut top - k.
+    # other, summed from the top rank down: column k holds cut top - k.
     top = pooled.size + 1
     same = np.full((len(rows), top), np.inf)
     other = same.copy()
     rows *= _overflow_scale(rows)  # ranks and ts above come from the unscaled values
-    for i, j in zip(*np.triu_indices(len(rows), 1)):
-        near = same if (i < m) == (j < m) else other
-        d = _pair_distances(rows[i], rows[j], ranks[i], ranks[j], top)
-        for k in (i, j):
-            np.minimum(near[k], d, out=near[k])
+    pairs = list(zip(*np.triu_indices(len(rows), 1)))
+    # A cumsum is bound by its latency, so a complex one makes two pairs'
+    # profiles, one in each part, in the time of one, with the same sums.
+    for two in (pairs[q : q + 2] for q in range(0, len(pairs), 2)):
+        steps = [_pair_steps(rows[i], rows[j], ranks[i], ranks[j]) for i, j in two]
+        bins = np.concatenate([2 * (top - r) + lane for lane, (r, _) in enumerate(steps)])
+        hist = np.bincount(bins, np.concatenate([w for _, w in steps]), minlength=2 * top)
+        profiles = np.cumsum(hist.view(complex), out=hist.view(complex)).view(float)
+        for lane, (i, j) in enumerate(two):
+            near = same if (i < m) == (j < m) else other
+            for k in (i, j):
+                np.minimum(near[k], profiles[lane::2], out=near[k])
     errors = _error_rate(same[:m], other[:m]) + _error_rate(same[m:], other[m:])
     values = errors[::-1][cuts]  # reversed, column c - 1 holds cut c = 1 + #(values <= t)
     best = values.min()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -138,6 +138,129 @@ def test_load_dataset_skips_blank_lines(tmp_path):
     ds = load_dataset(path)
     assert ds.labels == ("u", "v")
     assert ds.samples.shape == (2, 2)
+
+
+def assert_loads_as_the_row_reader(path):
+    """load_dataset gives the reference row reader's dataset, bit for bit, or
+    raises its DatasetError with the same text; returns the dataset or None."""
+    try:
+        want = dataset_module._read_rows(path)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == str(exc)
+        return None
+    got = load_dataset(path)
+    assert (got.feature_ids, got.labels) == (want.feature_ids, want.labels)
+    assert got.samples.shape == want.samples.shape
+    assert got.samples.tobytes() == want.samples.tobytes()  # -0.0 and 0.0 differ here
+    return got
+
+
+def parses_plain(path):
+    """Whether the vectorised parse, not the row reader, reads ``path``."""
+    text = path.read_bytes().decode("utf-8-sig")
+    return dataset_module._parse_plain(text) is not None
+
+
+# Subnormals, +-0.0, +-1e308 and every other finite double, as repr writes them,
+# with 17 significant digits and in exponent form.
+any_double = st.floats(allow_nan=False, allow_infinity=False)
+spellings = st.sampled_from([repr, "{:.17g}".format, "{:.16e}".format, "{:+.17g}".format])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_vectorised_parse_has_the_row_readers_bits(tmp_path, rows, p, data):
+    values = data.draw(arrays(float, (rows + 1, p), elements=any_double))
+    spell = data.draw(spellings)
+    labels = ["u"] * rows + ["v"]
+    lines = [",".join(["label", *(f"g{k}" for k in range(p))])]
+    lines += [",".join([label, *map(spell, row)]) for label, row in zip(labels, values.tolist())]
+    path = tmp_path / "doubles.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert parses_plain(path)
+    got = assert_loads_as_the_row_reader(path)
+    want = [[float(spell(v)) for v in row] for row in values.tolist()]
+    assert got.samples.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["+1.5", " 1.5 ", "1_000", '"1.5"', "１.５", "0x10", "nan", "-Infinity", "1e999", "", " ",
+     "1e-400", "4.9e-324", "\xa01.5", "1.5\x00", "1,5"],
+)
+@pytest.mark.parametrize("place", [(0, 1), (2, 0), (3, 1)])
+def test_load_dataset_reads_each_spelling_as_float_does(tmp_path, cell, place):
+    rows = [["u", "1.0", "2.0"], ["u", "0.5", "-3"], ["v", "7", "8e-3"], ["v", "-0.0", "4"]]
+    row, col = place
+    rows[row][col + 1] = cell
+    path = tmp_path / "cell.csv"
+    path.write_text("label,g1,g2\n" + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    assert_loads_as_the_row_reader(path)
+
+
+BAD_AND_ODD_FILES = {
+    "extra cell": "label,g1,g2\nu,1,2\nv,3,4,5\n",
+    "missing cell": "label,g1,g2\nu,1,2\nv,3\n",
+    "every row a cell short": "label,g1,g2\nu,1\nv,3\n",
+    "label only": "label,g1,g2\nu,1,2\nv\n",
+    "trailing comma": "label,g1\nu,1\nv,\n",
+    "whitespace-only line": "label,g1,g2\nu,1,2\n  \nv,3,4\n",
+    "blank lines": "\nlabel,g1\n",
+    "CRLF": "label,g1,g2\r\nu,1,2\r\n\r\nv,3,4\r\n",
+    "lone CR": "label,g1,g2\ru,1,2\rv,3,4\r",
+    "CR in a cell": "label,g1,g2\nu,1\r,2\nv,3,4\n",
+    "CR in a label": "label,g1\nu\r,1\nv,2\n",
+    "BOM": "\ufefflabel,g1,g2\nu,1,2\nv,3,4\n",
+    "quoted label": 'label,g1\n"u",1\nv,2\n',
+    "quoted label with a comma": 'label,g1\n"u,w",1\nv,2\n',
+    "quoted feature id": 'label,"g,1",g2\nu,1,2\nv,3,4\n',
+    "quoted newline": 'label,g1\n"u\nw",1\nv,2\n',
+    "no final newline": "label,g1,g2\nu,1,2\nv,3,4",
+    "one class": "label,g1\nu,1\nu,2\n",
+    "three classes": "label,g1\nu,1\nv,2\nw,3\n",
+    "empty label": "label,g1\n,1\nv,2\n",
+    "spaces in labels": "label,g1\n u,1\nu ,2\n",
+    "header only": "label,g1,g2\n",
+    "empty file": "",
+    "empty header": "\n",
+    "no features": "label\nu\nv\n",
+    "wrong first column": "gene,g1\nu,1\nv,2\n",
+    "duplicate feature id": "label,g1,g1\nu,1,2\nv,3,4\n",
+    "label as a feature id": "label,label,g1\nu,1,2\nv,3,4\n",
+    "non-finite after a bad row": "label,g1\nu,inf\nv,x\n",
+    "bad row after a non-finite": "label,g1\nu,x\nv,inf\n",
+    "single row a class, one column": "label,g1\nu,1\nv,2\n",
+}
+
+
+# Valid files without quotes or lone carriage returns take the vectorised parse.
+PLAIN_FILES = {"CRLF", "BOM", "no final newline", "empty label", "spaces in labels",
+               "label as a feature id", "single row a class, one column"}
+
+
+@pytest.mark.parametrize("name", BAD_AND_ODD_FILES)
+def test_load_dataset_reads_each_layout_as_the_row_reader(tmp_path, name):
+    path = tmp_path / "layout.csv"
+    path.write_bytes(BAD_AND_ODD_FILES[name].encode("utf-8"))
+    assert_loads_as_the_row_reader(path)
+    assert parses_plain(path) == (name in PLAIN_FILES)
+
+
+def test_load_dataset_reports_the_first_error_before_a_bad_byte(tmp_path):
+    # The row reader decodes as it reads, so a bad byte far into the file
+    # comes after an error on an earlier line.
+    path = tmp_path / "latin1.csv"
+    rows = b"u,1\n" * 50_000 + b"v,\xe9\n"
+    path.write_bytes(b"gene,g1\n" + rows)
+    assert assert_loads_as_the_row_reader(path) is None
+    with pytest.raises(DatasetError, match="first header column"):
+        load_dataset(path)
+    path.write_bytes(b"label,g1\n" + rows)
+    with pytest.raises(DatasetError, match=r"not UTF-8 text \(invalid continuation byte\)"):
+        load_dataset(path)
 
 
 def test_dataset_from_generated():
@@ -278,6 +401,35 @@ def test_robust_loo_matches_fold_by_fold_with_many_partners(instance):
     # Up to 7 partners of a class per row exercise the pair order and the
     # lowest-row rule on ties.
     assert_loo_matches_fold_by_fold(*instance)
+
+
+small_ties = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def folds(draw):
+    """2 to 5 rows of each class in a random order, p in {2, 3}: each fold
+    pools (n - 1) p values, an odd count only for p = 3 and n even."""
+    n_x, n_y = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    samples = draw(arrays(float, (n_x + n_y, draw(st.sampled_from([2, 3]))), elements=small_ties))
+    return samples, np.array(draw(st.permutations([True] * n_x + [False] * n_y)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(folds())
+@example((np.array([[-1.0, 1.0], [1.0, -1.0], [-0.0, 0.0], [2.0, -2.0]]),
+          np.array([True, False, True, False])))  # even folds, middle values -1 and 1
+@example((np.array([[-0.0, 0.0, -0.0]] * 3 + [[0.0, -0.0, 0.0]]),
+          np.array([True, False, True, False])))  # odd folds of signed zeros
+def test_fold_medians_are_select_thresholds_t0(instance):
+    samples, in_x = instance
+    got = classifier._fold_medians(samples, in_x)
+    for i, t0 in enumerate(got):
+        rest = np.arange(len(samples)) != i
+        want = classifier.select_threshold(
+            samples[rest & in_x], samples[rest & ~in_x], samples[i]
+        ).t0
+        assert np.float64(t0).tobytes() == np.float64(want).tobytes()
 
 
 def test_robust_loo_rejects_p_1_before_any_fold(monkeypatch):

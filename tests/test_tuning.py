@@ -1,5 +1,6 @@
 """Cross-validation threshold selection and the a priori success analysis."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -256,6 +257,21 @@ def test_cv_error_near_float_max_does_not_overflow(X, Y, at_minus_inf):
     assert curve.values[0] == at_minus_inf
     for t, value in zip(curve.ts, curve.values):
         assert cv_error(t, X, Y) == value
+
+
+def test_select_threshold_cv_curve_bytes_are_pinned():
+    # A realistic size: 42,001 grid points over 210 pairs of t(3) rows.  The
+    # digests were recorded before the pair profiles were made two at a time.
+    rng = np.random.default_rng(2021)
+    X = rng.standard_t(3, (10, 2000))
+    Y = rng.standard_t(3, (11, 2000)) + 0.25
+    curve = select_threshold_cv(X, Y)
+    assert hashlib.sha256(curve.values.tobytes()).hexdigest() == (
+        "7c089fa8cdb78b943b9fc4c2d4901983e9b230e591f000dcda8dd00f55661b35"
+    )
+    assert hashlib.sha256(curve.ts.tobytes()).hexdigest() == (
+        "0adce8e3e1dc52cad571c4e01e92b6593f42c231dcfe59375961eb26c871bcf9"
+    )
 
 
 def test_select_threshold_cv_memory_grows_with_rows_not_pairs():
