@@ -41,8 +41,8 @@ ranking and each row's counts below every cut.  Two rows' indicator distance
 at every cut is the same in every fold that trains on both, up to a term the
 held-out row adds to all its distances alike.  So each unordered pair's
 profile is made once, counted by one sort of its p values, and folded into
-both rows' nearest rows of the other's class.  Every fold's t0 comes from
-one sort of all the values, and a fold adds only its grid.
+both rows' nearest rows of the other's class.  A fold adds only its t0,
+``_median`` of its rows as ``select_threshold`` takes it, and its grid.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
 nearest neighbor on zeroed-below-threshold values v * 1(v > t), and a
@@ -229,15 +229,14 @@ def _below(bins: np.ndarray, size: int, weights: np.ndarray | None = None) -> np
 
 
 def _below_by_sort(bins: np.ndarray, size: int, dtype) -> np.ndarray:
-    """``_below(bins, size)`` of non-negative ``bins``, in ``dtype``, from one
+    """``_below(bins, size)`` of ``bins`` in 0..size-1, in ``dtype``, from one
     sort: the count is k from the k-th smallest bin up to the next one.
 
     Cheaper than ``_below`` when there are far fewer bins than ``size``."""
     edges = np.sort(bins)
-    k = edges.searchsorted(size)  # bins >= size are below no point
-    gaps = np.append(edges[:k], size)
-    gaps[1:] -= edges[:k]
-    return np.repeat(np.arange(k + 1, dtype=dtype), gaps)
+    gaps = np.append(edges, size)
+    gaps[1:] -= edges
+    return np.repeat(np.arange(edges.size + 1, dtype=dtype), gaps)
 
 
 def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, ...]:
@@ -405,39 +404,6 @@ def classify_robust(
     return label, decision
 
 
-def _fold_medians(samples: np.ndarray, in_x: np.ndarray) -> list[float]:
-    """``select_threshold``'s default t0 for each row of ``samples`` held out:
-    ``_median`` of the other rows' values, from one sort of all of them.
-
-    Every fold pools (n - 1) p values, so its two middle order statistics
-    k - 1 and k are the same ranks in every fold.  Leaving out p values moves
-    a rank up by at most p, so both sit in the window of p + 2 values from
-    rank k - 1 of the sorted whole, and the fold's j-th value is the first
-    w there with #(values <= w) - #(held-out values <= w) > j.  A median of
-    0 may be +0 or -0, so there ``_median`` itself runs on the fold's values
-    in ``select_threshold``'s order: X's rows, then Y's.
-    """
-    n, p = samples.shape
-    size = (n - 1) * p
-    k = size // 2
-    pooled = np.sort(samples, axis=None)
-    window = pooled[k - 1 : k + p + 1]
-    held = np.sort(samples, axis=1)
-    below = pooled.searchsorted(window, "right") - np.array(
-        [row.searchsorted(window, "right") for row in held]
-    )
-    upper = window[np.count_nonzero(below <= k, axis=1)]
-    if size % 2:
-        t0s = upper
-    else:
-        t0s = _midpoints(window[np.count_nonzero(below <= k - 1, axis=1)], upper)
-    t0s = t0s.tolist()
-    for i in np.flatnonzero(np.equal(t0s, 0)):
-        rest = np.arange(n) != i
-        t0s[i] = _median(np.concatenate([samples[rest & in_x], samples[rest & ~in_x]]).ravel())
-    return t0s
-
-
 def _leave_one_out(
     samples: np.ndarray, in_x: np.ndarray, rule: str, xi_or_c: float
 ) -> list[tuple[Label, float, bool]]:
@@ -461,7 +427,11 @@ def _leave_one_out(
     """
     n, p = samples.shape
     z_p = zp_value(rule, p, xi_or_c)
-    t0s = _fold_medians(samples, in_x)
+    # select_threshold's t0: the median of X's rows, then Y's, without row i.
+    t0s = [
+        _median(np.concatenate([samples[rest & in_x], samples[rest & ~in_x]], axis=None))
+        for rest in ~np.eye(n, dtype=bool)
+    ]
     # No fold reads a value below the least t0, so rank from there.
     values, ranks = _pooled_ranks(samples, min(t0s))
     ts, cuts = _breakpoints(values, -np.inf)  # -inf, then every midpoint

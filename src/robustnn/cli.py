@@ -436,6 +436,9 @@ def dispatch(argv) -> int:
         what = f"cannot write {exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {what}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -7,22 +7,23 @@ infinities rejected).  Exactly two distinct labels must appear.
 The lexicographically smaller label plays the X role in every classifier
 so that tie rules and confusion counts are deterministic.
 
-A file is read whole and its cells parsed by one ``np.loadtxt`` call.  A
-file that parse does not take (quotes, spellings only ``float()`` accepts,
-any error) is read again row by row with ``float()`` on each cell, which
-gives the same values and names the line of an error.
+A file is read and decoded whole, so a file that is not UTF-8 is reported
+as such wherever its bad byte lies.  Its cells are then parsed by one
+``np.loadtxt`` call.  A file that parse does not take (quotes, spellings only
+``float()`` accepts, any error) is parsed again row by row with ``float()``
+on each cell, which gives the same values and names the line of an error.
 
 Leave-one-out holds out each row in turn.  The robust folds all pool the
-same rows, so they share one sort of them for every fold's t0, one ranking,
-each row's counts below every cut and each unordered pair's indicator
-distance at every cut, made once (``classifier._leave_one_out``), with the
-verdicts of running ``classify_robust`` fold by fold; the other methods run
-fold by fold.
+same rows, so they share one ranking, each row's counts below every cut and
+each unordered pair's indicator distance at every cut, made once
+(``classifier._leave_one_out``), with the verdicts of running
+``classify_robust`` fold by fold; the other methods run fold by fold.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
 
@@ -98,10 +99,13 @@ class Dataset:
         return self.samples[mask]
 
 
-def _utf8_lines(path, fh):
-    """The lines of ``fh``; a byte that does not decode is a DatasetError."""
+def _read_text(path) -> str:
+    """The decoded text of ``path``, line ends as they are, without a byte-order mark."""
     try:
-        yield from fh
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DatasetError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -146,14 +150,7 @@ def load_dataset(path) -> Dataset:
 
     A plain file is read by one vectorised parse (``_parse_plain``); any
     other, and every invalid one, by the row reader ``_read_rows``."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DatasetError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        text = None  # the row reader says where, after any error before it
-    dataset = None if text is None else _parse_plain(text)
+    dataset = _parse_plain(_read_text(path))
     return _read_rows(path) if dataset is None else dataset
 
 
@@ -161,46 +158,41 @@ def _read_rows(path) -> Dataset:
     """``load_dataset`` row by row, with ``float()`` on each cell: the
     reference for the vectorised parse, and the reader that names the line of
     an error."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DatasetError(f"{path}: {exc.strerror or exc}") from None
-    with fh:
-        reader = csv.reader(_utf8_lines(path, fh))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        if not header:
-            raise DatasetError(f"{path}, line 1: empty header")
-        if header[0] != LABEL_COLUMN:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError(f"{path}: empty file") from None
+    if not header:
+        raise DatasetError(f"{path}, line 1: empty header")
+    if header[0] != LABEL_COLUMN:
+        raise DatasetError(
+            f"{path}, line 1: first header column must be {LABEL_COLUMN!r}, "
+            f"got {header[0]!r}"
+        )
+    feature_ids = tuple(header[1:])
+    if not feature_ids:
+        raise DatasetError(f"{path}, line 1: no feature columns")
+    repeated = [name for name, k in Counter(feature_ids).items() if k > 1]
+    if repeated:
+        raise DatasetError(f"{path}, line 1: duplicate feature id {repeated[0]!r}")
+    rows: list[list[float]] = []
+    labels: list[str] = []
+    lines: list[int] = []
+    for row in reader:
+        line = reader.line_num
+        if not row:
+            continue
+        if len(row) != len(header):
             raise DatasetError(
-                f"{path}, line 1: first header column must be {LABEL_COLUMN!r}, "
-                f"got {header[0]!r}"
+                f"{path}, line {line}: expected {len(header)} cells, got {len(row)}"
             )
-        feature_ids = tuple(header[1:])
-        if not feature_ids:
-            raise DatasetError(f"{path}, line 1: no feature columns")
-        repeated = [name for name, k in Counter(feature_ids).items() if k > 1]
-        if repeated:
-            raise DatasetError(f"{path}, line 1: duplicate feature id {repeated[0]!r}")
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        lines: list[int] = []
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}, line {line}: expected {len(header)} cells, got {len(row)}"
-                )
-            labels.append(row[0])
-            lines.append(line)
-            try:
-                rows.append([float(cell) for cell in row[1:]])
-            except ValueError as exc:
-                raise DatasetError(f"{path}, line {line}: {exc}") from None
+        labels.append(row[0])
+        lines.append(line)
+        try:
+            rows.append([float(cell) for cell in row[1:]])
+        except ValueError as exc:
+            raise DatasetError(f"{path}, line {line}: {exc}") from None
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     if len(set(labels)) != 2:

@@ -584,3 +584,15 @@ def test_dataset_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
     assert dispatch(["loo", "--data", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {data}: not UTF-8 text (invalid continuation byte)\n"
     assert not out.exists()
+
+
+def test_a_size_too_large_to_allocate_is_an_error_line(tmp_path, capsys):
+    # 1e12 rows of 200 doubles: numpy refuses 1.42 PiB at once, allocating nothing.
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[scenario]\np = 200\nm = 1000000000000\n")
+    out = tmp_path / "g.csv"
+    assert dispatch(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: Unable to allocate 1.42 PiB")
+    assert captured.err.count("\n") == 1

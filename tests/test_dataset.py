@@ -28,6 +28,7 @@ from robustnn import (
     save_dataset,
 )
 from robustnn.classifier import DEFAULT_C, RULES
+from robustnn.cli import dispatch
 
 
 def make_dataset():
@@ -249,18 +250,23 @@ def test_load_dataset_reads_each_layout_as_the_row_reader(tmp_path, name):
     assert parses_plain(path) == (name in PLAIN_FILES)
 
 
-def test_load_dataset_reports_the_first_error_before_a_bad_byte(tmp_path):
-    # The row reader decodes as it reads, so a bad byte far into the file
-    # comes after an error on an earlier line.
+@pytest.mark.parametrize("rows_before", [1, 50_000])  # in the first 8 KB, past 64 KB
+def test_load_dataset_reports_a_bad_byte_wherever_it_lies(tmp_path, capsys, rows_before):
+    # The file is decoded whole first, so a bad byte is the error even behind
+    # a header error on line 1, from both readers and from the CLI.
     path = tmp_path / "latin1.csv"
-    rows = b"u,1\n" * 50_000 + b"v,\xe9\n"
-    path.write_bytes(b"gene,g1\n" + rows)
-    assert assert_loads_as_the_row_reader(path) is None
-    with pytest.raises(DatasetError, match="first header column"):
-        load_dataset(path)
-    path.write_bytes(b"label,g1\n" + rows)
-    with pytest.raises(DatasetError, match=r"not UTF-8 text \(invalid continuation byte\)"):
-        load_dataset(path)
+    rows = b"u,1\n" * rows_before + b"v,\xe9\n"
+    message = f"{path}: not UTF-8 text (invalid continuation byte)"
+    for header in (b"gene,g1\n", b"label,g1\n"):
+        path.write_bytes(header + rows)
+        for read in (load_dataset, dataset_module._read_rows):
+            with pytest.raises(DatasetError) as info:
+                read(path)
+            assert str(info.value) == message
+    out = tmp_path / "loo.json"
+    assert dispatch(["loo", "--data", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_dataset_from_generated():
@@ -421,15 +427,9 @@ def folds(draw):
           np.array([True, False, True, False])))  # even folds, middle values -1 and 1
 @example((np.array([[-0.0, 0.0, -0.0]] * 3 + [[0.0, -0.0, 0.0]]),
           np.array([True, False, True, False])))  # odd folds of signed zeros
-def test_fold_medians_are_select_thresholds_t0(instance):
-    samples, in_x = instance
-    got = classifier._fold_medians(samples, in_x)
-    for i, t0 in enumerate(got):
-        rest = np.arange(len(samples)) != i
-        want = classifier.select_threshold(
-            samples[rest & in_x], samples[rest & ~in_x], samples[i]
-        ).t0
-        assert np.float64(t0).tobytes() == np.float64(want).tobytes()
+def test_robust_loo_matches_fold_by_fold_on_tied_folds(instance):
+    # Most of these folds default to theta = t0, so the repr check pins t0's sign.
+    assert_loo_matches_fold_by_fold(*instance, "independent", DEFAULT_C)
 
 
 def test_robust_loo_rejects_p_1_before_any_fold(monkeypatch):
