@@ -32,16 +32,18 @@ default grid's cuts follow from its construction (midpoint k passes k + 1
 values, or k + 2 where it rounds onto the upper one); only a caller's grid is
 searched.  Each rank is mapped once to the first grid point, in order of
 cut, at which it is below the threshold.  One pass down the rows then counts
-each row's components below every grid point, one ``bincount`` and one
-``cumsum``, and keeps each point's minimum distance and the lowest row at it.
-Only one row's counts are held at a time, so a scan's memory is
+each row's components below every grid point (``_below``: one ``bincount``
+and one ``cumsum``, or one sort of its p ranks where the grid has many points
+per component) and keeps each point's minimum distance and the lowest row at
+it.  Only one row's counts are held at a time, so a scan's memory is
 O((m + n) p + grid) and not O((m + n) grid), about (m + n)^2 p.
 Leave-one-out folds of N rows all pool the same N rows, so they share one
 ranking and each row's counts below every cut.  Two rows' indicator distance
 at every cut is the same in every fold that trains on both, up to a term the
 held-out row adds to all its distances alike.  So each unordered pair's
-profile is made once, counted by one sort of its p values, and folded into
-both rows' nearest rows of the other's class.  A fold adds only its t0,
+profile is made once and folded into each row's least distance to the
+other row's class, kept with the row at it as one key, distance * N + row,
+so that one minimum keeps the lowest row on ties.  A fold adds only its t0,
 ``_median`` of its rows as ``select_threshold`` takes it, and its grid.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
@@ -222,21 +224,24 @@ def _median(v: np.ndarray) -> float:
     return float(np.median(v)) if mid == 0 else mid  # +0 and -0 tie: keep np.median's sign
 
 
-def _below(bins: np.ndarray, size: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """How many of ``bins`` (or their total ``weights``) are at or below each of 0..size-1."""
-    hist = np.bincount(bins, weights, minlength=size + 1)[:size]
-    return np.cumsum(hist, out=hist)
+# Above this many points per bin _below sorts the bins.  On a 2-core x86 VM
+# the sort drew level with a bincount and a cumsum at 4 to 10 points per bin,
+# for 200 to 20000 bins.
+_SORT_ABOVE = 8
 
 
-def _below_by_sort(bins: np.ndarray, size: int, dtype) -> np.ndarray:
-    """``_below(bins, size)`` of ``bins`` in 0..size-1, in ``dtype``, from one
-    sort: the count is k from the k-th smallest bin up to the next one.
-
-    Cheaper than ``_below`` when there are far fewer bins than ``size``."""
-    edges = np.sort(bins)
-    gaps = np.append(edges, size)
-    gaps[1:] -= edges
-    return np.repeat(np.arange(edges.size + 1, dtype=dtype), gaps)
+def _below(bins: np.ndarray, size: int, dtype) -> np.ndarray:
+    """How many of ``bins`` (each in 0..size) are at or below each of
+    0..size-1, in ``dtype``.  With few bins per point they are sorted, and the
+    count is k from the k-th smallest bin up to the next one; otherwise one
+    ``bincount`` and one ``cumsum`` make it."""
+    if size > _SORT_ABOVE * bins.size:
+        edges = np.sort(bins)
+        gaps = np.append(edges, size)
+        gaps[1:] -= edges
+        return np.repeat(np.arange(edges.size + 1, dtype=dtype), gaps)
+    hist = np.bincount(bins, minlength=size + 1)[:size]
+    return np.cumsum(hist, out=hist).astype(dtype, copy=False)
 
 
 def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, ...]:
@@ -252,8 +257,8 @@ def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, ...]:
     nearest = []
     for rows in sides:
         for i, row in enumerate(rows):
-            count = _below(row, size)
-            dist = _below(np.minimum(row, z, out=low), size)
+            count = _below(row, size, np.int64)
+            dist = _below(np.minimum(row, z, out=low), size, np.int64)
             dist *= 2
             dist -= count
             if i == 0:
@@ -420,10 +425,10 @@ def _leave_one_out(
     being row j's own count below c.  D is symmetric, and fold i's distance
     to a training row is D less C_i, which cancels in T = d_x - d_y.  So
     each unordered pair's profile is made once and folded into a's least
-    distance to b's class and b's least distance to a's, with the lowest row
-    at it for S^2.  Leaving out one row's p values moves the pooled median
-    across at most p values, so lo_i <= p, and the pair profiles cover every
-    common cut rather than only a fold's own.
+    distance to b's class and b's least distance to a's, keyed with the
+    lowest row at it for S^2.  Leaving out one row's p values moves the
+    pooled median across at most p values, so lo_i <= p, and the pair
+    profiles cover every common cut rather than only a fold's own.
     """
     n, p = samples.shape
     z_p = zp_value(rule, p, xi_or_c)
@@ -436,42 +441,35 @@ def _leave_one_out(
     values, ranks = _pooled_ranks(samples, min(t0s))
     ts, cuts = _breakpoints(values, -np.inf)  # -inf, then every midpoint
     size = values.size + 1
-    dtype = np.min_scalar_type(p + 1)  # a distance is at most p; p + 1 is "no row yet"
+    # near[i, s] is row i's least distance d to a row j of class s (0: X,
+    # 1: Y) at every common cut, kept as the key d n + j: one minimum then
+    # keeps the lowest row on ties.  d <= p, so (p + 1) n is "no row yet".
+    dtype = np.min_scalar_type((p + 1) * n)
     counts = np.empty((n, size), dtype)
     for row, out in zip(ranks, counts):
-        out[:] = _below_by_sort(row, size, dtype)
-    # best[i, s] is row i's least distance to a row of class s (0: X, 1: Y)
-    # at every common cut, and at[i, s] the lowest row at it.
-    best = np.full((n, 2, size), p + 1, dtype)
-    at = np.zeros((n, 2, size), np.min_scalar_type(n))
+        out[:] = _below(row, size, dtype)
+    near = np.full((n, 2, size), (p + 1) * n, dtype)
     side = [0 if x else 1 for x in in_x]
-    dist, closer = np.empty(size, dtype), np.empty(size, bool)
+    dist, key = np.empty(size, dtype), np.empty(size, dtype)
     for a in range(n):
         for b in range(a + 1, n):
             # 2 #(min below) - C_a - C_b, as two differences that are >= 0.
-            both = _below_by_sort(np.minimum(ranks[a], ranks[b]), size, dtype)
+            both = _below(np.minimum(ranks[a], ranks[b]), size, dtype)
             np.subtract(both, counts[a], out=dist)
             dist += np.subtract(both, counts[b], out=both)
-            # Row i's partners come in increasing order, so a strict < keeps
-            # the lowest row on ties.
+            dist *= n
             for i, j in ((a, b), (b, a)):
-                near = best[i, side[j]]
-                np.less(dist, near, out=closer)
-                np.minimum(near, dist, out=near)
-                np.copyto(at[i, side[j]], j, where=closer)
+                least = near[i, side[j]]
+                np.minimum(least, np.add(dist, j, out=key), out=least)
     los = np.searchsorted(values, t0s, side="left")
     his = np.searchsorted(values, t0s, side="right")
     verdicts = []
     for i, (t0, lo, hi) in enumerate(zip(t0s, los, his)):
         grid = np.r_[hi, cuts[lo + 1 :]]  # t0, then the midpoints above it
-        T = best[i, 0].take(grid).astype(np.int64)
-        T -= best[i, 1].take(grid)
-        S2 = np.full(grid.size, 2 * p, dtype=np.int64)
-        for nearest in at[i]:  # S^2 = 2p - C_{i_x} - C_{i_y}
-            flat = nearest.take(grid).astype(np.intp)
-            flat *= size
-            flat += grid
-            S2 -= counts.take(flat)
+        d, j = np.divmod(near[i].take(grid, axis=1), n)
+        T = d[0].astype(np.int64) - d[1]
+        flat = j.astype(np.intp) * size + grid  # S^2 = 2p - C_{i_x} - C_{i_y}
+        S2 = 2 * p - counts.take(flat).sum(axis=0, dtype=np.int64)
         hit = _first_firing(T, S2, z_p)
         index = 0 if hit is None else hit
         theta = t0 if index == 0 else float(ts[lo + index])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import fields
 from typing import Any, Callable
 
@@ -214,8 +215,8 @@ def default_config() -> str:
 def load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            parser.read_file(fh)
+        with open(path, "r", encoding="utf-8-sig") as fh:  # decoded whole, then parsed
+            parser.read_string(fh.read(), source=os.fspath(path))
     except OSError as exc:
         raise ConfigurationError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

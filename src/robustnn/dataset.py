@@ -150,15 +150,18 @@ def load_dataset(path) -> Dataset:
 
     A plain file is read by one vectorised parse (``_parse_plain``); any
     other, and every invalid one, by the row reader ``_read_rows``."""
-    dataset = _parse_plain(_read_text(path))
-    return _read_rows(path) if dataset is None else dataset
+    text = _read_text(path)
+    dataset = _parse_plain(text)
+    return _read_rows(path, text) if dataset is None else dataset
 
 
-def _read_rows(path) -> Dataset:
+def _read_rows(path, text: str | None = None) -> Dataset:
     """``load_dataset`` row by row, with ``float()`` on each cell: the
     reference for the vectorised parse, and the reader that names the line of
-    an error."""
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    an error.  ``text`` is the file's decoded text, read from ``path`` if None."""
+    if text is None:
+        text = _read_text(path)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:

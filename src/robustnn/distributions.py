@@ -157,14 +157,6 @@ class Subbotin:
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ParameterError(f"subbotin gamma must be positive, got {self.gamma!r}")
 
-    def normalizer(self) -> float:
-        g = self.gamma
-        return 2.0 * math.gamma(1.0 / g) * g ** (1.0 / g - 1.0)
-
-    def density(self, x: float) -> float:
-        g = self.gamma
-        return math.exp(-abs(float(x)) ** g / g) / self.normalizer()
-
     def _upper_half(self, x: float) -> float:
         # P(|X| > x) for x >= 0.
         from scipy.special import gammaincc

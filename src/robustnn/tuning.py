@@ -22,8 +22,10 @@ components that differ: max(a_k, b_k)^2 at the larger value's rank and
 (a_k - b_k)^2 - max(a_k, b_k)^2 at the smaller's.  Where all that remains is
 zeroed or equal it is exactly 0.  Two pairs share one ``bincount`` and one
 complex ``cumsum``, one pair in each part, with the same sums as their own.
-Each unordered pair is folded once into per-row minima over its own class
-and over the other, so memory is O((m + n) * grid).
+Each unordered pair is folded once into both rows' minima, held in one
+(m + n, 2, grid) array indexed by the other row's class, as leave-one-out
+holds its minima (``classifier._leave_one_out``).  So memory is
+O((m + n) * grid).
 
 ``apriori_success_rate`` predicts the balanced success probability of the
 fixed-threshold indicator classifier when m = n = 1 with independent
@@ -150,11 +152,11 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     # between consecutive distinct values, and the top value (all zeroed).
     ts, cuts = _breakpoints(pooled, -np.inf)
     ts, cuts = np.append(ts, pooled[-1]), np.append(cuts, pooled.size)
-    # Nearest distance at every cut to a row of the same class and of the
-    # other, summed from the top rank down: column k holds cut top - k.
+    # near[k, s] is row k's nearest distance to another row of class s (0: X,
+    # 1: Y) at every cut, summed from the top rank down: column k holds cut top - k.
     top = pooled.size + 1
-    same = np.full((len(rows), top), np.inf)
-    other = same.copy()
+    near = np.full((len(rows), 2, top), np.inf)
+    side = [0] * m + [1] * (len(rows) - m)
     rows *= _overflow_scale(rows)  # ranks and ts above come from the unscaled values
     pairs = list(zip(*np.triu_indices(len(rows), 1)))
     # A cumsum is bound by its latency, so a complex one makes two pairs'
@@ -165,10 +167,10 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
         hist = np.bincount(bins, np.concatenate([w for _, w in steps]), minlength=2 * top)
         profiles = np.cumsum(hist.view(complex), out=hist.view(complex)).view(float)
         for lane, (i, j) in enumerate(two):
-            near = same if (i < m) == (j < m) else other
-            for k in (i, j):
-                np.minimum(near[k], profiles[lane::2], out=near[k])
-    errors = _error_rate(same[:m], other[:m]) + _error_rate(same[m:], other[m:])
+            for k, partner in ((i, j), (j, i)):
+                least = near[k, side[partner]]
+                np.minimum(least, profiles[lane::2], out=least)
+    errors = _error_rate(near[:m, 0], near[:m, 1]) + _error_rate(near[m:, 1], near[m:, 0])
     values = errors[::-1][cuts]  # reversed, column c - 1 holds cut c = 1 + #(values <= t)
     best = values.min()
     minimizers = ts[values == best]

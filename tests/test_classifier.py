@@ -37,7 +37,8 @@ from robustnn import (
     zp_value,
 )
 from robustnn.classifier import DEFAULT_C, DEFAULT_XI, METHODS, RULES, make_method
-from robustnn.classifier import _below, _below_by_sort
+from robustnn import classifier
+from robustnn.classifier import _below
 from robustnn.cli import dispatch
 
 
@@ -176,26 +177,31 @@ def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance):
         assert (T[k], S2[k], i_x[k], i_y[k]) == (stats.T, stats.S2, stats.i_x, stats.i_y)
 
 
-# Leave-one-out counts in np.min_scalar_type(p + 1): uint8, uint16 and uint32.
-LOO_COUNT_DTYPES = [np.min_scalar_type(p + 1) for p in (2, 255, 65535)]
+# _below's dtypes: the scan's int64, and leave-one-out's
+# np.min_scalar_type((p + 1) n): uint8, uint16 and uint32.
+BELOW_DTYPES = [np.dtype(np.int64)] + [np.min_scalar_type(k) for k in (12, 65535, 65536)]
 
 bins_and_size = st.integers(1, 40).flatmap(
     lambda size: st.tuples(
-        arrays(np.intp, st.integers(0, 60), elements=st.integers(0, size - 1)), st.just(size)
+        arrays(np.intp, st.integers(0, 60), elements=st.integers(0, size)), st.just(size)
     )
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(bins_and_size, st.sampled_from(LOO_COUNT_DTYPES))
+@given(bins_and_size, st.sampled_from(BELOW_DTYPES))
 @example((np.array([], dtype=np.intp), 1), np.dtype(np.uint8))
-@example((np.array([], dtype=np.intp), 7), np.dtype(np.uint16))
-@example((np.array([3, 0, 1, 1, 0, 5], dtype=np.intp), 6), np.dtype(np.uint32))
-def test_below_by_sort_matches_below(bins_size, dtype):
-    bins, size = bins_size  # duplicates, and bins at 0 and at size - 1
-    got = _below_by_sort(bins, size, dtype)
-    assert got.dtype == dtype
-    np.testing.assert_array_equal(got, _below(bins, size))
+@example((np.array([], dtype=np.intp), 7), np.dtype(np.int64))
+@example((np.array([3, 0, 6, 1, 1, 0, 5, 6], dtype=np.intp), 6), np.dtype(np.uint32))
+def test_below_counts_the_bins_at_or_below_each_point_either_way(bins_size, dtype):
+    bins, size = bins_size  # duplicates, and bins at 0, at size - 1 and at size
+    want = [(bins <= c).sum() for c in range(size)]
+    for sort_above in (0, math.inf):  # always sort; never (size > nan is False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "_SORT_ABOVE", sort_above)
+            got = _below(bins, size, dtype)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_scan_grid_finite_near_float_max():

@@ -1,5 +1,7 @@
 """CSV dataset handling and leave-one-out evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 import robustnn.classifier as classifier
 import robustnn.dataset as dataset_module
 from robustnn import (
+    ConfigurationError,
     Dataset,
     DatasetError,
     ExtremaMethod,
@@ -23,6 +26,7 @@ from robustnn import (
     classify_robust,
     dataset_from_generated,
     generate,
+    load_config,
     load_dataset,
     loo_cross_validate,
     save_dataset,
@@ -269,6 +273,23 @@ def test_load_dataset_reports_a_bad_byte_wherever_it_lies(tmp_path, capsys, rows
     assert not out.exists()
 
 
+@pytest.mark.parametrize("comments_before", [10, 20_000])  # in the first 8 KB, past it
+def test_load_config_reports_a_bad_byte_wherever_it_lies(tmp_path, capsys, comments_before):
+    # A config file is decoded whole too, so its bad byte is the error even
+    # behind a duplicate key on line 3.
+    path = tmp_path / "latin1.ini"
+    comments = b"# note\n" * comments_before
+    path.write_bytes(b"[scenario]\np = 200\np = 200\n" + comments + b"# caf\xe9\n")
+    message = f"{path}: not UTF-8 text (invalid continuation byte)"
+    with pytest.raises(ConfigurationError) as info:
+        load_config(path)
+    assert str(info.value) == message
+    out = tmp_path / "g.csv"
+    assert dispatch(["gen", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_dataset_from_generated():
     sc = Scenario(p=40, m=2, n=3, beta=0.5, r=0.6, marginal=Normal(), seed=7)
     data = generate(sc, "Y")
@@ -356,13 +377,14 @@ NEAR_MAX = np.array(
 )
 
 
-def far_apart(p):
-    """Three X rows of 1s and three Y rows of -1s, interleaved.  Leaving out an
-    X row puts t0 at -1, where that row is at indicator distance p from every
-    Y row: T = -p and S^2 = p.  The slope puts z_p between sqrt(p / 2) and
-    sqrt(p), so t0 fires only with the right S^2."""
-    in_x = np.array([True, False] * 3)
-    return np.where(in_x, 1.0, -1.0)[:, None].repeat(p, axis=1), in_x, "independent", 6.0
+def far_apart(p, k=3):
+    """k X rows of 1s and k Y rows of -1s, interleaved.  Leaving out an X row
+    puts t0 at -1, where that row is at indicator distance p from every Y
+    row: T = -p and S^2 = p.  The slope puts z_p at sqrt(3p / 4), between
+    sqrt(p / 2) and sqrt(p), so t0 fires only with the right S^2."""
+    in_x = np.array([True, False] * k)
+    c = math.sqrt(0.75 * p / math.log(p))
+    return np.where(in_x, 1.0, -1.0)[:, None].repeat(p, axis=1), in_x, "independent", c
 
 
 # 256 equal X rows, then two more X rows and two Y rows, so that in many
@@ -399,9 +421,12 @@ def test_robust_loo_matches_fold_by_fold_classify_robust(instance):
 
 @settings(max_examples=100, deadline=None)
 @given(labeled_rows(max_rows=8))
-@example(far_apart(254))  # distances in uint8, with p + 1 = 255 for "no row yet"
-@example(far_apart(255))  # the first p whose p + 1 needs uint16
-@example(far_apart(256))
+# Keys d * n + row in np.min_scalar_type((p + 1) * n), (p + 1) * n meaning "no row yet".
+@example(far_apart(41))  # n = 6: keys up to 251 and 252 in uint8
+@example(far_apart(42))  # the first p whose 258 needs uint16
+@example(far_apart(63, 2))  # n = 4: keys up to 255 in uint8, but 256 needs uint16
+@example(far_apart(10921))  # 65532 in uint16
+@example(far_apart(10922))  # 65538 needs uint32
 @example((MANY_ROWS, np.arange(260) < 258, "independent", DEFAULT_C))  # rows past uint8
 def test_robust_loo_matches_fold_by_fold_with_many_partners(instance):
     # Up to 7 partners of a class per row exercise the pair order and the
@@ -436,7 +461,7 @@ def test_robust_loo_rejects_p_1_before_any_fold(monkeypatch):
     def no_fold(*args):
         raise AssertionError("a fold ran")
 
-    monkeypatch.setattr(classifier, "_below_by_sort", no_fold)
+    monkeypatch.setattr(classifier, "_below", no_fold)
     monkeypatch.setattr(dataset_module, "evaluate_method", no_fold)
     ds = Dataset(("g",), np.array([[0.0], [1.0], [2.0], [3.0]]), ("u", "u", "v", "v"))
     with pytest.raises(ParameterError, match="^p must be at least 2, got 1$"):
