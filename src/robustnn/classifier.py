@@ -345,11 +345,16 @@ class ThresholdDecision:
     trace: ThresholdTrace = field(repr=False)
 
 
-def _first_firing(T: np.ndarray, S2: np.ndarray, z_p: float) -> int | None:
-    fires = (S2 > 0) & (np.abs(T) > z_p * np.sqrt(S2))
-    if not fires.any():
-        return None
-    return int(fires.argmax())
+def _first_firing(T: np.ndarray, S2: np.ndarray, z_p):
+    """(index, defaulted): the first grid point where S > 0 and |T| > z_p S,
+    else (0, True), the t0 point.  An array of critical values gives an
+    array of each."""
+    z_p = np.asarray(z_p, dtype=float)
+    fires = (S2 > 0) & (np.abs(T) > z_p[..., None] * np.sqrt(S2))
+    index, defaulted = fires.argmax(axis=-1), ~fires.any(axis=-1)
+    if z_p.ndim:
+        return index, defaulted
+    return int(index), bool(defaulted)
 
 
 def select_threshold(
@@ -381,13 +386,9 @@ def select_threshold(
         raise ParameterError(f"t0 must be finite, got {t0!r}")
     z_p = zp_value(rule, z.size, xi_or_c)
     ts, T, S2, i_x, i_y = _scan(X, Y, z, t0)
-    hit = _first_firing(T, S2, z_p)
-    if hit is None:
-        theta, defaulted, index = t0, True, 0
-    else:
-        theta, defaulted, index = float(ts[hit]), False, hit
+    index, defaulted = _first_firing(T, S2, z_p)
     return ThresholdDecision(
-        theta=theta,
+        theta=float(ts[index]),  # ts[0] is t0
         defaulted=defaulted,
         t0=t0,
         theta_index=index,
@@ -470,10 +471,9 @@ def _leave_one_out(
         T = d[0].astype(np.int64) - d[1]
         flat = j.astype(np.intp) * size + grid  # S^2 = 2p - C_{i_x} - C_{i_y}
         S2 = 2 * p - counts.take(flat).sum(axis=0, dtype=np.int64)
-        hit = _first_firing(T, S2, z_p)
-        index = 0 if hit is None else hit
+        index, defaulted = _first_firing(T, S2, z_p)
         theta = t0 if index == 0 else float(ts[lo + index])
-        verdicts.append(("X" if T[index] <= 0 else "Y", theta, hit is None))
+        verdicts.append(("X" if T[index] <= 0 else "Y", theta, defaulted))
     return verdicts
 
 

@@ -3,11 +3,12 @@
 Subcommands: classify, cv, loo, gen, sweep, threshold-dist, curves, apriori,
 sample-size.  Scenario and study settings come from a config file
 (``--config``; see ``robustnn --print-config`` for the annotated template),
-with a few common flags as overrides.  Every run writes its primary outputs
-plus a ``<output stem>.manifest.json`` recording the resolved configuration,
-the seed, the package version, and the argv needed to reproduce the run;
-outputs contain no timestamps, so re-running an identical command yields
-byte-identical files.
+with a few common flags as overrides.  Each ``_cmd_*`` handler writes its
+primary outputs and returns ``(config, seed, outputs, message)``; ``dispatch``
+then prints the message and writes the one ``<output stem>.manifest.json``,
+recording the resolved configuration, the seed, the package version, the
+outputs and the argv needed to reproduce the run.  Outputs contain no
+timestamps, so re-running an identical command yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -93,12 +94,17 @@ def _add_method_flags(sub) -> None:
 
 
 def _check_out(path) -> None:
-    """Fail before any work when the folder of the outputs cannot be written."""
+    """Fail before any work when --out is a folder or its folder cannot be written."""
     folder = Path(path).parent
-    if not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
-        missing = errno.ENOTDIR if folder.exists() else errno.ENOENT
-        code = errno.EACCES if folder.is_dir() else missing
-        raise OSError(code, os.strerror(code), str(path))
+    if Path(path).is_dir():
+        code = errno.EISDIR
+    elif not folder.is_dir():
+        code = errno.ENOTDIR if folder.exists() else errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
 
 
 def _load_scenario(args) -> tuple[ConfigParser | None, Scenario]:
@@ -113,7 +119,7 @@ def _trials(args, parser: ConfigParser | None, section: str) -> int:
     return args.trials if args.trials is not None else get_setting(parser, section, "trials", int)
 
 
-def _cmd_classify(args, argv) -> int:
+def _cmd_classify(args):
     dataset = load_dataset(args.data)
     index = args.index if args.index is not None else len(dataset.labels) - 1
     if not 0 <= index < len(dataset.labels):
@@ -127,42 +133,40 @@ def _cmd_classify(args, argv) -> int:
     method = make_method(args.method, args.rule, args.c, args.t)
     label, theta, defaulted = evaluate_method(train_x, train_y, dataset.samples[index], method)
     predicted = first if label == "X" else second
+    truth = dataset.labels[index]
     result = {
         "data": str(args.data),
         "row_index": index,
         "method": method.name,
         "predicted_label": predicted,
-        "true_label": dataset.labels[index],
-        "correct": predicted == dataset.labels[index],
+        "true_label": truth,
+        "correct": predicted == truth,
         "theta": theta,
         "defaulted": defaulted,
         "x_role_label": first,
     }
     _write_json(args.out, result)
-    print(f"row {index}: predicted {predicted}, true {dataset.labels[index]}")
-    _write_manifest(args.out, "classify", argv, result, None, [args.out])
-    return 0
+    return result, None, [args.out], f"row {index}: predicted {predicted}, true {truth}"
 
 
-def _cmd_cv(args, argv) -> int:
+def _cmd_cv(args):
     dataset = load_dataset(args.data)
     first, second = dataset.class_labels
     curve = select_threshold_cv(dataset.rows_of(first), dataset.rows_of(second))
+    least = float(curve.values.min())
     result = {
         "data": str(args.data),
         "theta_cv": curve.theta_cv,
-        "cv_minimum": float(curve.values.min()),
+        "cv_minimum": least,
         "grid_size": int(curve.ts.size),
         "minimizer_count": int(curve.minimizers.size),
         "x_role_label": first,
     }
     _write_json(args.out, result)
-    print(f"theta_cv = {curve.theta_cv!r} (CV = {float(curve.values.min())!r})")
-    _write_manifest(args.out, "cv", argv, result, None, [args.out])
-    return 0
+    return result, None, [args.out], f"theta_cv = {curve.theta_cv!r} (CV = {least!r})"
 
 
-def _cmd_loo(args, argv) -> int:
+def _cmd_loo(args):
     dataset = load_dataset(args.data)
     method = make_method(args.method, args.rule, args.c, args.t)
     result = loo_cross_validate(dataset, method)
@@ -176,25 +180,21 @@ def _cmd_loo(args, argv) -> int:
         "x_role_label": result.class_labels[0],
     }
     _write_json(args.out, payload)
-    print(str(result))
-    _write_manifest(args.out, "loo", argv, payload, None, [args.out])
-    return 0
+    return payload, None, [args.out], str(result)
 
 
-def _cmd_gen(args, argv) -> int:
+def _cmd_gen(args):
     _, scenario = _load_scenario(args)
     data = generate(scenario, args.z_from)
     save_dataset(dataset_from_generated(data), args.out)
     config = {"scenario": scenario_fields(scenario), "z_from": args.z_from}
-    print(
+    return config, scenario.seed, [args.out], (
         f"wrote {scenario.m + scenario.n + 1} rows x {scenario.p} features to {args.out} "
         f"(shifts: {data.shift_indices.size}, amount {data.shift_amount!r})"
     )
-    _write_manifest(args.out, "gen", argv, config, scenario.seed, [args.out])
-    return 0
 
 
-def _cmd_sweep(args, argv) -> int:
+def _cmd_sweep(args):
     parser, scenario = _load_scenario(args)
     beta_grid = get_setting(parser, "sweep", "beta_grid", parse_number_list)
     r_grid = get_setting(parser, "sweep", "r_grid", parse_number_list)
@@ -214,15 +214,13 @@ def _cmd_sweep(args, argv) -> int:
         "methods": [m.name for m in methods],
         "trials_per_cell": trials,
     }
-    print(
+    return config, scenario.seed, [out, dominance_path], (
         f"swept {len(beta_grid)}x{len(r_grid)} cells "
         f"({rates.count(None)} skipped), {trials} trials each -> {out}"
     )
-    _write_manifest(out, "sweep", argv, config, scenario.seed, [out, dominance_path])
-    return 0
 
 
-def _cmd_threshold_dist(args, argv) -> int:
+def _cmd_threshold_dist(args):
     parser, scenario = _load_scenario(args)
     trials = _trials(args, parser, "threshold_dist")
     bins = get_setting(parser, "threshold_dist", "bins", int)
@@ -244,15 +242,17 @@ def _cmd_threshold_dist(args, argv) -> int:
         "defaulted_fraction": dist.defaulted_fraction,
         "shift_amount": dist.shift,
     }
-    print(
+    return config, scenario.seed, [args.out], (
         f"threshold histogram -> {args.out} "
         f"(defaulted fraction {dist.defaulted_fraction!r}, shift {dist.shift!r})"
     )
-    _write_manifest(args.out, "threshold-dist", argv, config, scenario.seed, [args.out])
-    return 0
 
 
-def _cmd_curves(args, argv) -> int:
+def _cmd_curves(args):
+    out = Path(args.out)
+    details_path = out.with_suffix(".json")
+    if details_path == out:
+        raise ConfigurationError(f"--out {args.out} ends in .json, the details file's suffix")
     parser, scenario = _load_scenario(args)
     trials = _trials(args, parser, "curves")
     if args.kind == "threshold":
@@ -262,9 +262,7 @@ def _cmd_curves(args, argv) -> int:
         grid = get_setting(parser, "curves", "c_grid", parse_number_list)
         rule = get_setting(parser, "methods", "robust_rule")
         curve = success_vs_c(scenario, grid, trials, scenario.seed, rule=rule)
-    write_columns_csv(args.out, [curve.x_name, "value"], curve.xs, curve.rates)
-    out = Path(args.out)
-    details_path = out.with_suffix("").as_posix() + ".json"
+    write_columns_csv(out, [curve.x_name, "value"], curve.xs, curve.rates)
     payload = {
         "scenario": scenario_fields(scenario),
         "kind": args.kind,
@@ -284,15 +282,13 @@ def _cmd_curves(args, argv) -> int:
         payload["rule"] = rule
     _write_json(details_path, payload)
     best = float(curve.xs[curve.rates.argmax()])
-    print(
+    return payload, scenario.seed, [out, details_path], (
         f"{args.kind} curve over {curve.xs.size} points -> {args.out} "
         f"(best {curve.x_name} = {best!r}, nn reference {curve.nn_rate!r})"
     )
-    _write_manifest(out, "curves", argv, payload, scenario.seed, [out, details_path])
-    return 0
 
 
-def _cmd_apriori(args, argv) -> int:
+def _cmd_apriori(args):
     parser, scenario = _load_scenario(args)
     grid = get_setting(parser, "apriori", "t_grid", parse_number_list)
     method = get_setting(parser, "apriori", "method").strip()
@@ -309,12 +305,11 @@ def _cmd_apriori(args, argv) -> int:
         "predicted_success_at_t_star": best,
         "trials": trials,
     }
-    print(f"t_star = {curve.t_star!r} with predicted success {best!r} -> {args.out}")
-    _write_manifest(args.out, "apriori", argv, config, scenario.seed, [args.out])
-    return 0
+    message = f"t_star = {curve.t_star!r} with predicted success {best!r} -> {args.out}"
+    return config, scenario.seed, [args.out], message
 
 
-def _cmd_sample_size(args, argv) -> int:
+def _cmd_sample_size(args):
     parser, scenario = _load_scenario(args)
     pairs = get_setting(parser, "sample_size", "pairs", parse_mn_pairs)
     trials = _trials(args, parser, "sample_size")
@@ -329,9 +324,8 @@ def _cmd_sample_size(args, argv) -> int:
         "methods": [m.name for m in methods],
         "trials": trials,
     }
-    print(f"{len(methods) * (len(pairs) - rates.count(None))} (m, n, method) rows -> {args.out}")
-    _write_manifest(args.out, "sample-size", argv, config, scenario.seed, [args.out])
-    return 0
+    rows = len(methods) * (len(pairs) - rates.count(None))
+    return config, scenario.seed, [args.out], f"{rows} (m, n, method) rows -> {args.out}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,7 +421,10 @@ def dispatch(argv) -> int:
         return 2
     try:
         _check_out(args.out)
-        return args.func(args, argv)
+        config, seed, outputs, message = args.func(args)
+        print(message)
+        _write_manifest(args.out, args.command, argv, config, seed, outputs)
+        return 0
     except RobustnnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -398,9 +398,8 @@ def _c_grid_trial(scenario: Scenario, z_ps: np.ndarray, seed: int, z_from: str):
     data = _draw(scenario, seed, z_from)
     X, Y, z = data.x_samples, data.y_samples, data.z
     trace = select_threshold(X, Y, z).trace  # the scan does not depend on z_p
-    hits = [_first_firing(trace.T, trace.S2, z_p) for z_p in z_ps]
-    defaulted = np.array([hit is None for hit in hits])
-    labels = np.where(trace.T[[0 if hit is None else hit for hit in hits]] <= 0, "X", "Y")
+    index, defaulted = _first_firing(trace.T, trace.S2, z_ps)
+    labels = np.where(trace.T[index] <= 0, "X", "Y")
     return labels == data.z_label, classify_nn_standard(X, Y, z) == data.z_label, defaulted
 
 

@@ -549,6 +549,40 @@ def test_study_checks_its_out_path_before_any_trial(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--data", "missing.csv"], ["cv", "--data", "missing.csv"],
+    ["loo", "--data", "missing.csv"], ["gen"], ["sweep"], ["sample-size"], ["threshold-dist"],
+    ["curves", "--kind", "c"], ["curves", "--kind", "threshold"], ["apriori"],
+], ids=lambda argv: "-".join(argv[:1] + argv[2:3]))
+def test_out_that_is_a_folder_is_an_error_line_before_any_input(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, STUDY_60)
+    out = tmp_path / "outdir"
+    out.mkdir()
+    shift_amount.cache_clear()
+    config = [] if "--data" in argv else ["--config", cfg]
+    assert dispatch([*argv, *config, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: Is a directory\n"
+    assert captured.out == ""
+    assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "outdir"]
+    assert not any(out.iterdir())
+
+
+def test_curves_out_that_is_its_details_file_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_run_cells", no_trials)
+    cfg = write_cfg(tmp_path, STUDY_60)
+    out = tmp_path / "curve.json"
+    assert dispatch(["curves", "--kind", "c", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {out} ends in .json, the details file's suffix\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
+
+
 def test_all_degenerate_sweep_and_sample_size_print_one_error_line(tmp_path, capsys):
     # At p = 200 the calibrated shift for r = 0.1 is negative.
     cfg = write_cfg(

@@ -10,6 +10,7 @@ every digest; any intended change to them must update this table and say so.
 import contextlib
 import hashlib
 import io
+import json
 import os
 from pathlib import Path
 
@@ -144,12 +145,20 @@ def _write_configs(work: Path) -> None:
 
 
 def _digest(name: str) -> str:
-    """Run one command in the current directory and hash what it prints and writes."""
+    """Run one command in the current directory and hash what it prints and writes.
+
+    The command must create exactly its listed files, the last of them its
+    manifest, and the manifest must list every other one once.
+    """
     argv, files = COMMANDS[name]
+    before = set(os.listdir())
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = dispatch(argv)
     assert code == 0, name
+    assert sorted(set(os.listdir()) - before) == sorted(files), name
+    *outputs, manifest = files
+    assert json.loads(Path(manifest).read_text())["outputs"] == outputs, name
     h = hashlib.sha256(stdout.getvalue().encode())
     for file in files:
         h.update(Path(file).read_bytes())
