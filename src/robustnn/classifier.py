@@ -26,17 +26,17 @@ dependent data (natural logarithm).  Z is assigned to the X population
 exactly when T(theta) <= 0.
 
 The scan is evaluated for all breakpoints at once from ranks: one pooled
-argsort ranks the distinct values, a threshold t becomes the cut
-c = 1 + #(values <= t) in that order, and 1(v > t) is 1(rank(v) >= c).  The
-default grid's cuts follow from its construction (midpoint k passes k + 1
-values, or k + 2 where it rounds onto the upper one); only a caller's grid is
-searched.  Each rank is mapped once to the first grid point, in order of
-cut, at which it is below the threshold.  One pass down the rows then counts
-each row's components below every grid point (``_below``: one ``bincount``
-and one ``cumsum``, or one sort of its p ranks where the grid has many points
-per component) and keeps each point's minimum distance and the lowest row at
-it.  Only one row's counts are held at a time, so a scan's memory is
-O((m + n) p + grid) and not O((m + n) grid), about (m + n)^2 p.
+argsort ranks the distinct values from 1, a threshold t becomes the cut
+c = #(values <= t) in that order, and a component of rank r is at or below t
+exactly when r <= c.  The default grid's cuts follow from its construction
+(midpoint k passes k + 1 values, or k + 2 where it rounds onto the upper
+one); only a caller's grid is searched.  One pass down the rows counts each
+row's components below every common cut (``_below``: one ``bincount`` and
+one ``cumsum``, or one sort of its p ranks where there are many cuts per
+component) and keeps each cut's minimum distance and the lowest row at it;
+any grid then reads its points at their cuts.  Only one row's counts are
+held at a time, so a scan's memory is O((m + n) p + grid) and not
+O((m + n) cuts), about (m + n)^2 p.
 Leave-one-out folds of N rows all pool the same N rows, so they share one
 ranking and each row's counts below every cut.  Two rows' indicator distance
 at every cut is the same in every fold that trains on both, up to a term the
@@ -183,7 +183,7 @@ def zp_value(rule: str, p: int, xi_or_c: float) -> float:
 def _pooled_ranks(rows: np.ndarray, floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values >= floor in ``rows``, and each component's rank: 1 + its
     index among them, or 0 below floor.  A threshold t >= floor is the cut
-    c = 1 + #(values <= t), and a component exceeds t when it ranks >= c.
+    c = #(values <= t), and a component is at or below t when it ranks <= c.
 
     One argsort, of kind quicksort like ``np.unique``'s, so a group of tied
     +0.0 and -0.0 keeps the same representative.
@@ -245,8 +245,8 @@ def _below(bins: np.ndarray, size: int, dtype) -> np.ndarray:
 
 
 def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, ...]:
-    """T, S^2, i_x, i_y at ``size`` grid points, from ranks mapped so that a
-    component of mapped rank r is below the threshold from point r on.
+    """T, S^2, i_x, i_y at common cuts 0..size-1, from ranks in 0..size-1: a
+    component of rank r is below the threshold at cut c when r <= c.
 
     ``sides`` are X's and Y's rows.  A row and z disagree where the smaller
     rank is below the threshold and the larger is not, so their distance is
@@ -277,23 +277,16 @@ def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, ...]:
 
 
 def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
-    """Grid, T, S^2, i_x, i_y at thresholds ts >= floor (default: breakpoints from floor)."""
+    """Grid, T, S^2, i_x, i_y at thresholds ts >= floor (default: breakpoints
+    from floor), counted at every common cut and read at the grid's cuts."""
     values, ranks = _pooled_ranks(np.concatenate([X, Y, z[None]]), floor)
     if ts is None:
-        ts, cuts = _breakpoints(values, floor)  # non-decreasing
+        ts, cuts = _breakpoints(values, floor)
     else:
         cuts = np.searchsorted(values, ts, side="right")
-    # A component of rank r is at or below t where r <= #(values <= t).  Put
-    # the grid in order of cut: first[r] points have a cut below r, so the
-    # component is below from point first[r] of that order on.
-    first = np.cumsum(np.bincount(cuts + 1, minlength=values.size + 1)[: values.size + 1])
-    del values  # keep only what the rows need
-    np.take(first, ranks, out=ranks, mode="clip")  # in place; ranks are in range
     nx = X.shape[0]
-    got = _nearest(ranks[-1], cuts.size, (ranks[:nx], ranks[nx:-1]))
-    if np.any(cuts[1:] < cuts[:-1]):  # point g's values sit at first[cuts[g]] of the order
-        got = tuple(a[first[cuts]] for a in got)
-    return ts, *got
+    got = _nearest(ranks[-1], values.size + 1, (ranks[:nx], ranks[nx:-1]))
+    return ts, *(a[cuts] for a in got)
 
 
 def threshold_scan(

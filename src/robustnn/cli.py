@@ -3,12 +3,14 @@
 Subcommands: classify, cv, loo, gen, sweep, threshold-dist, curves, apriori,
 sample-size.  Scenario and study settings come from a config file
 (``--config``; see ``robustnn --print-config`` for the annotated template),
-with a few common flags as overrides.  Each ``_cmd_*`` handler writes its
-primary outputs and returns ``(config, seed, outputs, message)``; ``dispatch``
-then prints the message and writes the one ``<output stem>.manifest.json``,
-recording the resolved configuration, the seed, the package version, the
-outputs and the argv needed to reproduce the run.  Outputs contain no
-timestamps, so re-running an identical command yields byte-identical files.
+with a few common flags as overrides.  ``dispatch`` names and checks every
+file a command writes before it runs.  Each ``_cmd_*`` handler writes its
+outputs to the paths it is given and returns ``(config, seed, message)``;
+``dispatch`` then prints the message and writes the one
+``<output stem>.manifest.json``, recording the resolved configuration, the
+seed, the package version, the outputs and the argv needed to reproduce the
+run.  Outputs contain no timestamps, so re-running an identical command
+yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -61,21 +63,6 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_path, command: str, argv: list[str], config: dict, seed, outputs) -> None:
-    manifest_path = Path(out_path).with_suffix("").as_posix() + ".manifest.json"
-    _write_json(
-        manifest_path,
-        {
-            "artifact_version": __version__,
-            "command": command,
-            "argv": list(argv),
-            "config": config,
-            "seed": seed,
-            "outputs": [str(p) for p in outputs],
-        },
-    )
-
-
 def _add_method_flags(sub) -> None:
     sub.add_argument(
         "--method",
@@ -93,8 +80,19 @@ def _add_method_flags(sub) -> None:
     sub.add_argument("--t", type=float, default=None, help="threshold for nn_trunc/fixed_threshold")
 
 
+def _output_paths(args) -> tuple[list, str]:
+    """The files a command writes, as its manifest lists them, and the manifest."""
+    out = Path(args.out)
+    beside = {  # sweep's and curves' outputs beside --out are listed as Paths
+        "sweep": [out.with_name(out.stem + "_dominance" + out.suffix)],
+        "curves": [out.with_suffix(".json")],
+    }.get(args.command)
+    outputs = [out, *beside] if beside else [args.out]
+    return outputs, out.with_suffix("").as_posix() + ".manifest.json"
+
+
 def _check_out(path) -> None:
-    """Fail before any work when --out is a folder or its folder cannot be written."""
+    """Fail before any work when an output is a folder or its folder cannot be written."""
     folder = Path(path).parent
     if Path(path).is_dir():
         code = errno.EISDIR
@@ -119,7 +117,7 @@ def _trials(args, parser: ConfigParser | None, section: str) -> int:
     return args.trials if args.trials is not None else get_setting(parser, section, "trials", int)
 
 
-def _cmd_classify(args):
+def _cmd_classify(args, out):
     dataset = load_dataset(args.data)
     index = args.index if args.index is not None else len(dataset.labels) - 1
     if not 0 <= index < len(dataset.labels):
@@ -145,11 +143,11 @@ def _cmd_classify(args):
         "defaulted": defaulted,
         "x_role_label": first,
     }
-    _write_json(args.out, result)
-    return result, None, [args.out], f"row {index}: predicted {predicted}, true {truth}"
+    _write_json(out, result)
+    return result, None, f"row {index}: predicted {predicted}, true {truth}"
 
 
-def _cmd_cv(args):
+def _cmd_cv(args, out):
     dataset = load_dataset(args.data)
     first, second = dataset.class_labels
     curve = select_threshold_cv(dataset.rows_of(first), dataset.rows_of(second))
@@ -162,11 +160,11 @@ def _cmd_cv(args):
         "minimizer_count": int(curve.minimizers.size),
         "x_role_label": first,
     }
-    _write_json(args.out, result)
-    return result, None, [args.out], f"theta_cv = {curve.theta_cv!r} (CV = {least!r})"
+    _write_json(out, result)
+    return result, None, f"theta_cv = {curve.theta_cv!r} (CV = {least!r})"
 
 
-def _cmd_loo(args):
+def _cmd_loo(args, out):
     dataset = load_dataset(args.data)
     method = make_method(args.method, args.rule, args.c, args.t)
     result = loo_cross_validate(dataset, method)
@@ -179,22 +177,22 @@ def _cmd_loo(args):
         "confusion": {f"{true}->{pred}": n for (true, pred), n in result.confusion.items()},
         "x_role_label": result.class_labels[0],
     }
-    _write_json(args.out, payload)
-    return payload, None, [args.out], str(result)
+    _write_json(out, payload)
+    return payload, None, str(result)
 
 
-def _cmd_gen(args):
+def _cmd_gen(args, out):
     _, scenario = _load_scenario(args)
     data = generate(scenario, args.z_from)
-    save_dataset(dataset_from_generated(data), args.out)
+    save_dataset(dataset_from_generated(data), out)
     config = {"scenario": scenario_fields(scenario), "z_from": args.z_from}
-    return config, scenario.seed, [args.out], (
-        f"wrote {scenario.m + scenario.n + 1} rows x {scenario.p} features to {args.out} "
+    return config, scenario.seed, (
+        f"wrote {scenario.m + scenario.n + 1} rows x {scenario.p} features to {out} "
         f"(shifts: {data.shift_indices.size}, amount {data.shift_amount!r})"
     )
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args, out, dominance_path):
     parser, scenario = _load_scenario(args)
     beta_grid = get_setting(parser, "sweep", "beta_grid", parse_number_list)
     r_grid = get_setting(parser, "sweep", "r_grid", parse_number_list)
@@ -203,8 +201,6 @@ def _cmd_sweep(args):
     rates = sweep_beta_r(
         beta_grid, r_grid, scenario, methods, trials, scenario.seed, workers=args.workers
     )
-    out = Path(args.out)
-    dominance_path = out.with_name(out.stem + "_dominance" + out.suffix)
     write_rates_csv(out, ("beta", "r"), [(b, r) for b in beta_grid for r in r_grid], rates)
     write_dominance_csv(dominance_path, beta_grid, r_grid, methods, rates)
     config = {
@@ -214,13 +210,13 @@ def _cmd_sweep(args):
         "methods": [m.name for m in methods],
         "trials_per_cell": trials,
     }
-    return config, scenario.seed, [out, dominance_path], (
+    return config, scenario.seed, (
         f"swept {len(beta_grid)}x{len(r_grid)} cells "
         f"({rates.count(None)} skipped), {trials} trials each -> {out}"
     )
 
 
-def _cmd_threshold_dist(args):
+def _cmd_threshold_dist(args, out):
     parser, scenario = _load_scenario(args)
     trials = _trials(args, parser, "threshold_dist")
     bins = get_setting(parser, "threshold_dist", "bins", int)
@@ -232,7 +228,7 @@ def _cmd_threshold_dist(args):
         scenario, trials, method, scenario.seed, bins=bins, workers=args.workers
     )
     header = ["bin_left", "bin_right", "proportion"]
-    write_columns_csv(args.out, header, dist.bin_left, dist.bin_right, dist.proportion)
+    write_columns_csv(out, header, dist.bin_left, dist.bin_right, dist.proportion)
     config = {
         "scenario": scenario_fields(scenario),
         "trials": trials,
@@ -242,15 +238,13 @@ def _cmd_threshold_dist(args):
         "defaulted_fraction": dist.defaulted_fraction,
         "shift_amount": dist.shift,
     }
-    return config, scenario.seed, [args.out], (
-        f"threshold histogram -> {args.out} "
+    return config, scenario.seed, (
+        f"threshold histogram -> {out} "
         f"(defaulted fraction {dist.defaulted_fraction!r}, shift {dist.shift!r})"
     )
 
 
-def _cmd_curves(args):
-    out = Path(args.out)
-    details_path = out.with_suffix(".json")
+def _cmd_curves(args, out, details_path):
     if details_path == out:
         raise ConfigurationError(f"--out {args.out} ends in .json, the details file's suffix")
     parser, scenario = _load_scenario(args)
@@ -282,13 +276,13 @@ def _cmd_curves(args):
         payload["rule"] = rule
     _write_json(details_path, payload)
     best = float(curve.xs[curve.rates.argmax()])
-    return payload, scenario.seed, [out, details_path], (
+    return payload, scenario.seed, (
         f"{args.kind} curve over {curve.xs.size} points -> {args.out} "
         f"(best {curve.x_name} = {best!r}, nn reference {curve.nn_rate!r})"
     )
 
 
-def _cmd_apriori(args):
+def _cmd_apriori(args, out):
     parser, scenario = _load_scenario(args)
     grid = get_setting(parser, "apriori", "t_grid", parse_number_list)
     method = get_setting(parser, "apriori", "method").strip()
@@ -296,7 +290,7 @@ def _cmd_apriori(args):
     curve = apriori_optimal_threshold(
         scenario, grid, method, trials=trials, base_seed=scenario.seed
     )
-    write_columns_csv(args.out, ["t", "value"], curve.ts, curve.values)
+    write_columns_csv(out, ["t", "value"], curve.ts, curve.values)
     best = float(curve.values.max())
     config = {
         "scenario": scenario_fields(scenario),
@@ -305,11 +299,11 @@ def _cmd_apriori(args):
         "predicted_success_at_t_star": best,
         "trials": trials,
     }
-    message = f"t_star = {curve.t_star!r} with predicted success {best!r} -> {args.out}"
-    return config, scenario.seed, [args.out], message
+    message = f"t_star = {curve.t_star!r} with predicted success {best!r} -> {out}"
+    return config, scenario.seed, message
 
 
-def _cmd_sample_size(args):
+def _cmd_sample_size(args, out):
     parser, scenario = _load_scenario(args)
     pairs = get_setting(parser, "sample_size", "pairs", parse_mn_pairs)
     trials = _trials(args, parser, "sample_size")
@@ -317,7 +311,7 @@ def _cmd_sample_size(args):
     rates = grid_study(
         scenario, ("m", "n"), pairs, methods, trials, scenario.seed, workers=args.workers
     )
-    write_rates_csv(args.out, ("m", "n"), pairs, rates)
+    write_rates_csv(out, ("m", "n"), pairs, rates)
     config = {
         "scenario": scenario_fields(scenario),
         "pairs": [[m, n] for m, n in pairs],
@@ -325,7 +319,7 @@ def _cmd_sample_size(args):
         "trials": trials,
     }
     rows = len(methods) * (len(pairs) - rates.count(None))
-    return config, scenario.seed, [args.out], f"{rows} (m, n, method) rows -> {args.out}"
+    return config, scenario.seed, f"{rows} (m, n, method) rows -> {out}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -420,10 +414,19 @@ def dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        _check_out(args.out)
-        config, seed, outputs, message = args.func(args)
+        outputs, manifest_path = _output_paths(args)
+        for path in (*outputs, manifest_path):
+            _check_out(path)
+        config, seed, message = args.func(args, *outputs)
         print(message)
-        _write_manifest(args.out, args.command, argv, config, seed, outputs)
+        _write_json(manifest_path, {
+            "artifact_version": __version__,
+            "command": args.command,
+            "argv": argv,
+            "config": config,
+            "seed": seed,
+            "outputs": [str(p) for p in outputs],
+        })
         return 0
     except RobustnnError as exc:
         print(f"error: {exc}", file=sys.stderr)

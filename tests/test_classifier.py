@@ -246,11 +246,17 @@ def test_default_grid_cuts_match_the_searched_grid(instance, data):
     trace = select_threshold(X, Y, z, t0=t0).trace
     fields = (trace.T, trace.S2, trace.i_x, trace.i_y)
     assert_same_arrays(threshold_scan(X, Y, z, trace.ts), fields)
-    # A caller's grid in any order is scanned in order of cut and put back.
+    # A caller's grid in any order reads each point at its own cut.
     order = np.array(data.draw(st.permutations(range(len(trace)))))
     assert_same_arrays(threshold_scan(X, Y, z, trace.ts[order]), [a[order] for a in fields])
     for k, t in enumerate(trace.ts):
         assert trace[k] == compute_T_S(X, Y, z, t)
+
+
+def test_threshold_scan_of_an_empty_grid_is_four_empty_int64_arrays():
+    X, Y, z = [[1.0, 2.0], [0.5, 3.0]], [[3.0, 4.0]], [0.0, 5.0]
+    got = threshold_scan(X, Y, z, [])
+    assert [(a.dtype, a.shape) for a in got] == [(np.dtype(np.int64), (0,))] * 4
 
 
 def test_default_t0_finite_near_float_max():

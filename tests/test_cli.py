@@ -569,6 +569,26 @@ def test_out_that_is_a_folder_is_an_error_line_before_any_input(tmp_path, capsys
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, out_name, folder", [
+    (["sweep"], "grid.csv", "grid_dominance.csv"),
+    (["curves", "--kind", "threshold"], "o.csv", "o.json"),
+    (["sweep"], "grid2.csv", "grid2.manifest.json"),
+], ids=["sweep-dominance", "curves-details", "sweep-manifest"])
+def test_every_output_that_is_a_folder_is_an_error_line_before_any_work(
+    tmp_path, capsys, argv, out_name, folder
+):
+    cfg = write_cfg(tmp_path, STUDY_60)
+    (tmp_path / folder).mkdir()
+    shift_amount.cache_clear()
+    assert dispatch([*argv, "--config", cfg, "--out", str(tmp_path / out_name)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {tmp_path / folder}: Is a directory\n"
+    assert captured.out == ""
+    assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.ini", folder])
+    assert not any((tmp_path / folder).iterdir())
+
+
 def test_curves_out_that_is_its_details_file_is_an_error_line(tmp_path, capsys, monkeypatch):
     def no_trials(*args):
         raise AssertionError("a trial ran")
