@@ -48,7 +48,6 @@ __all__ = [
     "scenario_from_config",
     "methods_from_config",
     "scenario_fields",
-    "scenario_to_config_text",
     "default_config",
     "get_setting",
     "parse_mn_pairs",
@@ -297,16 +296,6 @@ def scenario_fields(scenario: Scenario) -> dict:
     record["marginal"] = format_blocked_marginal(scenario.marginal)
     record["dependence"] = format_dependence(scenario.dependence)
     return record
-
-
-def scenario_to_config_text(scenario: Scenario) -> str:
-    """Serialize a Scenario as a [scenario] section; round-trips through
-    scenario_from_config."""
-    lines = ["[scenario]"] + [
-        f"{key} = {value if isinstance(value, str) else repr(value)}"
-        for key, value in scenario_fields(scenario).items()
-    ]
-    return "\n".join(lines) + "\n"
 
 
 _THRESHOLD_KEYS = {"nn_trunc": "truncated_t", "fixed_threshold": "fixed_t"}

@@ -369,7 +369,7 @@ def _success_curve(scenario, score, grid, xs, x_name, trials, base_seed) -> Succ
 def _t_grid_trial(scenario: Scenario, ts: np.ndarray, seed: int, z_from: str):
     """One curve trial: the correct flags of 1(T(t) > 0) over ``ts``, and NN's."""
     data = _draw(scenario, seed, z_from)
-    T, _, _, _ = threshold_scan(data.x_samples, data.y_samples, data.z, ts)
+    T, _ = threshold_scan(data.x_samples, data.y_samples, data.z, ts)
     nn = classify_nn_standard(data.x_samples, data.y_samples, data.z)
     return np.where(T <= 0, "X", "Y") == data.z_label, nn == data.z_label
 

@@ -153,7 +153,7 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     ts, cuts = _breakpoints(pooled, -np.inf)
     ts, cuts = np.append(ts, pooled[-1]), np.append(cuts, pooled.size)
     # near[k, s] is row k's nearest distance to another row of class s (0: X,
-    # 1: Y) at every cut, summed from the top rank down: column k holds cut top - k.
+    # 1: Y) at every cut, summed from the top rank down: column k holds cut top - 1 - k.
     top = pooled.size + 1
     near = np.full((len(rows), 2, top), np.inf)
     side = [0] * m + [1] * (len(rows) - m)
@@ -171,7 +171,7 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
                 least = near[k, side[partner]]
                 np.minimum(least, profiles[lane::2], out=least)
     errors = _error_rate(near[:m, 0], near[:m, 1]) + _error_rate(near[m:, 1], near[m:, 0])
-    values = errors[::-1][cuts]  # reversed, column c - 1 holds cut c = 1 + #(values <= t)
+    values = errors[::-1][cuts]  # reversed, index c holds cut c = #(values <= t)
     best = values.min()
     minimizers = ts[values == best]
     return CvCurve(ts=ts, values=values, minimizers=minimizers, theta_cv=float(minimizers[0]))

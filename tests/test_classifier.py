@@ -133,12 +133,10 @@ def test_threshold_scan_matches_pointwise():
     for _ in range(50):
         X, Y, z = random_instance(rng)
         ts = np.asarray(scan_grid(X, Y, z, float(np.median(np.concatenate([X.ravel(), Y.ravel()])))))
-        T, S2, i_x, i_y = threshold_scan(X, Y, z, ts)
+        T, S2 = threshold_scan(X, Y, z, ts)
         for k, t in enumerate(ts):
             stats = compute_T_S(X, Y, z, t)
-            assert (T[k], S2[k], i_x[k], i_y[k]) == (
-                stats.T, stats.S2, stats.i_x, stats.i_y
-            )
+            assert (T[k], S2[k]) == (stats.T, stats.S2)
 
 
 def assert_same_arrays(got, want):
@@ -170,11 +168,11 @@ def tied_instances(draw):
 @given(tied_instances())
 def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance):
     X, Y, z, ts = instance
-    T, S2, i_x, i_y = threshold_scan(X, Y, z, ts)
-    assert all(a.dtype == np.int64 for a in (T, S2, i_x, i_y))
+    T, S2 = threshold_scan(X, Y, z, ts)
+    assert T.dtype == S2.dtype == np.int64
     for k, t in enumerate(ts):
         stats = compute_T_S(X, Y, z, t)
-        assert (T[k], S2[k], i_x[k], i_y[k]) == (stats.T, stats.S2, stats.i_x, stats.i_y)
+        assert (T[k], S2[k]) == (stats.T, stats.S2)
 
 
 # _below's dtypes: the scan's int64, and leave-one-out's
@@ -210,12 +208,12 @@ def test_scan_grid_finite_near_float_max():
     X = np.array([[0.90 * big, 1.0, -0.98 * big]])
     Y = np.array([[0.97 * big, 3.0, -0.93 * big]])
     z = np.array([0.96 * big, 1.5, -0.99 * big])
-    decision = select_threshold(X, Y, z, t0=-big)
-    ts = decision.trace.ts
-    assert ts.size == 9
-    assert np.isfinite(ts).all() and (np.diff(ts) > 0).all()
-    for k, t in enumerate(ts):
-        assert decision.trace[k] == compute_T_S(X, Y, z, t)
+    trace = select_threshold(X, Y, z, t0=-big).trace
+    assert trace.ts.size == 9
+    assert np.isfinite(trace.ts).all() and (np.diff(trace.ts) > 0).all()
+    for k, t in enumerate(trace.ts):
+        stats = compute_T_S(X, Y, z, t)
+        assert (trace.T[k], trace.S2[k]) == (stats.T, stats.S2)
 
 
 @st.composite
@@ -244,19 +242,20 @@ def adjacent_instances(draw):
 def test_default_grid_cuts_match_the_searched_grid(instance, data):
     X, Y, z, t0 = instance
     trace = select_threshold(X, Y, z, t0=t0).trace
-    fields = (trace.T, trace.S2, trace.i_x, trace.i_y)
+    fields = (trace.T, trace.S2)
     assert_same_arrays(threshold_scan(X, Y, z, trace.ts), fields)
     # A caller's grid in any order reads each point at its own cut.
-    order = np.array(data.draw(st.permutations(range(len(trace)))))
+    order = np.array(data.draw(st.permutations(range(trace.ts.size))))
     assert_same_arrays(threshold_scan(X, Y, z, trace.ts[order]), [a[order] for a in fields])
     for k, t in enumerate(trace.ts):
-        assert trace[k] == compute_T_S(X, Y, z, t)
+        stats = compute_T_S(X, Y, z, t)
+        assert (trace.T[k], trace.S2[k]) == (stats.T, stats.S2)
 
 
-def test_threshold_scan_of_an_empty_grid_is_four_empty_int64_arrays():
+def test_threshold_scan_of_an_empty_grid_is_two_empty_int64_arrays():
     X, Y, z = [[1.0, 2.0], [0.5, 3.0]], [[3.0, 4.0]], [0.0, 5.0]
     got = threshold_scan(X, Y, z, [])
-    assert [(a.dtype, a.shape) for a in got] == [(np.dtype(np.int64), (0,))] * 4
+    assert [(a.dtype, a.shape) for a in got] == [(np.dtype(np.int64), (0,))] * 2
 
 
 def test_default_t0_finite_near_float_max():
@@ -374,11 +373,10 @@ def test_select_threshold_default_t0_is_pooled_median():
     assert decision.trace.ts[0] == 3.5
 
 
-def test_select_threshold_memory_is_linear_in_the_data_and_the_grid():
-    # 40 training rows over a grid of about 20,000 points: dense profiles
-    # would hold 80 rows x 20,000 columns (13 MB), 27 times the unit below.
-    m = n = 20
-    p = 1000
+def select_threshold_peak_units(m, p):
+    """select_threshold's tracemalloc peak at m = n rows of standard normals,
+    in units of the data and the grid as doubles, ((m + n + 1) p + grid) 8 B."""
+    n = m
     rng = np.random.default_rng(31)
     X, Y, z = rng.standard_normal((m, p)), rng.standard_normal((n, p)), rng.standard_normal(p)
     tracemalloc.start()
@@ -387,19 +385,21 @@ def test_select_threshold_memory_is_linear_in_the_data_and_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    unit = ((m + n + 1) * p + len(decision.trace)) * 8
-    assert peak < 6 * unit
+    return peak / (((m + n + 1) * p + decision.trace.ts.size) * 8)
 
 
-def test_select_threshold_trace_indexing():
-    rng = np.random.default_rng(21)
-    X, Y, z = random_instance(rng)
-    decision = select_threshold(X, Y, z, t0=0.0)
-    assert len(decision.trace) == decision.trace.ts.size
-    first = decision.trace[0]
-    assert first.t == decision.trace.ts[0]
-    last = decision.trace[-1]
-    assert last.t == decision.trace.ts[-1]
+def test_select_threshold_memory_is_linear_in_the_data_and_the_grid():
+    # 40 training rows over a grid of about 20,000 points: dense profiles
+    # would hold 80 rows x 20,000 columns (13 MB), 27 times the unit.
+    assert select_threshold_peak_units(20, 1000) < 6
+
+
+@pytest.mark.parametrize(("m", "p", "bound"), [(20, 1000, 4.45), (1, 20000, 3.8)])
+def test_select_threshold_keeps_no_grid_length_neighbour_rows(m, p, bound):
+    # The scan holds T, S^2 and each class's count below at every cut, and no
+    # nearest-row index: about 4.1 units at m = n = 20 and 3.2 at m = n = 1,
+    # where index arrays of the cuts' length read 4.8 and 4.3.
+    assert select_threshold_peak_units(m, p) < bound
 
 
 def test_classify_robust_label_rule():

@@ -30,8 +30,8 @@ from robustnn.config import (
     parse_dependence,
     parse_mn_pairs,
     parse_number_list,
+    scenario_fields,
     scenario_from_config,
-    scenario_to_config_text,
 )
 from robustnn.datagen import DEPENDENCE
 
@@ -211,7 +211,7 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.ini")
 
 
-def test_scenario_round_trip_through_text(tmp_path):
+def test_scenario_round_trip_through_text():
     scenarios = [
         Scenario(p=100, m=2, n=3, beta=0.55, r=0.45, marginal=Subbotin(1.5),
                  shift_placement="first_indices", seed=4),
@@ -222,10 +222,9 @@ def test_scenario_round_trip_through_text(tmp_path):
         Scenario(p=60, m=1, n=1, beta=0.5, r=0.5, marginal=Exponential(),
                  dependence=ExponentiatedMA(decay=0.5), seed=2),
     ]
-    for k, sc in enumerate(scenarios):
-        path = tmp_path / f"sc{k}.ini"
-        path.write_text(scenario_to_config_text(sc))
-        assert scenario_from_config(load_config(path)) == sc
+    # The record every manifest writes: marginal and dependence in text form.
+    for sc in scenarios:
+        assert scenario_from_config(None, **scenario_fields(sc)) == sc
 
 
 def test_scenario_from_config_overrides():
