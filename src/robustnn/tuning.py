@@ -22,10 +22,13 @@ components that differ: max(a_k, b_k)^2 at the larger value's rank and
 (a_k - b_k)^2 - max(a_k, b_k)^2 at the smaller's.  Where all that remains is
 zeroed or equal it is exactly 0.  Two pairs share one ``bincount`` and one
 complex ``cumsum``, one pair in each part, with the same sums as their own.
-Each unordered pair is folded once into both rows' minima, held in one
-(m + n, 2, grid) array indexed by the other row's class, as leave-one-out
-holds its minima (``classifier._leave_one_out``).  So memory is
-O((m + n) * grid).
+The pairs are taken in two passes.  The first folds each cross-class
+pair into both rows' least distance to the other class, one (m + n, grid)
+array, and guards it once; the second marks, for each row and cut, whether
+some same-class distance is within that guarded bound.  A row is an error
+where none is, since the least same-class distance exceeds the bound
+exactly when every one does.  So memory is (m + n) * grid floats plus as
+many bools.
 
 ``apriori_success_rate`` predicts the balanced success probability of the
 fixed-threshold indicator classifier when m = n = 1 with independent
@@ -87,15 +90,20 @@ def _check_cv_inputs(samples_x, samples_y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _is_error(same: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Whether the nearest same-class distance exceeds the nearest other-class one.
+def _tie_bound(other: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The nearest other-class distance a same-class one must exceed to be an error.
 
     Distances are sums taken in different orders, so two that tie in real
     arithmetic can differ by an ulp; the guard keeps such ties non-errors, as
     exact ties are.  It is relative, so it holds at any scale of the data, and
     gaps below it do not otherwise occur: continuous draws never land this close.
     """
-    return same > other + _TIE_GUARD * other
+    return np.add(other, _TIE_GUARD * other, out=out)
+
+
+def _is_error(same: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Whether the nearest same-class distance exceeds the nearest other-class one."""
+    return same > _tie_bound(other)
 
 
 def cv_error(t: float, samples_x, samples_y) -> float:
@@ -137,9 +145,18 @@ def _pair_steps(a, b, rank_a, rank_b) -> tuple[np.ndarray, np.ndarray]:
     return ranks, weights
 
 
-def _error_rate(same: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # One row at a time keeps temporaries one grid long.
-    return sum(_is_error(s, o) for s, o in zip(same, other)) / len(same)
+def _pair_profiles(rows, ranks, top: int, pairs):
+    """Yield pairs two at a time with their distance profiles: lanes[q] is
+    pair q's, summed from the top rank down, so column k holds cut top - 1 - k.
+    The lanes are strided views of one complex array."""
+    # A cumsum is bound by its latency, so a complex one makes two pairs'
+    # profiles, one in each part, in the time of one, with the same sums.
+    for two in (pairs[q : q + 2] for q in range(0, len(pairs), 2)):
+        steps = [_pair_steps(rows[i], rows[j], ranks[i], ranks[j]) for i, j in two]
+        bins = np.concatenate([2 * (top - r) + lane for lane, (r, _) in enumerate(steps)])
+        hist = np.bincount(bins, np.concatenate([w for _, w in steps]), minlength=2 * top)
+        profiles = np.cumsum(hist.view(complex), out=hist.view(complex)).view(float)
+        yield two, profiles.reshape(top, 2).T
 
 
 def select_threshold_cv(samples_x, samples_y) -> CvCurve:
@@ -152,25 +169,34 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     # between consecutive distinct values, and the top value (all zeroed).
     ts, cuts = _breakpoints(pooled, -np.inf)
     ts, cuts = np.append(ts, pooled[-1]), np.append(cuts, pooled.size)
-    # near[k, s] is row k's nearest distance to another row of class s (0: X,
-    # 1: Y) at every cut, summed from the top rank down: column k holds cut top - 1 - k.
     top = pooled.size + 1
-    near = np.full((len(rows), 2, top), np.inf)
-    side = [0] * m + [1] * (len(rows) - m)
     rows *= _overflow_scale(rows)  # ranks and ts above come from the unscaled values
-    pairs = list(zip(*np.triu_indices(len(rows), 1)))
-    # A cumsum is bound by its latency, so a complex one makes two pairs'
-    # profiles, one in each part, in the time of one, with the same sums.
-    for two in (pairs[q : q + 2] for q in range(0, len(pairs), 2)):
-        steps = [_pair_steps(rows[i], rows[j], ranks[i], ranks[j]) for i, j in two]
-        bins = np.concatenate([2 * (top - r) + lane for lane, (r, _) in enumerate(steps)])
-        hist = np.bincount(bins, np.concatenate([w for _, w in steps]), minlength=2 * top)
-        profiles = np.cumsum(hist.view(complex), out=hist.view(complex)).view(float)
-        for lane, (i, j) in enumerate(two):
-            for k, partner in ((i, j), (j, i)):
-                least = near[k, side[partner]]
-                np.minimum(least, profiles[lane::2], out=least)
-    errors = _error_rate(near[:m, 0], near[:m, 1]) + _error_rate(near[m:, 1], near[m:, 0])
+    n = len(rows) - m
+    pairs = list(zip(*np.triu_indices(m + n, 1)))
+    # Pass 1, cross-class pairs: bound[k] is row k's nearest distance to the
+    # other class at every cut, then guarded as _is_error guards it.
+    bound = np.full((m + n, top), np.inf)
+    cross = [(i, j) for i, j in pairs if i < m <= j]
+    for two, lanes in _pair_profiles(rows, ranks, top, cross):
+        for profile, pair in zip(lanes, two):
+            for k in pair:
+                np.minimum(bound[k], profile, out=bound[k])
+    for row in bound:  # one row at a time keeps the temporary one grid long
+        _tie_bound(row, out=row)
+    # Pass 2, same-class pairs: near[k] marks the cuts where some row of k's
+    # class is within bound[k], so k is no error there.  With bound, memory
+    # is (m + n) * grid floats plus as many bools.
+    near = np.zeros((m + n, top), bool)
+    profile, within = np.empty(top), np.empty(top, bool)
+    same = [(i, j) for i, j in pairs if not i < m <= j]
+    for two, lanes in _pair_profiles(rows, ranks, top, same):
+        for lane, pair in zip(lanes, two):
+            # A contiguous copy: a comparison reads a strided lane several times slower.
+            np.copyto(profile, lane)
+            for k in pair:
+                hit = near[k]
+                hit |= np.less_equal(profile, bound[k], out=within)
+    errors = (m - near[:m].sum(axis=0)) / m + (n - near[m:].sum(axis=0)) / n
     values = errors[::-1][cuts]  # reversed, index c holds cut c = #(values <= t)
     best = values.min()
     minimizers = ts[values == best]

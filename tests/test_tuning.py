@@ -175,7 +175,9 @@ def test_select_threshold_cv_random_against_enumeration():
 
 @st.composite
 def tied_samples(draw):
-    """Two small integer samples with heavy ties."""
+    """Two small integer samples with heavy ties.  m and n are drawn
+    independently, so m != n and a class of two rows (each with one
+    own-class partner) both occur."""
     m, n, p = draw(st.integers(2, 5)), draw(st.integers(2, 5)), draw(st.integers(1, 6))
     values = st.integers(-2, 2).map(float)
     X = draw(arrays(float, (m, p), elements=values))
@@ -275,17 +277,20 @@ def test_select_threshold_cv_curve_bytes_are_pinned():
 
 
 def test_select_threshold_cv_memory_grows_with_rows_not_pairs():
-    rng = np.random.default_rng(36)
-    X = rng.normal(0, 1, (10, 500))
-    Y = rng.normal(0.5, 1, (10, 500))
-    tracemalloc.start()
-    try:
-        curve = select_threshold_cv(X, Y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    rows_by_grid = (X.shape[0] + Y.shape[0]) * curve.ts.size * 8
-    assert peak < 4 * rows_by_grid
+    # One float and one bool per row and cut, with the inputs, grid and one
+    # pair's profiles on top: under two floats per row and cut.
+    for rows, p in ((10, 500), (20, 2000)):
+        rng = np.random.default_rng(36)
+        X = rng.normal(0, 1, (rows, p))
+        Y = rng.normal(0.5, 1, (rows, p))
+        tracemalloc.start()
+        try:
+            curve = select_threshold_cv(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows_by_grid = (X.shape[0] + Y.shape[0]) * curve.ts.size * 8
+        assert peak < 2 * rows_by_grid, (rows, p, peak / rows_by_grid)
 
 
 @pytest.mark.parametrize("call", [lambda X, Y: cv_error(0.0, X, Y), select_threshold_cv],
