@@ -17,11 +17,12 @@ The curve comes from one pooled argsort: each grid point is a cut in
 the rank order, and the values ranked below it are zeroed.  Component k of
 a pair a, b adds (a_k - b_k)^2 until the smaller value is zeroed, then
 max(a_k, b_k)^2 until the larger is.  So the pair's distance at a cut is a
-sum from the top rank down (one ``bincount``, then ``cumsum``) over the
-components that differ: max(a_k, b_k)^2 at the larger value's rank and
-(a_k - b_k)^2 - max(a_k, b_k)^2 at the smaller's.  Where all that remains is
-zeroed or equal it is exactly 0.  Two pairs share one ``bincount`` and one
-complex ``cumsum``, one pair in each part, with the same sums as their own.
+sum from the top rank down (one ``bincount``, then ``cumsum``) of two steps
+per component: max(a_k, b_k)^2 at the larger value's rank and
+(a_k - b_k)^2 - max(a_k, b_k)^2 at the smaller's, both +0.0 where a_k == b_k.
+Where all that remains is zeroed or equal it is exactly 0.  Two pairs share
+one ``bincount`` and one complex ``cumsum``, one pair in each part, with the
+same sums as their own.
 The pairs are taken in two passes.  The first folds each cross-class
 pair into both rows' least distance to the other class, one (m + n, grid)
 array, and guards it once; the second marks, for each row and cut, whether
@@ -133,28 +134,34 @@ class CvCurve:
     theta_cv: float
 
 
-def _pair_steps(a, b, rank_a, rank_b) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks and steps of the squared distance between zeroed-below-t copies
-    of a and b, over the components where they differ: summed from the top
-    rank down, the steps at ranks r >= c give the distance at cut c."""
-    differ = a != b
-    a, b, rank_a, rank_b = a[differ], b[differ], rank_a[differ], rank_b[differ]
-    at_hi = np.maximum(a, b) ** 2  # the distance while only the larger value is kept
-    ranks = np.concatenate([np.maximum(rank_a, rank_b), np.minimum(rank_a, rank_b)])
-    weights = np.concatenate([at_hi, (a - b) ** 2 - at_hi])  # with it, (a - b)^2 once both are
-    return ranks, weights
-
-
-def _pair_profiles(rows, ranks, top: int, pairs):
+def _pair_profiles(rows, cols, top: int, pairs):
     """Yield pairs two at a time with their distance profiles: lanes[q] is
     pair q's, summed from the top rank down, so column k holds cut top - 1 - k.
-    The lanes are strided views of one complex array."""
-    # A cumsum is bound by its latency, so a complex one makes two pairs'
-    # profiles, one in each part, in the time of one, with the same sums.
+    The lanes are strided views of one complex array.  cols holds each
+    component's lane-0 column, 2 * (top - rank); lane 1's is one more."""
+    lane_cols, p = (cols, cols + 1), rows.shape[1]
+    # Reused for every pair.  Per lane, the steps at the larger values' columns
+    # come first, then those at the smaller values', and a bin sums in that order.
+    steps, bins = np.empty((2, 2, p)), np.empty((2, 2, p), np.intp)
+    differ = np.empty((2, p), bool)
     for two in (pairs[q : q + 2] for q in range(0, len(pairs), 2)):
-        steps = [_pair_steps(rows[i], rows[j], ranks[i], ranks[j]) for i, j in two]
-        bins = np.concatenate([2 * (top - r) + lane for lane, (r, _) in enumerate(steps)])
-        hist = np.bincount(bins, np.concatenate([w for _, w in steps]), minlength=2 * top)
+        for lane, (i, j) in enumerate(two):
+            a, b, c = rows[i], rows[j], lane_cols[lane]
+            np.minimum(c[i], c[j], out=bins[lane, 0])
+            np.maximum(c[i], c[j], out=bins[lane, 1])
+            np.not_equal(a, b, out=differ[lane])
+            np.maximum(a, b, out=steps[lane, 0])
+            np.subtract(a, b, out=steps[lane, 1])
+        k = len(two)
+        both, hi, lo = steps[:k], steps[:k, 0], steps[:k, 1]
+        # +0.0 steps where a_k == b_k: no step is -0.0, so no sum in a bin
+        # is, and adding +0.0 keeps its bits, as if the step were not there.
+        np.multiply(hi, differ[:k], out=hi)
+        np.square(both, out=both)
+        np.subtract(lo, hi, out=lo)  # (a - b)^2 - max(a, b)^2
+        # A cumsum is bound by its latency, so a complex one makes two pairs'
+        # profiles, one in each part, in the time of one, with the same sums.
+        hist = np.bincount(bins[:k].reshape(-1), both.reshape(-1), minlength=2 * top)
         profiles = np.cumsum(hist.view(complex), out=hist.view(complex)).view(float)
         yield two, profiles.reshape(top, 2).T
 
@@ -171,13 +178,15 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     ts, cuts = np.append(ts, pooled[-1]), np.append(cuts, pooled.size)
     top = pooled.size + 1
     rows *= _overflow_scale(rows)  # ranks and ts above come from the unscaled values
+    # Each component's lane-0 column, 2 * (top - rank), in the ranks' own memory.
+    cols = np.multiply(np.subtract(top, ranks, out=ranks), 2, out=ranks)
     n = len(rows) - m
     pairs = list(zip(*np.triu_indices(m + n, 1)))
     # Pass 1, cross-class pairs: bound[k] is row k's nearest distance to the
     # other class at every cut, then guarded as _is_error guards it.
     bound = np.full((m + n, top), np.inf)
     cross = [(i, j) for i, j in pairs if i < m <= j]
-    for two, lanes in _pair_profiles(rows, ranks, top, cross):
+    for two, lanes in _pair_profiles(rows, cols, top, cross):
         for profile, pair in zip(lanes, two):
             for k in pair:
                 np.minimum(bound[k], profile, out=bound[k])
@@ -189,14 +198,16 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     near = np.zeros((m + n, top), bool)
     profile, within = np.empty(top), np.empty(top, bool)
     same = [(i, j) for i, j in pairs if not i < m <= j]
-    for two, lanes in _pair_profiles(rows, ranks, top, same):
+    for two, lanes in _pair_profiles(rows, cols, top, same):
         for lane, pair in zip(lanes, two):
             # A contiguous copy: a comparison reads a strided lane several times slower.
             np.copyto(profile, lane)
             for k in pair:
                 hit = near[k]
                 hit |= np.less_equal(profile, bound[k], out=within)
-    errors = (m - near[:m].sum(axis=0)) / m + (n - near[m:].sum(axis=0)) / n
+    count = np.min_scalar_type(max(m, n))  # holds every count; a bool sum casts to int64
+    ok_x, ok_y = near[:m].sum(axis=0, dtype=count), near[m:].sum(axis=0, dtype=count)
+    errors = (m - ok_x) / m + (n - ok_y) / n
     values = errors[::-1][cuts]  # reversed, index c holds cut c = #(values <= t)
     best = values.min()
     minimizers = ts[values == best]

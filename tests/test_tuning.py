@@ -208,6 +208,23 @@ def test_select_threshold_cv_matches_cv_error_on_wide_magnitudes():
         np.testing.assert_array_equal(curve.values, want, err_msg=f"seed {seed}")
 
 
+def rounded_t3_with_shared_columns():
+    """t(3) rows rounded to 0.1, with a quarter of Y's columns copied from X's
+    first row: every pair has equal components, and the grid is short."""
+    rng = np.random.default_rng(2028)
+    X = np.round(rng.standard_t(3, (10, 2000)), 1)
+    Y = np.round(rng.standard_t(3, (11, 2000)), 1)
+    Y[:, ::4] = X[0, ::4]
+    return X, Y
+
+
+def test_select_threshold_cv_matches_cv_error_with_equal_components():
+    X, Y = rounded_t3_with_shared_columns()
+    curve = select_threshold_cv(X, Y)
+    want = [cv_error(t, X, Y) for t in curve.ts]
+    np.testing.assert_array_equal(curve.values, want)
+
+
 def test_cv_does_not_depend_on_the_units():
     X, Y = np.array([[0.0], [2e-5]]), np.array([[1e-5], [3e-5]])
     small = select_threshold_cv(X, Y)
@@ -274,6 +291,25 @@ def test_select_threshold_cv_curve_bytes_are_pinned():
     assert hashlib.sha256(curve.ts.tobytes()).hexdigest() == (
         "0adce8e3e1dc52cad571c4e01e92b6593f42c231dcfe59375961eb26c871bcf9"
     )
+
+
+@pytest.mark.parametrize("offset, values_sha, ts_sha", [
+    (0.0, "2d8f7846bc5a5e0c37c33991095c612b9da6f4d0806b2d8e6f218aedcb875a85",
+     "c0408f5695e3be6f661591b3bf698c0d56aad8c6cdf56e0aecd1d6a8f6f14f49"),
+    # Here an equal component's steps, were they +-a^2 and not +0.0, would
+    # move the bits of the sums they share a bin with.
+    (1e8, "c09fea0027f59eb3e0382ed286b51742134839386348370bdb19d3bfd207557f",
+     "82a6613b5c532f7c5cefd9e818345df98fc53ec43ca8f0eb5149313badee5e3e"),
+], ids=["no_offset", "offset_1e8"])
+def test_select_threshold_cv_curve_bytes_are_pinned_with_equal_components(
+    offset, values_sha, ts_sha
+):
+    # The pinned data above has no equal components.  These digests were
+    # recorded while equal components were still left out of the steps.
+    X, Y = rounded_t3_with_shared_columns()
+    curve = select_threshold_cv(X + offset, Y + offset)
+    assert hashlib.sha256(curve.values.tobytes()).hexdigest() == values_sha
+    assert hashlib.sha256(curve.ts.tobytes()).hexdigest() == ts_sha
 
 
 def test_select_threshold_cv_memory_grows_with_rows_not_pairs():
