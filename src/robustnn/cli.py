@@ -1,7 +1,10 @@
 """Command-line front door.
 
-Subcommands: classify, cv, loo, gen, sweep, threshold-dist, curves, apriori,
-sample-size.  Scenario and study settings come from a config file
+Two tables define the CLI: ``_FLAGS`` holds each option's argparse keywords
+once, and ``_COMMANDS`` one row per subcommand, with its ``_cmd_*`` handler,
+help, options and default ``--out``.  Rows hold handlers only, so a handler
+finds the library functions it calls as module attributes at call time.
+Scenario and study settings come from a config file
 (``--config``; see ``robustnn --print-config`` for the annotated template),
 with a few common flags as overrides.  ``dispatch`` names and checks every
 file a command writes before it runs.  Each ``_cmd_*`` handler writes its
@@ -61,23 +64,6 @@ def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _add_method_flags(sub) -> None:
-    sub.add_argument(
-        "--method",
-        default="robust",
-        choices=list(METHODS),
-        help="classifier to run",
-    )
-    sub.add_argument("--c", type=float, default=None, help="critical-value slope (c or xi)")
-    sub.add_argument(
-        "--rule",
-        default="independent",
-        choices=RULES,
-        help="critical-value rule for the robust method",
-    )
-    sub.add_argument("--t", type=float, default=None, help="threshold for nn_trunc/fixed_threshold")
 
 
 def _output_paths(args) -> tuple[list, str]:
@@ -322,80 +308,62 @@ def _cmd_sample_size(args, out):
     return config, scenario.seed, f"{rows} (m, n, method) rows -> {out}"
 
 
+_FLAGS = {  # each option's argparse keywords; --out's default is per command
+    "--data": dict(required=True, help="labeled CSV dataset"),
+    "--index": dict(type=int, help="row to classify (default: last)"),
+    "--method": dict(default="robust", choices=list(METHODS), help="classifier to run"),
+    "--c": dict(type=float, help="critical-value slope (c or xi)"),
+    "--rule": dict(default="independent", choices=RULES,
+                   help="critical-value rule for the robust method"),
+    "--t": dict(type=float, help="threshold for nn_trunc/fixed_threshold"),
+    "--config": dict(help="config file (defaults if omitted)"),
+    "--seed": dict(type=int, help="override the base seed"),
+    "--z-from": dict(default="Y", choices=["X", "Y"]),
+    "--trials": dict(type=int),
+    "--workers": dict(type=int),
+    "--kind": dict(default="c", choices=["c", "threshold"]),
+}
+
+_METHOD = "--method --c --rule --t"
+_SCENARIO = "--config --seed"
+
+_COMMANDS = {  # name: (handler, help, options before --out, --out's default)
+    "classify": (_cmd_classify, "classify one held-out row of a CSV dataset",
+                 f"--data --index {_METHOD}", "classify_result.json"),
+    "cv": (_cmd_cv, "cross-validated truncation threshold for a dataset",
+           "--data", "cv_result.json"),
+    "loo": (_cmd_loo, "leave-one-out accuracy of one method on a dataset",
+            f"--data {_METHOD}", "loo_result.json"),
+    "gen": (_cmd_gen, "draw one synthetic dataset and write it as CSV",
+            f"{_SCENARIO} --z-from", "generated.csv"),
+    "sweep": (_cmd_sweep, "success rates over a (beta, r) grid",
+              f"{_SCENARIO} --trials --workers", "grid.csv"),
+    "threshold-dist": (_cmd_threshold_dist, "distribution of selected thresholds",
+                       f"{_SCENARIO} --trials --c --workers", "threshold_hist.csv"),
+    "curves": (_cmd_curves, "success vs fixed threshold or vs slope c",
+               f"{_SCENARIO} --kind --trials", "curve.csv"),
+    "apriori": (_cmd_apriori, "predicted success curve and optimal threshold",
+                f"{_SCENARIO} --trials", "apriori_curve.csv"),
+    "sample-size": (_cmd_sample_size, "success rates across (m, n) training sizes",
+                    f"{_SCENARIO} --trials --workers", "sample_size.csv"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="robustnn",
-        description=(
-            "Thresholded zero-one nearest-neighbor classification: "
-            "classify datasets, tune thresholds, and run Monte Carlo studies."
-        ),
-    )
+    parser = argparse.ArgumentParser(prog="robustnn", description=(
+        "Thresholded zero-one nearest-neighbor classification: "
+        "classify datasets, tune thresholds, and run Monte Carlo studies."
+    ))
     parser.add_argument(
-        "--print-config",
-        action="store_true",
-        help="print the annotated default config and exit",
+        "--print-config", action="store_true", help="print the annotated default config and exit"
     )
     subs = parser.add_subparsers(dest="command")
-
-    sub = subs.add_parser("classify", help="classify one held-out row of a CSV dataset")
-    sub.add_argument("--data", required=True, help="labeled CSV dataset")
-    sub.add_argument("--index", type=int, default=None, help="row to classify (default: last)")
-    _add_method_flags(sub)
-    sub.add_argument("--out", default="classify_result.json")
-    sub.set_defaults(func=_cmd_classify)
-
-    sub = subs.add_parser("cv", help="cross-validated truncation threshold for a dataset")
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--out", default="cv_result.json")
-    sub.set_defaults(func=_cmd_cv)
-
-    sub = subs.add_parser("loo", help="leave-one-out accuracy of one method on a dataset")
-    sub.add_argument("--data", required=True)
-    _add_method_flags(sub)
-    sub.add_argument("--out", default="loo_result.json")
-    sub.set_defaults(func=_cmd_loo)
-
-    def scenario_sub(name: str, help_text: str):
+    for name, (func, help_text, options, out) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--config", default=None, help="config file (defaults if omitted)")
-        sub.add_argument("--seed", type=int, default=None, help="override the base seed")
-        return sub
-
-    sub = scenario_sub("gen", "draw one synthetic dataset and write it as CSV")
-    sub.add_argument("--z-from", default="Y", choices=["X", "Y"], dest="z_from")
-    sub.add_argument("--out", default="generated.csv")
-    sub.set_defaults(func=_cmd_gen)
-
-    sub = scenario_sub("sweep", "success rates over a (beta, r) grid")
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", default="grid.csv")
-    sub.set_defaults(func=_cmd_sweep)
-
-    sub = scenario_sub("threshold-dist", "distribution of selected thresholds")
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--c", type=float, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", default="threshold_hist.csv")
-    sub.set_defaults(func=_cmd_threshold_dist)
-
-    sub = scenario_sub("curves", "success vs fixed threshold or vs slope c")
-    sub.add_argument("--kind", default="c", choices=["c", "threshold"])
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--out", default="curve.csv")
-    sub.set_defaults(func=_cmd_curves)
-
-    sub = scenario_sub("apriori", "predicted success curve and optimal threshold")
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--out", default="apriori_curve.csv")
-    sub.set_defaults(func=_cmd_apriori)
-
-    sub = scenario_sub("sample-size", "success rates across (m, n) training sizes")
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", default="sample_size.csv")
-    sub.set_defaults(func=_cmd_sample_size)
-
+        for option in options.split():
+            sub.add_argument(option, **_FLAGS[option])
+        sub.add_argument("--out", default=out)
+        sub.set_defaults(func=func)
     return parser
 
 

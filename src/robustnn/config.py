@@ -22,7 +22,8 @@ compound values:
 * number lists: ``0.1, 0.2, 0.3`` or the inclusive range ``0.1:0.9:0.2``.
 
 ``default_config()`` returns a complete annotated template; every key it
-shows is optional in user files and defaults to the value shown.
+shows is optional in user files and defaults to the value shown.  A section
+or key it does not show, set or commented out, is an error in ``load_config``.
 """
 
 from __future__ import annotations
@@ -222,11 +223,22 @@ def load_config(path) -> configparser.ConfigParser:
         raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
+    if parser.defaults():  # its keys would reach only the sections the file names
+        raise ConfigurationError(f"{path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():  # section names keep their case, keys are lowercased
+        if not _DEFAULTS.has_section(section):
+            raise ConfigurationError(f"{path}: unknown section [{section}]")
+        known = {*_DEFAULTS[section], *_COMMENTED_KEYS.get(section, ())}
+        for key in parser[section]:
+            if key not in known:
+                raise ConfigurationError(f"{path}: unknown key [{section}] {key}")
     return parser
 
 
 _DEFAULTS = configparser.ConfigParser(inline_comment_prefixes=("#",))
 _DEFAULTS.read_string(_DEFAULT_CONFIG_TEMPLATE)
+# The optional keys the template shows commented out; a file may set these too.
+_COMMENTED_KEYS = {"methods": ("robust_c", "truncated_t", "fixed_t"), "threshold_dist": ("c",)}
 
 
 def _section(parser: configparser.ConfigParser | None, name: str) -> dict[str, str]:

@@ -105,6 +105,13 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+def _worker_count(trials: int, workers: int | None) -> int:
+    """``resolve_workers(workers)`` for a study of ``trials`` trials, which must be positive."""
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
+    return resolve_workers(workers)
+
+
 def _trial_plan(trials: int, base_seed: int, key: tuple[int, ...]) -> list[tuple[int, str]]:
     """Seed and test-vector label of every trial: derive_seed(base_seed, *key, j), X on even j."""
     return [(derive_seed(base_seed, *key, j), "X" if j % 2 == 0 else "Y") for j in range(trials)]
@@ -168,8 +175,7 @@ def _run_cells(
 
     A degenerate cell raises DegenerateScenarioError before any trial runs.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    count = _worker_count(trials, workers)
     for scenario, _ in cells:
         checked_shift_amount(scenario)
     _calibration_sample.cache_clear()  # workers inherit the amounts, not the sample
@@ -178,7 +184,6 @@ def _run_cells(
         for scenario, key in cells
         for seed, z_from in _trial_plan(trials, base_seed, key)
     ]
-    count = resolve_workers(workers)
     if count <= 1 or len(tasks) < 2 * count:
         results = [score(*task) for task in tasks]
     else:
@@ -252,9 +257,8 @@ def grid_study(
     named in ``fields`` set to ``cells[k]``, its trials seeded with key (k,).
     A degenerate cell is skipped and reads None; when no cell is live, the
     first cell's DegenerateScenarioError is raised."""
-    _method_names(methods)  # before any cell is calibrated
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    _method_names(methods)  # these checks come before any cell is calibrated
+    _worker_count(trials, workers)
     live, errors = {}, []
     for k, values in enumerate(cells):
         scenario = replace(template, **dict(zip(fields, values, strict=True)))
@@ -389,6 +393,7 @@ def success_vs_threshold(
     props = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if props.size == 0 or np.isnan(props).any():
         raise ParameterError(f"t_grid must be nonempty and free of NaN, got {props.tolist()}")
+    _worker_count(trials, None)  # before shift_amount calibrates
     ts = props * shift_amount(scenario)
     return _success_curve(scenario, _t_grid_trial, ts, props, "t_over_shift", trials, base_seed)
 

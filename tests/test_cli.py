@@ -7,7 +7,14 @@ import pytest
 
 import robustnn.cli as cli
 import robustnn.experiments as experiments
-from robustnn.classifier import DEFAULT_C, DEFAULT_XI, RULES, RobustMethod, evaluate_method
+from robustnn.classifier import (
+    DEFAULT_C,
+    DEFAULT_XI,
+    METHODS,
+    RULES,
+    RobustMethod,
+    evaluate_method,
+)
 from robustnn.cli import dispatch
 from robustnn.config import load_config, methods_from_config, scenario_from_config
 from robustnn.datagen import shift_amount
@@ -411,15 +418,130 @@ def test_bad_threshold_dist_method_is_an_error_line_before_calibration(
     assert not out.exists()
 
 
-def test_rule_flag_choices_are_the_rule_table(capsys):
+STUDIES_200 = (
+    SCENARIO_200
+    + "[sweep]\nbeta_grid = 0.6, 0.8\nr_grid = 0.7\ntrials = 2\n"
+    + "[sample_size]\npairs = 1,1; 2,2\ntrials = 2\n"
+    + "[curves]\nt_grid = 0, 0.5\nc_grid = 0.5\ntrials = 2\n"
+    + "[threshold_dist]\ntrials = 2\n"
+)
+WORKERS_ERROR = "worker count must be nonnegative, got -1"
+THREADS_ERROR = f"{experiments.THREADS_ENV} must be a nonnegative integer, got 'lots'"
+TRIALS_ERROR = "trials must be positive, got 0"
+
+
+@pytest.mark.parametrize(
+    "argv, threads, setting, message",
+    [
+        (["sweep", "--workers", "-1"], None, "", WORKERS_ERROR),
+        (["sample-size", "--workers", "-1"], None, "", WORKERS_ERROR),
+        (["threshold-dist", "--workers", "-1"], None, "", WORKERS_ERROR),
+        (["sweep"], "lots", "", THREADS_ERROR),
+        (["curves", "--kind", "c"], "lots", "", THREADS_ERROR),
+        (["curves", "--kind", "threshold"], "lots", "", THREADS_ERROR),
+        (["curves", "--kind", "c", "--trials", "0"], None, "", TRIALS_ERROR),
+        (["curves", "--kind", "threshold", "--trials", "0"], None, "", TRIALS_ERROR),
+        (["sample-size", "--trials", "0"], None, "", TRIALS_ERROR),
+        (["threshold-dist", "--trials", "0"], None, "", TRIALS_ERROR),
+        (["sweep"], None, "[methods]\nmethod = nn\n", "unknown key [methods] method"),
+        (["sweep"], None, "[apriori]\ntrails = 2\n[sweeep]\n", "unknown key [apriori] trails"),
+        (["sweep"], None, "[sweeep]\ntrials = 2\n", "unknown section [sweeep]"),
+    ],
+    ids=[
+        "sweep_workers", "sample_size_workers", "threshold_dist_workers", "sweep_threads",
+        "c_curve_threads", "t_curve_threads", "c_curve_trials", "t_curve_trials",
+        "sample_size_trials", "threshold_dist_trials", "unknown_key", "first_unknown",
+        "unknown_section",
+    ],
+)
+def test_bad_count_or_config_entry_is_an_error_line_before_calibration(
+    tmp_path, capsys, monkeypatch, argv, threads, setting, message
+):
+    if threads is None:
+        monkeypatch.delenv(experiments.THREADS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(experiments.THREADS_ENV, threads)
+    cfg = write_cfg(tmp_path, STUDIES_200 + setting)
+    shift_amount.cache_clear()
+    assert dispatch([*argv, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    prefix = f"{cfg}: " if setting else ""
+    assert captured.err == f"error: {prefix}{message}\n" and captured.out == ""
+    assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
+
+
+def _subcommands():
     actions = cli._build_parser()._actions
-    subs = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_rule_flag_choices_are_the_rule_table(capsys):
+    subs = _subcommands()
     for command in ("classify", "loo"):
-        rule = next(a for a in subs.choices[command]._actions if a.dest == "rule")
+        rule = next(a for a in subs[command]._actions if a.dest == "rule")
         assert tuple(rule.choices) == RULES
     argv = ["classify", "--data", "d.csv", "--rule", "independent_sqrt_logp"]
     assert dispatch(argv) == 2
     assert "invalid choice: 'independent_sqrt_logp'" in capsys.readouterr().err
+
+
+# Each option as every subcommand that takes it parses it:
+# (dest, type, default, choices, required).
+PINNED_OPTIONS = {
+    "--data": ("data", None, None, None, True),
+    "--index": ("index", int, None, None, False),
+    "--method": ("method", None, "robust", tuple(METHODS), False),
+    "--c": ("c", float, None, None, False),
+    "--rule": ("rule", None, "independent", RULES, False),
+    "--t": ("t", float, None, None, False),
+    "--config": ("config", None, None, None, False),
+    "--seed": ("seed", int, None, None, False),
+    "--z-from": ("z_from", None, "Y", ("X", "Y"), False),
+    "--trials": ("trials", int, None, None, False),
+    "--workers": ("workers", int, None, None, False),
+    "--kind": ("kind", None, "c", ("c", "threshold"), False),
+}
+# Per subcommand, in order: its options before --out, and --out's default.
+PINNED_COMMANDS = {
+    "classify": ("--data --index --method --c --rule --t", "classify_result.json"),
+    "cv": ("--data", "cv_result.json"),
+    "loo": ("--data --method --c --rule --t", "loo_result.json"),
+    "gen": ("--config --seed --z-from", "generated.csv"),
+    "sweep": ("--config --seed --trials --workers", "grid.csv"),
+    "threshold-dist": ("--config --seed --trials --c --workers", "threshold_hist.csv"),
+    "curves": ("--config --seed --kind --trials", "curve.csv"),
+    "apriori": ("--config --seed --trials", "apriori_curve.csv"),
+    "sample-size": ("--config --seed --trials --workers", "sample_size.csv"),
+}
+
+
+def test_every_subcommand_option_is_pinned():
+    subs = _subcommands()
+    assert list(subs) == list(PINNED_COMMANDS)
+    for command, (options, out) in PINNED_COMMANDS.items():
+        expected = [(("-h", "--help"), "help", None, argparse.SUPPRESS, None, False)]
+        expected += [((option,), *PINNED_OPTIONS[option]) for option in options.split()]
+        expected.append((("--out",), "out", None, out, None, False))
+        actual = [
+            (
+                tuple(a.option_strings),
+                a.dest,
+                a.type,
+                a.default,
+                None if a.choices is None else tuple(a.choices),
+                a.required,
+            )
+            for a in subs[command]._actions
+        ]
+        assert actual == expected, command
+
+
+@pytest.mark.parametrize("command", [None, *PINNED_COMMANDS])
+def test_every_help_exits_zero(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: robustnn", *argv[:-1]]))
 
 
 def test_non_finite_range_bound_is_an_error_line(tmp_path, capsys):

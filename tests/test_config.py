@@ -211,6 +211,43 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.ini")
 
 
+@pytest.mark.parametrize(
+    "text, entry",
+    [
+        ("[scenario]\nbta = 0.9\n", "key [scenario] bta"),
+        ("[scenario]\np = 200\nBTA = 0.9\n", "key [scenario] bta"),  # keys are lowercased
+        ("[sweep]\ntrails = 2\n", "key [sweep] trails"),
+        ("[sweeep]\ntrials = 2\n", "section [sweeep]"),
+        ("[Sweep]\ntrials = 2\n", "section [Sweep]"),  # section names are not
+        ("[sweeep]\n[scenario]\nbta = 0.9\n", "section [sweeep]"),  # the first in the file
+        ("[threshold_dist]\nc = 0.4\nrobust_c = 0.4\n", "key [threshold_dist] robust_c"),
+        # A [DEFAULT] key would reach only the sections the file names.
+        ("[DEFAULT]\ntrials = 5\n[sweep]\n", "section [DEFAULT]"),
+    ],
+    ids=["key", "upper_key", "study_key", "section", "upper_section", "first", "other_optional",
+         "default"],
+)
+def test_load_config_names_the_first_unknown_section_or_key(tmp_path, text, entry):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: unknown {entry}"
+
+
+def test_load_config_knows_the_template_and_its_commented_keys(tmp_path):
+    text = default_config()
+    for key in ("robust_c", "truncated_t", "fixed_t", "c"):
+        text = text.replace(f"# {key} = ", f"{key} = ")
+    path = tmp_path / "full.ini"
+    path.write_text("[DEFAULT]\n" + text)  # an empty [DEFAULT] sets nothing
+    parser = load_config(path)
+    assert parser.defaults() == {}
+    assert get_setting(parser, "threshold_dist", "c", float) == 0.5
+    assert [m.name for m in methods_from_config(parser)] == ["robust", "nn"]
+    assert get_setting(parser, "methods", "fixed_t", float) == 0.0
+
+
 def test_scenario_round_trip_through_text():
     scenarios = [
         Scenario(p=100, m=2, n=3, beta=0.55, r=0.45, marginal=Subbotin(1.5),
