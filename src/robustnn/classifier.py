@@ -38,13 +38,12 @@ of the lowest row at it; any grid then reads its points at their cuts.  Only
 one row's counts are held at a time, so a scan's memory is
 O((m + n) p + grid) and not O((m + n) cuts), about (m + n)^2 p.
 Leave-one-out folds of N rows all pool the same N rows, so they share one
-ranking and each row's counts below every cut.  Two rows' indicator distance
-at every cut is the same in every fold that trains on both, up to a term the
-held-out row adds to all its distances alike.  So each unordered pair's
-profile is made once and folded into each row's least distance to the
-other row's class, kept with the row at it as one key, distance * N + row,
-so that one minimum keeps the lowest row on ties.  A fold adds only its t0,
-``_median`` of its rows as ``select_threshold`` takes it, and its grid.
+ranking and each row's counts below every cut.  Fold i is the scan with row
+i as z, and each unordered pair's count of minima below every cut serves
+both rows' folds: it is made once and folded, as the scan folds a row
+(``_keep_nearer``), into each row's least distance to the other row's class.
+A fold adds only its t0, ``_median`` of its rows as ``select_threshold``
+takes it, and its grid.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
 nearest neighbor on zeroed-below-threshold values v * 1(v > t), and a
@@ -244,6 +243,14 @@ def _below(bins: np.ndarray, size: int, dtype) -> np.ndarray:
     return np.cumsum(hist, out=hist).astype(dtype, copy=False)
 
 
+def _keep_nearer(best, best_count, dist, count, closer) -> None:
+    """Where ``dist`` < ``best``, take the row's distance and count: rows folded
+    in increasing index keep the lowest on ties.  ``closer`` is a bool buffer."""
+    np.less(dist, best, out=closer)
+    np.copyto(best, dist, where=closer)
+    np.copyto(best_count, count, where=closer)
+
+
 def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, np.ndarray]:
     """T and S^2 at common cuts 0..size-1, from ranks in 0..size-1: a
     component of rank r is below the threshold at cut c when r <= c.
@@ -255,7 +262,7 @@ def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, np.ndarray]:
     Each class keeps its least distance and the nearest row's count below,
     which gives S^2 = 2p - C_x - C_y.
     """
-    low = np.empty_like(z)
+    low, closer = np.empty_like(z), np.empty(size, dtype=bool)
     nearest = []
     for rows in sides:
         for i, row in enumerate(rows):
@@ -265,10 +272,8 @@ def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, np.ndarray]:
             dist -= count
             if i == 0:
                 best, best_count = dist, count
-                continue
-            closer = dist < best  # strict: ties keep the lowest row's count
-            np.copyto(best, dist, where=closer)
-            np.copyto(best_count, count, where=closer)
+            else:
+                _keep_nearer(best, best_count, dist, count, closer)
         nearest.append((best, best_count))
     (T, S2), (d_y, c_y) = nearest  # T and S2 reuse X's arrays
     T -= d_y
@@ -398,14 +403,13 @@ def _leave_one_out(
     above the least t0 serves them all.  Fold i's values are the common ones
     from lo_i = #(values < t0_i) on, its grid is t0_i and the common
     midpoints from lo_i, and a common rank r is below the threshold at
-    common cut c exactly when r <= c.  Rows a and b are at indicator
-    distance D_ab(c) = 2 #(min(r_a, r_b) <= c) - C_a(c) - C_b(c), C_j(c)
-    being row j's own count below c.  D is symmetric, and fold i's distance
-    to a training row is D less C_i, which cancels in T = d_x - d_y.  So
-    each unordered pair's profile is made once and folded into a's least
-    distance to b's class and b's least distance to a's, keyed with the
-    lowest row at it for S^2.  Leaving out one row's p values moves the
-    pooled median across at most p values, so lo_i <= p, and the pair
+    common cut c exactly when r <= c.  Fold i is ``_nearest`` with row i as
+    z, so its distance to row j is 2 #(min(r_i, r_j) <= c) - C_j(c), C_j(c)
+    being row j's count below c.  Each unordered pair's 2 #(min below) is
+    made once and folded, less C_b, into a's nearest row of b's class and,
+    less C_a, into b's nearest row of a's class, partners in increasing
+    index as ``_nearest`` takes them.  Leaving out one row's p values moves
+    the pooled median across at most p values, so lo_i <= p, and the pair
     profiles cover every common cut rather than only a fold's own.
     """
     n, p = samples.shape
@@ -419,35 +423,30 @@ def _leave_one_out(
     values, ranks = _pooled_ranks(samples, min(t0s))
     ts, cuts = _breakpoints(values, -np.inf)  # -inf, then every midpoint
     size = values.size + 1
-    # near[i, s] is row i's least distance d to a row j of class s (0: X,
-    # 1: Y) at every common cut, kept as the key d n + j: one minimum then
-    # keeps the lowest row on ties.  d <= p, so (p + 1) n is "no row yet".
-    dtype = np.min_scalar_type((p + 1) * n)
-    counts = np.empty((n, size), dtype)
-    for row, out in zip(ranks, counts):
-        out[:] = _below(row, size, dtype)
-    near = np.full((n, 2, size), (p + 1) * n, dtype)
+    # best[i, s]: row i's least distance to class s (0: X, 1: Y) at every cut,
+    # best_count[i, s] that row's count.  Distances are <= 2p: 2p + 1 is "no row yet".
+    dtype = np.min_scalar_type(2 * p + 1)
+    counts = np.array([_below(row, size, dtype) for row in ranks])
+    best = np.full((n, 2, size), 2 * p + 1, dtype)
+    best_count = np.empty((n, 2, size), dtype)  # set by the first row of each class
     side = [0 if x else 1 for x in in_x]
-    dist, key = np.empty(size, dtype), np.empty(size, dtype)
+    dist, closer = np.empty(size, dtype), np.empty(size, dtype=bool)
     for a in range(n):
         for b in range(a + 1, n):
-            # 2 #(min below) - C_a - C_b, as two differences that are >= 0.
             both = _below(np.minimum(ranks[a], ranks[b]), size, dtype)
-            np.subtract(both, counts[a], out=dist)
-            dist += np.subtract(both, counts[b], out=both)
-            dist *= n
-            for i, j in ((a, b), (b, a)):
-                least = near[i, side[j]]
-                np.minimum(least, np.add(dist, j, out=key), out=least)
+            both *= 2
+            np.subtract(both, counts[b], out=dist)
+            _keep_nearer(best[a, side[b]], best_count[a, side[b]], dist, counts[b], closer)
+            both -= counts[a]
+            _keep_nearer(best[b, side[a]], best_count[b, side[a]], both, counts[a], closer)
     los = np.searchsorted(values, t0s, side="left")
     his = np.searchsorted(values, t0s, side="right")
     verdicts = []
     for i, (t0, lo, hi) in enumerate(zip(t0s, los, his)):
         grid = np.r_[hi, cuts[lo + 1 :]]  # t0, then the midpoints above it
-        d, j = np.divmod(near[i].take(grid, axis=1), n)
+        d = best[i].take(grid, axis=1)
         T = d[0].astype(np.int64) - d[1]
-        flat = j.astype(np.intp) * size + grid  # S^2 = 2p - C_{i_x} - C_{i_y}
-        S2 = 2 * p - counts.take(flat).sum(axis=0, dtype=np.int64)
+        S2 = 2 * p - best_count[i].take(grid, axis=1).sum(axis=0, dtype=np.int64)
         index, defaulted = _first_firing(T, S2, z_p)
         theta = t0 if index == 0 else float(ts[lo + index])
         verdicts.append(("X" if T[index] <= 0 else "Y", theta, defaulted))

@@ -314,6 +314,7 @@ def apriori_optimal_threshold(
     base_seed: int = 0,
 ) -> AprioriCurve:
     """Evaluate the a priori success over a threshold grid; best = smallest argmax."""
+    experiments._worker_count(trials, None)  # on both paths, before shift_amount calibrates
     _check_apriori_scenario(scenario)
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if ts.size == 0 or np.isnan(ts).any():

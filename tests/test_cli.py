@@ -443,6 +443,8 @@ TRIALS_ERROR = "trials must be positive, got 0"
         (["curves", "--kind", "threshold", "--trials", "0"], None, "", TRIALS_ERROR),
         (["sample-size", "--trials", "0"], None, "", TRIALS_ERROR),
         (["threshold-dist", "--trials", "0"], None, "", TRIALS_ERROR),
+        (["apriori", "--trials", "0"], None, "", TRIALS_ERROR),
+        (["apriori"], "lots", "", THREADS_ERROR),
         (["sweep"], None, "[methods]\nmethod = nn\n", "unknown key [methods] method"),
         (["sweep"], None, "[apriori]\ntrails = 2\n[sweeep]\n", "unknown key [apriori] trails"),
         (["sweep"], None, "[sweeep]\ntrials = 2\n", "unknown section [sweeep]"),
@@ -450,8 +452,8 @@ TRIALS_ERROR = "trials must be positive, got 0"
     ids=[
         "sweep_workers", "sample_size_workers", "threshold_dist_workers", "sweep_threads",
         "c_curve_threads", "t_curve_threads", "c_curve_trials", "t_curve_trials",
-        "sample_size_trials", "threshold_dist_trials", "unknown_key", "first_unknown",
-        "unknown_section",
+        "sample_size_trials", "threshold_dist_trials", "apriori_trials", "apriori_threads",
+        "unknown_key", "first_unknown", "unknown_section",
     ],
 )
 def test_bad_count_or_config_entry_is_an_error_line_before_calibration(

@@ -1,6 +1,7 @@
 """CSV dataset handling and leave-one-out evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,23 +416,59 @@ def assert_loo_matches_fold_by_fold(samples, in_x, rule, c):
 @given(labeled_rows())
 @example((ZEROS, np.array([True, False, True, False, False]), "independent", DEFAULT_C))
 @example((NEAR_MAX, np.array([True, True, False, False]), "dependent", 0.3))
+# Held out, row 0 is at 2p = 4 from row 1, its fold's one X row, at cuts
+# between 0 and 2: with "no row yet" at 2p, that fold would find no X row.
+@example((np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+          np.array([True, True, False, False, False]), "independent", 0.0))
 def test_robust_loo_matches_fold_by_fold_classify_robust(instance):
     assert_loo_matches_fold_by_fold(*instance)
 
 
 @settings(max_examples=100, deadline=None)
 @given(labeled_rows(max_rows=8))
-# Keys d * n + row in np.min_scalar_type((p + 1) * n), (p + 1) * n meaning "no row yet".
-@example(far_apart(41))  # n = 6: keys up to 251 and 252 in uint8
-@example(far_apart(42))  # the first p whose 258 needs uint16
-@example(far_apart(63, 2))  # n = 4: keys up to 255 in uint8, but 256 needs uint16
-@example(far_apart(10921))  # 65532 in uint16
-@example(far_apart(10922))  # 65538 needs uint32
+# Distances up to 2p, counts and 2p + 1, "no row yet", share
+# np.min_scalar_type(2p + 1); a held-out Y row is at 2p from every X row.
+@example(far_apart(127))  # 255 in uint8
+@example(far_apart(128))  # 257 needs uint16
+@example(far_apart(32767))  # 65535 in uint16
+@example(far_apart(32768))  # 65537 needs uint32
+# The dtype edges of an earlier layout, keys d n + row in
+# np.min_scalar_type((p + 1) n) with n = 6 rows (4 for far_apart(63, 2)).
+@example(far_apart(41))
+@example(far_apart(42))
+@example(far_apart(63, 2))
+@example(far_apart(10921))
+@example(far_apart(10922))
 @example((MANY_ROWS, np.arange(260) < 258, "independent", DEFAULT_C))  # rows past uint8
 def test_robust_loo_matches_fold_by_fold_with_many_partners(instance):
     # Up to 7 partners of a class per row exercise the pair order and the
     # lowest-row rule on ties.
     assert_loo_matches_fold_by_fold(*instance)
+
+
+def test_robust_loo_memory_per_row_and_cut(monkeypatch):
+    # Each row's count and its least distance and count to each class, two
+    # bytes each at p = 2000, are 10 B per row and cut of the common grid.
+    rng = np.random.default_rng(37)
+    samples = rng.standard_t(3, (60, 2000))
+    in_x = np.arange(60) % 2 == 0
+    sizes = []
+
+    def pooled_ranks(*args):
+        values, ranks = pooled(*args)
+        sizes.append(values.size)
+        return values, ranks
+
+    pooled = classifier._pooled_ranks
+    monkeypatch.setattr(classifier, "_pooled_ranks", pooled_ranks)
+    tracemalloc.start()
+    try:
+        classifier._leave_one_out(samples, in_x, "independent", DEFAULT_C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (size,) = sizes
+    assert peak < 12.5 * len(samples) * (size + 1), peak / (len(samples) * (size + 1))
 
 
 small_ties = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]))
