@@ -245,9 +245,12 @@ def _below(bins: np.ndarray, size: int, dtype) -> np.ndarray:
 
 def _keep_nearer(best, best_count, dist, count, closer) -> None:
     """Where ``dist`` < ``best``, take the row's distance and count: rows folded
-    in increasing index keep the lowest on ties.  ``closer`` is a bool buffer."""
+    in increasing index keep the lowest on ties.  ``closer`` is a bool buffer.
+    On a tie the two distances are equal, so the least distance is one
+    ``np.minimum``; only the count needs the mask.  The scan passes int64
+    arrays, leave-one-out the least unsigned type that holds 2p + 1."""
     np.less(dist, best, out=closer)
-    np.copyto(best, dist, where=closer)
+    np.minimum(best, dist, out=best)
     np.copyto(best_count, count, where=closer)
 
 
@@ -411,6 +414,13 @@ def _leave_one_out(
     index as ``_nearest`` takes them.  Leaving out one row's p values moves
     the pooled median across at most p values, so lo_i <= p, and the pair
     profiles cover every common cut rather than only a fold's own.
+
+    Everything runs on narrow integers: ranks in the least unsigned type that
+    holds the number of common cuts, distances and counts in the least one
+    that holds 2p + 1, and each fold's T and S^2, formed once over every
+    common cut and read at its grid, in int32 (int64 only where 2p does not
+    fit).  No narrower: ``np.sqrt`` of a 16-bit S^2 is float32, and
+    ``_first_firing`` must compare in float64 as ``select_threshold`` does.
     """
     n, p = samples.shape
     z_p = zp_value(rule, p, xi_or_c)
@@ -423,6 +433,7 @@ def _leave_one_out(
     values, ranks = _pooled_ranks(samples, min(t0s))
     ts, cuts = _breakpoints(values, -np.inf)  # -inf, then every midpoint
     size = values.size + 1
+    ranks = ranks.astype(np.min_scalar_type(size))  # 2-byte sort keys below 65536 cuts
     # best[i, s]: row i's least distance to class s (0: X, 1: Y) at every cut,
     # best_count[i, s] that row's count.  Distances are <= 2p: 2p + 1 is "no row yet".
     dtype = np.min_scalar_type(2 * p + 1)
@@ -441,12 +452,15 @@ def _leave_one_out(
             _keep_nearer(best[b, side[a]], best_count[b, side[a]], both, counts[a], closer)
     los = np.searchsorted(values, t0s, side="left")
     his = np.searchsorted(values, t0s, side="right")
+    wide = np.int32 if 2 * p <= np.iinfo(np.int32).max else np.int64
+    T_all, S2_all = np.empty(size, wide), np.empty(size, wide)
     verdicts = []
     for i, (t0, lo, hi) in enumerate(zip(t0s, los, his)):
+        np.subtract(best[i, 0], best[i, 1], out=T_all, dtype=wide)
+        np.add(best_count[i, 0], best_count[i, 1], out=S2_all, dtype=wide)
+        np.subtract(2 * p, S2_all, out=S2_all)
         grid = np.r_[hi, cuts[lo + 1 :]]  # t0, then the midpoints above it
-        d = best[i].take(grid, axis=1)
-        T = d[0].astype(np.int64) - d[1]
-        S2 = 2 * p - best_count[i].take(grid, axis=1).sum(axis=0, dtype=np.int64)
+        T, S2 = T_all[grid], S2_all[grid]
         index, defaulted = _first_firing(T, S2, z_p)
         theta = t0 if index == 0 else float(ts[lo + index])
         verdicts.append(("X" if T[index] <= 0 else "Y", theta, defaulted))

@@ -176,7 +176,7 @@ def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance):
 
 
 # _below's dtypes: the scan's int64, and leave-one-out's
-# np.min_scalar_type((p + 1) n): uint8, uint16 and uint32.
+# np.min_scalar_type(2p + 1): uint8, uint16 and uint32.
 BELOW_DTYPES = [np.dtype(np.int64)] + [np.min_scalar_type(k) for k in (12, 65535, 65536)]
 
 bins_and_size = st.integers(1, 40).flatmap(
@@ -187,12 +187,19 @@ bins_and_size = st.integers(1, 40).flatmap(
 
 
 @settings(max_examples=300, deadline=None)
-@given(bins_and_size, st.sampled_from(BELOW_DTYPES))
-@example((np.array([], dtype=np.intp), 1), np.dtype(np.uint8))
-@example((np.array([], dtype=np.intp), 7), np.dtype(np.int64))
-@example((np.array([3, 0, 6, 1, 1, 0, 5, 6], dtype=np.intp), 6), np.dtype(np.uint32))
-def test_below_counts_the_bins_at_or_below_each_point_either_way(bins_size, dtype):
+@given(bins_and_size, st.sampled_from(BELOW_DTYPES), st.booleans())
+@example((np.array([], dtype=np.intp), 1), np.dtype(np.uint8), False)
+@example((np.array([], dtype=np.intp), 7), np.dtype(np.int64), True)
+@example((np.array([3, 0, 6, 1, 1, 0, 5, 6], dtype=np.intp), 6), np.dtype(np.uint32), False)
+# Narrow bins on each side of the edges of np.min_scalar_type(size).
+@example((np.array([255, 0, 254, 255, 7], dtype=np.intp), 255), np.dtype(np.uint8), True)
+@example((np.array([256, 255, 0, 255, 7], dtype=np.intp), 256), np.dtype(np.uint16), True)
+@example((np.array([65535, 0, 65534, 9], dtype=np.intp), 65535), np.dtype(np.uint16), True)
+@example((np.array([65536, 65535, 0, 9], dtype=np.intp), 65536), np.dtype(np.uint32), True)
+def test_below_counts_the_bins_at_or_below_each_point_either_way(bins_size, dtype, narrow):
     bins, size = bins_size  # duplicates, and bins at 0, at size - 1 and at size
+    if narrow:  # leave-one-out's ranks, in the least unsigned type that holds size
+        bins = bins.astype(np.min_scalar_type(size))
     want = [(bins <= c).sum() for c in range(size)]
     for sort_above in (0, math.inf):  # always sort; never (size > nan is False)
         with pytest.MonkeyPatch.context() as patch:
@@ -338,6 +345,22 @@ def test_zp_value_closed_forms():
         zp_value("dependent", 100, float("nan"))
     with pytest.raises(ParameterError, match="got inf"):
         zp_value("independent", 100, float("inf"))
+
+
+def test_default_critical_values_cross_near_p_17424():
+    # 0.5 sqrt(log p) = 0.16 log p at log p = (0.5 / 0.16)^2 = 9.765625.
+    def independent(p):
+        return zp_value("independent", p, DEFAULT_C)
+
+    def dependent(p):
+        return zp_value("dependent", p, DEFAULT_XI)
+
+    assert independent(17424) > dependent(17424)
+    assert independent(17425) < dependent(17425)
+    # At p = 20000 the defaults differ by 0.7%, so no study at that p separates the rules.
+    assert independent(20000) == pytest.approx(1.5735, abs=5e-5)
+    assert dependent(20000) == pytest.approx(1.5846, abs=5e-5)
+    assert dependent(20000) / independent(20000) - 1 == pytest.approx(0.007, abs=5e-4)
 
 
 def test_select_threshold_matches_brute_scan():

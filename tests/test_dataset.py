@@ -388,6 +388,19 @@ def far_apart(p, k=3):
     return np.where(in_x, 1.0, -1.0)[:, None].repeat(p, axis=1), in_x, "independent", c
 
 
+def common_cuts(size):
+    """2 X rows and 2 Y rows, interleaved, whose folds share ``size`` common
+    cuts.  Each row has k + 1 zeros and k positive values, k = ceil((size - 2)
+    / 4), so every fold's t0 is 0; the positives cycle through 1..size - 2, and
+    with 0 they are the size - 1 values at or above the least t0.  With c = 0
+    a fold fires at the first grid point where T is not 0, and in some folds
+    a top rank wrapped to 0 moves that point."""
+    k = -(-(size - 2) // 4)
+    positives = np.resize(np.arange(1.0, size - 1), (4, k))
+    samples = np.hstack([np.zeros((4, k + 1)), positives])
+    return samples, np.array([True, False] * 2), "independent", 0.0
+
+
 # 256 equal X rows, then two more X rows and two Y rows, so that in many
 # folds the nearest rows sit at indices 256 to 259, past uint8.
 MANY_ROWS = np.array([[-1.0, -1.0]] * 256 + [[1.0, 2.0]] * 2 + [[2.0, 1.0], [0.0, 2.0]])
@@ -440,6 +453,14 @@ def test_robust_loo_matches_fold_by_fold_classify_robust(instance):
 @example(far_apart(10921))
 @example(far_apart(10922))
 @example((MANY_ROWS, np.arange(260) < 258, "independent", DEFAULT_C))  # rows past uint8
+# Ranks, 0 to size - 1, are in np.min_scalar_type(size), size the number of
+# common cuts: on each side of the type's edges and of the top rank's.
+@example(common_cuts(255))  # uint8
+@example(common_cuts(256))  # uint16, top rank 255
+@example(common_cuts(257))  # top rank 256
+@example(common_cuts(65535))  # uint16
+@example(common_cuts(65536))  # uint32, top rank 65535
+@example(common_cuts(65537))  # top rank 65536
 def test_robust_loo_matches_fold_by_fold_with_many_partners(instance):
     # Up to 7 partners of a class per row exercise the pair order and the
     # lowest-row rule on ties.
@@ -469,6 +490,23 @@ def test_robust_loo_memory_per_row_and_cut(monkeypatch):
         tracemalloc.stop()
     (size,) = sizes
     assert peak < 12.5 * len(samples) * (size + 1), peak / (len(samples) * (size + 1))
+
+
+@pytest.mark.parametrize("p", [127, 128, 32768])  # distances in uint8, uint16, uint32
+def test_robust_loo_hands_the_rule_signed_32_bit_T_and_S2(monkeypatch, p):
+    # np.sqrt of an int16 or uint16 S^2 is float32, so a 16-bit S^2 would move
+    # |T| > z_p S off the float64 comparison select_threshold makes.
+    dtypes = []
+    original = classifier._first_firing
+
+    def first_firing(T, S2, z_p):
+        dtypes.extend([T.dtype, S2.dtype])
+        return original(T, S2, z_p)
+
+    monkeypatch.setattr(classifier, "_first_firing", first_firing)
+    classifier._leave_one_out(*far_apart(p))
+    assert len(dtypes) == 2 * 6  # T and S^2 of each of far_apart's 6 folds
+    assert all(d.kind == "i" and d.itemsize >= 4 for d in dtypes), dtypes
 
 
 small_ties = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]))
