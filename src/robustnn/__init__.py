@@ -5,8 +5,8 @@ indicator that it exceeds a threshold, pick the threshold from the data by
 scanning a signed nearest-neighbor disagreement statistic, and classify by
 the sign of that statistic.  The package bundles the classifier and its
 competitors, sparse-mean-shift data generators with several dependence
-structures, threshold tuning (cross-validation and an a priori analysis),
-a Monte Carlo experiment engine, and a CSV/CLI front end.
+structures, threshold tuning by cross-validation, a Monte Carlo experiment
+engine with an a priori analysis, and a CSV/CLI front end.
 
 The package namespace is the union of the library modules' ``__all__``;
 ``robustnn.cli`` is the command-line entry point and stays out of it.

@@ -165,14 +165,19 @@ def compute_T_S(train_x, train_y, z, t: float) -> ThresholdStatistics:
     return ThresholdStatistics(t=float(t), T=T, S2=S2, i_x=i_x, i_y=i_y)
 
 
-def zp_value(rule: str, p: int, xi_or_c: float) -> float:
+def _slope(rule: str, xi_or_c: float | None) -> float:
+    """``xi_or_c``, or when None the rule's default, DEFAULT_XI or DEFAULT_C."""
+    return (DEFAULT_XI if rule == "dependent" else DEFAULT_C) if xi_or_c is None else xi_or_c
+
+
+def zp_value(rule: str, p: int, xi_or_c: float | None) -> float:
     """Critical value for the threshold search: c*sqrt(log p) or xi*log p."""
     if rule not in RULES:
         raise ParameterError(f"rule must be one of {list(RULES)}, got {rule!r}")
     p = int(p)
     if p < 2:
         raise ParameterError(f"p must be at least 2, got {p}")
-    xi_or_c = float(xi_or_c)
+    xi_or_c = float(_slope(rule, xi_or_c))
     if not 0 <= xi_or_c < math.inf:  # NaN and inf would never let the scan fire
         raise ParameterError(f"xi_or_c must be finite and nonnegative, got {xi_or_c!r}")
     logp = math.log(p)
@@ -347,7 +352,7 @@ def select_threshold(
     train_y,
     z,
     rule: str = "independent",
-    xi_or_c: float = DEFAULT_C,
+    xi_or_c: float | None = None,
     t0: float | None = None,
 ) -> ThresholdDecision:
     """Scan thresholds upward from t0 and return the first that fires.
@@ -356,7 +361,9 @@ def select_threshold(
     pooled component values (training rows and test vector) at or above t0;
     T and S^2 are constant between consecutive data values, so this visits
     every attainable configuration.  A point fires when S > 0 and
-    |T|/S > z_p.  If none fires the decision is defaulted and theta = t0.
+    |T|/S > z_p, ``zp_value`` of the rule and the slope ``xi_or_c`` (by
+    default the rule's own).  If none fires the decision is defaulted and
+    theta = t0.
 
     A strictly increasing map of the data and of t0 leaves the label as it
     is.  The default t0, the pooled training median, does not follow the map
@@ -386,7 +393,7 @@ def classify_robust(
     train_y,
     z,
     rule: str = "independent",
-    xi_or_c: float = DEFAULT_C,
+    xi_or_c: float | None = None,
     t0: float | None = None,
 ) -> tuple[Label, ThresholdDecision]:
     """Select a threshold and assign z to X exactly when T(theta) <= 0."""
@@ -526,7 +533,10 @@ class RobustMethod:
 
     name: ClassVar[str] = "robust"
     rule: str = "independent"
-    xi_or_c: float = DEFAULT_C
+    xi_or_c: float | None = None  # None: the rule's default slope, resolved here
+
+    def __post_init__(self):
+        object.__setattr__(self, "xi_or_c", _slope(self.rule, self.xi_or_c))
 
     def decide(self, train_x, train_y, z) -> tuple[Label, float, bool]:
         label, decision = classify_robust(train_x, train_y, z, self.rule, self.xi_or_c)
@@ -587,20 +597,20 @@ def make_method(
 ) -> MethodSpec:
     """The method called ``name``, as the config file and the CLI build it.
 
-    ``rule`` and ``c`` configure the robust method; ``c`` defaults by rule, to
-    DEFAULT_XI for the dependent rule and DEFAULT_C for the independent one.
-    ``t`` is the threshold nn_trunc and fixed_threshold need."""
+    ``rule`` and ``c`` configure the robust method; ``c`` defaults by rule,
+    as ``RobustMethod`` resolves it.  ``t`` is the threshold nn_trunc and
+    fixed_threshold need."""
     if name not in METHODS:
         raise ConfigurationError(f"unknown method {name!r}; expected one of {list(METHODS)}")
     cls = METHODS[name]
     if cls is RobustMethod:
         if rule not in RULES:
             raise ConfigurationError(f"unknown rule {rule!r}; expected one of {list(RULES)}")
-        if c is None:
-            c = DEFAULT_XI if rule == "dependent" else DEFAULT_C
+        method = RobustMethod(rule=rule, xi_or_c=c)
+        c = method.xi_or_c
         if not 0 <= c < math.inf:
             raise ConfigurationError(f"robust slope c must be finite and nonnegative, got {c!r}")
-        return RobustMethod(rule=rule, xi_or_c=c)
+        return method
     if cls in (TruncatedNNMethod, FixedThresholdMethod):
         if t is None:
             raise ConfigurationError(f"{name} needs a threshold t")

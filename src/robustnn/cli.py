@@ -42,6 +42,7 @@ from .datagen import Scenario, generate
 from .dataset import dataset_from_generated, load_dataset, loo_cross_validate, save_dataset
 from .errors import ConfigurationError, RobustnnError
 from .experiments import (
+    apriori_optimal_threshold,
     grid_study,
     success_vs_c,
     success_vs_threshold,
@@ -51,7 +52,7 @@ from .experiments import (
     write_dominance_csv,
     write_rates_csv,
 )
-from .tuning import apriori_optimal_threshold, select_threshold_cv
+from .tuning import select_threshold_cv
 
 __all__ = ["dispatch", "main"]
 

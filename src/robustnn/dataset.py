@@ -232,7 +232,6 @@ class LooResult:
     class_labels: tuple[str, str]
 
     def __str__(self) -> str:
-        first, second = self.class_labels
         lines = [f"accuracy {self.correct}/{self.total} = {self.accuracy:.4f}"]
         for true in self.class_labels:
             for predicted in self.class_labels:

@@ -1,15 +1,15 @@
-"""Monte Carlo experiment engine: paired trials, sweeps, and curves.
+"""Monte Carlo experiment engine: paired trials, sweeps, curves and the a priori analysis.
 
 Every trial draws one dataset and shows it to every configured method, so
 method comparisons are paired.  ``run_trial`` records a trial as a float
 array with one row (correct, defaulted, theta) per method, NaN where a
 method has no threshold; the trial's seed and test-vector label regenerate
-its dataset.  ``_trial_plan`` seeds trial j of every study
-with derive_seed(base_seed, *key, j) (see ``seeds``): key (cell,) for a
-study cell, (0,) for the curves, () for the a priori Monte Carlo in
-``tuning``.  Test-vector labels alternate X, Y, X, Y, ..., so success rates
-are balanced averages of the two conditional accuracies, and the reported
-standard error is the binomial sqrt(rate * (1 - rate) / trials).
+its dataset.  ``_trial_plan`` seeds trial j of every study with
+derive_seed(base_seed, *key, j) (see ``seeds``): key (cell,) for a study
+cell, (0,) for the curves, () for the a priori Monte Carlo.  Test-vector
+labels alternate X, Y, X, Y, ..., so success rates are balanced averages of
+the two conditional accuracies, and the reported standard error is the
+binomial sqrt(rate * (1 - rate) / trials).
 
 ``_run_cells`` is the one engine for the trials of every study: it checks and
 calibrates every cell in this process first, then scores all the trials with
@@ -29,6 +29,12 @@ Provided studies:
   threshold grid (selection bypassed) or over the critical-value slope c,
   sharing one dataset per trial across the whole grid and overlaying the
   standard nearest-neighbor rate measured on the same trials.
+* ``apriori_optimal_threshold`` / ``apriori_success_rate`` - predicted success
+  of the fixed-threshold rule at m = n = 1 with iid components: each adds an
+  independent term (I - J)(1 - 2K) in {-1, 0, +1} to T, so T's exact mean and
+  variance give P(T <= 0 | X) and P(T > 0 | Y) by a continuity-corrected
+  normal approximation; the ``monte_carlo`` reference is the fixed-threshold
+  curve at absolute thresholds under key ().
 
 ``write_rates_csv`` writes a grid study's rates, ``write_dominance_csv`` the
 sweep's best method per cell, ``write_columns_csv`` the curves and histogram.
@@ -60,9 +66,9 @@ from .classifier import (
     threshold_scan,
     zp_value,
 )
-from .datagen import DegenerateScenarioError, GeneratedData, Scenario, checked_shift_amount
-from .datagen import _calibration_sample, generate, shift_amount
-from .errors import ConfigurationError, ParameterError
+from .datagen import DegenerateScenarioError, GeneratedData, Independent, Scenario
+from .datagen import _calibration_sample, checked_shift_amount, generate, shift_amount, shift_count
+from .errors import ConfigurationError, ParameterError, UnsupportedSettingError
 from .seeds import derive_seed
 
 __all__ = [
@@ -76,6 +82,10 @@ __all__ = [
     "threshold_distribution",
     "success_vs_threshold",
     "success_vs_c",
+    "SuccessEstimate",
+    "AprioriCurve",
+    "apriori_success_rate",
+    "apriori_optimal_threshold",
     "resolve_workers",
     "write_rates_csv",
     "write_dominance_csv",
@@ -354,10 +364,10 @@ class SuccessCurve:
     x_name: str
 
 
-def _success_curve(scenario, score, grid, xs, x_name, trials, base_seed) -> SuccessCurve:
-    """Run one curve study; ``score`` returns a trial's correct flags over ``grid``,
-    its NN flag and, for the c curve, its defaulted flags over ``grid``."""
-    per_trial = _run_cells([(scenario, (0,))], score, grid, trials, base_seed, None)[0]
+def _success_curve(scenario, score, grid, xs, x_name, trials, base_seed, key=(0,)) -> SuccessCurve:
+    """Run one curve study, seeded with ``key``; ``score`` returns a trial's correct
+    flags over ``grid``, its NN flag and, for the c curve, its defaulted flags."""
+    per_trial = _run_cells([(scenario, key)], score, grid, trials, base_seed, None)[0]
     rates, nn_rate, *defaulted = (sum(flags) / trials for flags in zip(*per_trial))
     return SuccessCurve(
         xs=xs,
@@ -378,6 +388,16 @@ def _t_grid_trial(scenario: Scenario, ts: np.ndarray, seed: int, z_from: str):
     return np.where(T <= 0, "X", "Y") == data.z_label, nn == data.z_label
 
 
+def _fixed_thresholds(t_grid, trials: int) -> np.ndarray:
+    """A fixed-threshold study's grid as floats, checked with its trial count
+    before anything is calibrated: nonempty and free of NaN."""
+    grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if grid.size == 0 or np.isnan(grid).any():
+        raise ParameterError(f"t_grid must be nonempty and free of NaN, got {grid.tolist()}")
+    _worker_count(trials, None)
+    return grid
+
+
 def success_vs_threshold(
     scenario: Scenario,
     t_grid: Sequence[float],
@@ -390,10 +410,7 @@ def success_vs_threshold(
     the label is simply 1(T(t) > 0).  Every grid point and the NN reference
     are scored on the same per-trial datasets.
     """
-    props = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if props.size == 0 or np.isnan(props).any():
-        raise ParameterError(f"t_grid must be nonempty and free of NaN, got {props.tolist()}")
-    _worker_count(trials, None)  # before shift_amount calibrates
+    props = _fixed_thresholds(t_grid, trials)
     ts = props * shift_amount(scenario)
     return _success_curve(scenario, _t_grid_trial, ts, props, "t_over_shift", trials, base_seed)
 
@@ -426,6 +443,114 @@ def success_vs_c(
         raise ParameterError("c_grid must be nonempty")
     z_ps = np.array([zp_value(rule, scenario.p, c) for c in cs])
     return _success_curve(scenario, _c_grid_trial, z_ps, cs, "c", trials, base_seed)
+
+
+@dataclass(frozen=True)
+class SuccessEstimate:
+    """A success probability with its Monte Carlo standard error (0 if exact)."""
+
+    value: float
+    se: float
+
+
+@dataclass(frozen=True)
+class AprioriCurve:
+    """Predicted success over a threshold grid and its best point."""
+
+    ts: np.ndarray
+    values: np.ndarray
+    t_star: float
+    method: str
+
+
+def _term_moments(q_i: float, q_j: float, q_k: float) -> tuple[float, float]:
+    """Mean and variance of (I - J)(1 - 2K) for independent Bernoulli bits."""
+    mean = (q_i - q_j) * (1.0 - 2.0 * q_k)
+    diff_sq = q_i * (1.0 - q_j) + q_j * (1.0 - q_i)
+    return mean, diff_sq - mean**2
+
+
+def _one_sided(mu: float, var: float, want_at_most_zero: bool) -> float:
+    if var <= 0:
+        hit = mu <= 0 if want_at_most_zero else mu > 0
+        return 1.0 if hit else 0.0
+    from scipy.special import ndtr
+
+    # T is integer valued; 0.5 is the continuity-corrected cut between 0 and 1.
+    z = (0.5 - mu) / math.sqrt(var)
+    prob_le_zero = float(ndtr(z))
+    return prob_le_zero if want_at_most_zero else 1.0 - prob_le_zero
+
+
+def _check_apriori_scenario(scenario: Scenario) -> None:
+    if scenario.m != 1 or scenario.n != 1:
+        raise UnsupportedSettingError("a priori analysis requires m = n = 1")
+    if not isinstance(scenario.dependence, Independent):
+        raise UnsupportedSettingError("a priori analysis requires independent components")
+    if scenario.is_blocked:
+        raise UnsupportedSettingError(
+            "a priori analysis requires identically distributed components"
+        )
+
+
+def _normal_approx_success(scenario: Scenario, t: float) -> float:
+    survival = scenario.marginal.survival
+    q_x, q_y = survival(t), survival(t - shift_amount(scenario))
+    shifted = shift_count(scenario.p, scenario.beta)
+    plain = scenario.p - shifted
+    mean_u, var_u = _term_moments(q_x, q_x, q_x)
+    correct = 0.0
+    # Z's shifted components exceed at rate q_x when Z is from X (correct
+    # where T <= 0), at q_y when it is from Y (correct where T > 0).
+    for q_z, from_x in ((q_x, True), (q_y, False)):
+        mean_s, var_s = _term_moments(q_x, q_y, q_z)
+        mu, var = plain * mean_u + shifted * mean_s, plain * var_u + shifted * var_s
+        correct += _one_sided(mu, var, want_at_most_zero=from_x)
+    return 0.5 * correct
+
+
+def apriori_success_rate(
+    scenario: Scenario,
+    t: float,
+    method: str = "normal_approx",
+    *,
+    trials: int = 2000,
+    base_seed: int = 0,
+) -> SuccessEstimate:
+    """Predicted balanced success of the fixed-threshold classifier.
+
+    Requires m = n = 1, independent components, and a single marginal family.
+    ``normal_approx`` is exact-moment normal approximation; ``monte_carlo``
+    simulates ``trials`` full datasets (balanced labels) and reports the
+    binomial standard error.  This is the one-point ``apriori_optimal_threshold``.
+    """
+    curve = apriori_optimal_threshold(scenario, [t], method, trials=trials, base_seed=base_seed)
+    value = float(curve.values[0])
+    se = _binomial_se(value, trials) if method == "monte_carlo" else 0.0
+    return SuccessEstimate(value=value, se=se)
+
+
+def apriori_optimal_threshold(
+    scenario: Scenario,
+    t_grid,
+    method: str = "normal_approx",
+    *,
+    trials: int = 2000,
+    base_seed: int = 0,
+) -> AprioriCurve:
+    """Evaluate the a priori success over a threshold grid; best = smallest argmax."""
+    ts = _fixed_thresholds(t_grid, trials)  # on both paths, so both read ROBUSTNN_THREADS
+    _check_apriori_scenario(scenario)
+    if method == "normal_approx":
+        values = np.array([_normal_approx_success(scenario, t) for t in ts])
+    elif method == "monte_carlo":
+        if trials < 2:
+            raise ParameterError("monte_carlo needs at least 2 trials")
+        values = _success_curve(scenario, _t_grid_trial, ts, ts, "t", trials, base_seed, ()).rates
+    else:
+        raise ParameterError(f"method must be 'normal_approx' or 'monte_carlo', got {method!r}")
+    t_star = float(ts[values == values.max()].min())
+    return AprioriCurve(ts=ts, values=values, t_star=t_star, method=method)
 
 
 def write_rates_csv(path, fields: Sequence[str], cells: Sequence[Sequence], rates) -> None:

@@ -1,4 +1,4 @@
-"""Threshold tuning: leave-one-out cross-validation and a priori analysis.
+"""Threshold tuning by leave-one-out cross-validation.
 
 ``cv_error`` scores a truncation level t by leave-one-out nearest-neighbor
 errors on the zeroed-below-t training vectors: with v' = v * 1(v > t),
@@ -30,41 +30,22 @@ some same-class distance is within that guarded bound.  A row is an error
 where none is, since the least same-class distance exceeds the bound
 exactly when every one does.  So memory is (m + n) * grid floats plus as
 many bools.
-
-``apriori_success_rate`` predicts the balanced success probability of the
-fixed-threshold indicator classifier when m = n = 1 with independent
-components.  Each component contributes an independent term
-(I - J)(1 - 2K) in {-1, 0, +1} to T, with exceedance probabilities known
-from the scenario's marginal and shift, so T's exact mean and variance
-follow per test-vector label and a normal approximation (with continuity
-correction) yields P(T <= 0 | X) and P(T > 0 | Y).  A Monte Carlo method
-estimates the same probability by full simulation and serves as the
-reference for the approximation: one engine study (``experiments``) in which
-trial j, seeded by derive_seed(base_seed, j), scores the whole threshold grid
-on its one dataset, as the fixed-threshold success curve does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import _breakpoints, _overflow_scale, _pooled_ranks, _require_finite
 from .classifier import truncate_values
-from .datagen import Independent, Scenario, shift_amount, shift_count
-from .errors import ParameterError, SampleSizeError, ShapeError, UnsupportedSettingError
-from . import experiments
+from .errors import SampleSizeError, ShapeError
 
 __all__ = [
     "CvCurve",
     "cv_error",
     "select_threshold_cv",
-    "SuccessEstimate",
-    "AprioriCurve",
-    "apriori_success_rate",
-    "apriori_optimal_threshold",
 ]
 
 _TIE_GUARD = 1e-9
@@ -212,123 +193,3 @@ def select_threshold_cv(samples_x, samples_y) -> CvCurve:
     best = values.min()
     minimizers = ts[values == best]
     return CvCurve(ts=ts, values=values, minimizers=minimizers, theta_cv=float(minimizers[0]))
-
-
-@dataclass(frozen=True)
-class SuccessEstimate:
-    """A success probability with its Monte Carlo standard error (0 if exact)."""
-
-    value: float
-    se: float
-
-
-@dataclass(frozen=True)
-class AprioriCurve:
-    """Predicted success over a threshold grid and its best point."""
-
-    ts: np.ndarray
-    values: np.ndarray
-    t_star: float
-    method: str
-
-
-def _term_moments(q_i: float, q_j: float, q_k: float) -> tuple[float, float]:
-    """Mean and variance of (I - J)(1 - 2K) for independent Bernoulli bits."""
-    mean = (q_i - q_j) * (1.0 - 2.0 * q_k)
-    diff_sq = q_i * (1.0 - q_j) + q_j * (1.0 - q_i)
-    return mean, diff_sq - mean**2
-
-
-def _one_sided(mu: float, var: float, want_at_most_zero: bool) -> float:
-    if var <= 0:
-        hit = mu <= 0 if want_at_most_zero else mu > 0
-        return 1.0 if hit else 0.0
-    from scipy.special import ndtr
-
-    # T is integer valued; 0.5 is the continuity-corrected cut between 0 and 1.
-    z = (0.5 - mu) / math.sqrt(var)
-    prob_le_zero = float(ndtr(z))
-    return prob_le_zero if want_at_most_zero else 1.0 - prob_le_zero
-
-
-def _check_apriori_scenario(scenario: Scenario) -> None:
-    if scenario.m != 1 or scenario.n != 1:
-        raise UnsupportedSettingError("a priori analysis requires m = n = 1")
-    if not isinstance(scenario.dependence, Independent):
-        raise UnsupportedSettingError("a priori analysis requires independent components")
-    if scenario.is_blocked:
-        raise UnsupportedSettingError(
-            "a priori analysis requires identically distributed components"
-        )
-
-
-def _normal_approx_success(scenario: Scenario, t: float) -> float:
-    survival = scenario.marginal.survival
-    q_x, q_y = survival(t), survival(t - shift_amount(scenario))
-    shifted = shift_count(scenario.p, scenario.beta)
-    plain = scenario.p - shifted
-    mean_u, var_u = _term_moments(q_x, q_x, q_x)
-
-    # Test vector from X: every exceedance bit of Z has rate q_x.
-    mean_sx, var_sx = _term_moments(q_x, q_y, q_x)
-    mu_x = plain * mean_u + shifted * mean_sx
-    var_x = plain * var_u + shifted * var_sx
-    p_correct_x = _one_sided(mu_x, var_x, want_at_most_zero=True)
-
-    # Test vector from Y: shifted components of Z exceed at rate q_y.
-    mean_sy, var_sy = _term_moments(q_x, q_y, q_y)
-    mu_y = plain * mean_u + shifted * mean_sy
-    var_y = plain * var_u + shifted * var_sy
-    p_correct_y = _one_sided(mu_y, var_y, want_at_most_zero=False)
-
-    return 0.5 * (p_correct_x + p_correct_y)
-
-
-def apriori_success_rate(
-    scenario: Scenario,
-    t: float,
-    method: str = "normal_approx",
-    *,
-    trials: int = 2000,
-    base_seed: int = 0,
-) -> SuccessEstimate:
-    """Predicted balanced success of the fixed-threshold classifier.
-
-    Requires m = n = 1, independent components, and a single marginal family.
-    ``normal_approx`` is exact-moment normal approximation; ``monte_carlo``
-    simulates ``trials`` full datasets (balanced labels) and reports the
-    binomial standard error.  This is the one-point ``apriori_optimal_threshold``.
-    """
-    curve = apriori_optimal_threshold(scenario, [t], method, trials=trials, base_seed=base_seed)
-    value = float(curve.values[0])
-    se = experiments._binomial_se(value, trials) if method == "monte_carlo" else 0.0
-    return SuccessEstimate(value=value, se=se)
-
-
-def apriori_optimal_threshold(
-    scenario: Scenario,
-    t_grid,
-    method: str = "normal_approx",
-    *,
-    trials: int = 2000,
-    base_seed: int = 0,
-) -> AprioriCurve:
-    """Evaluate the a priori success over a threshold grid; best = smallest argmax."""
-    experiments._worker_count(trials, None)  # on both paths, before shift_amount calibrates
-    _check_apriori_scenario(scenario)
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if ts.size == 0 or np.isnan(ts).any():
-        raise ParameterError(f"t_grid must be nonempty and free of NaN, got {ts.tolist()}")
-    if method == "normal_approx":
-        values = np.array([_normal_approx_success(scenario, t) for t in ts])
-    elif method == "monte_carlo":
-        if trials < 2:
-            raise ParameterError("monte_carlo needs at least 2 trials")
-        per_trial = experiments._run_cells(
-            [(scenario, ())], experiments._t_grid_trial, ts, trials, base_seed, None
-        )[0]
-        values = sum(correct for correct, _ in per_trial) / trials
-    else:
-        raise ParameterError(f"method must be 'normal_approx' or 'monte_carlo', got {method!r}")
-    t_star = float(ts[values == values.max()].min())
-    return AprioriCurve(ts=ts, values=values, t_star=t_star, method=method)

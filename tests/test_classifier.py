@@ -470,6 +470,45 @@ def test_label_invariant_under_increasing_map_at_a_given_t0(instance, twice_t0):
     assert classify_robust(f(X), f(Y), f(z), t0=f(t0))[0] == label
 
 
+@st.composite
+def small_instances(draw):
+    """Rows of small integers, heavy with ties, or of t(3) draws; m, n <= 4, p <= 11."""
+    m, n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 11))
+    if draw(st.booleans()):
+        values = st.integers(-2, 2).map(float)
+        return tuple(draw(arrays(float, shape, elements=values)) for shape in ((m, p), (n, p), p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_t(3, (m, p)), rng.standard_t(3, (n, p)), rng.standard_t(3, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.sampled_from(RULES), st.data())
+def test_permuting_the_components_keeps_the_label_and_theta(instance, rule, data):
+    # T, S^2, the nearest rows and the pooled median are all sums or order
+    # statistics over the components, so no order of them matters.
+    X, Y, z = instance
+    perm = list(data.draw(st.permutations(range(z.size))))
+    label, decision = classify_robust(X, Y, z, rule)
+    label_p, decision_p = classify_robust(X[:, perm], Y[:, perm], z[perm], rule)
+    assert (label_p, decision_p.theta) == (label, decision.theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.sampled_from(RULES))
+@example((np.ones((1, 2)), np.ones((1, 2)), np.ones(2)), "independent")  # T(theta) = 0
+def test_swapping_x_and_y_flips_the_label_unless_T_at_theta_is_zero(instance, rule):
+    # The swap negates T at every threshold and keeps S^2, so the same
+    # threshold fires; at T(theta) = 0 both calls assign z to X.
+    X, Y, z = instance
+    label, decision = classify_robust(X, Y, z, rule)
+    swapped, decision_s = classify_robust(Y, X, z, rule)
+    assert decision_s.theta == decision.theta
+    if decision.trace.T[decision.theta_index] == 0:
+        assert label == swapped == "X"
+    else:
+        assert {label, swapped} == {"X", "Y"}
+
+
 def test_classify_nn_standard():
     X = [[0.0, 0.0]]
     Y = [[3.0, 3.0]]
@@ -585,6 +624,20 @@ def test_defaults():
     assert DEFAULT_XI == 0.16
     m = RobustMethod()
     assert m.rule == "independent" and m.xi_or_c == 0.5
+
+
+def test_the_default_slope_follows_the_rule():
+    assert RobustMethod(rule="dependent").xi_or_c == DEFAULT_XI
+    assert RobustMethod(rule="dependent") == make_method("robust", rule="dependent")
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        (X, Y), z = rng.standard_t(3, (2, 1, 2000)), rng.standard_t(3, 2000)
+        default = select_threshold(X, Y, z, rule="dependent")
+        explicit = select_threshold(X, Y, z, rule="dependent", xi_or_c=DEFAULT_XI)
+        assert (default.theta, default.defaulted) == (explicit.theta, explicit.defaulted)
+        assert classify_robust(X, Y, z, "dependent")[0] == classify_robust(
+            X, Y, z, "dependent", DEFAULT_XI
+        )[0]
 
 
 def test_shape_validation():

@@ -1,7 +1,9 @@
 """Imports: the package exports the union of its modules' lists, every export
-resolves, the README quick start runs, and scipy stays off the import path
-(each scipy submodule loads in the function using it)."""
+resolves, the README quick start runs, scipy stays off the import path (each
+scipy submodule loads in the function using it), and the CV tuner stands on
+the classifier alone."""
 
+import ast
 import importlib
 import json
 import os
@@ -107,3 +109,14 @@ def test_readme_quick_start_runs(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_tuning_imports_only_the_classifier_and_errors():
+    tree = ast.parse((Path(robustnn.__file__).parent / "tuning.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import ..., from . import x
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names if alias.name.startswith("robustnn")}
+    assert imported == {"classifier", "errors"}

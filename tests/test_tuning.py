@@ -27,7 +27,7 @@ from robustnn import (
     shift_amount,
 )
 from robustnn.errors import ParameterError
-from robustnn.tuning import _one_sided
+from robustnn.experiments import _one_sided
 
 
 def enum_cv(t, X, Y):
