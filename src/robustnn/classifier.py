@@ -141,13 +141,10 @@ def _check_inputs(train_x, train_y, z) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class ThresholdStatistics:
-    """T and S^2 at one threshold, with the selected neighbor rows (0-based)."""
+    """T and S^2 at one threshold."""
 
-    t: float
     T: int
     S2: int
-    i_x: int
-    i_y: int
 
 
 def compute_T_S(train_x, train_y, z, t: float) -> ThresholdStatistics:
@@ -162,7 +159,7 @@ def compute_T_S(train_x, train_y, z, t: float) -> ThresholdStatistics:
     iy_bits = J[i_y].astype(np.int64)
     T = int(((ix_bits - iy_bits) * (1 - 2 * K.astype(np.int64))).sum())
     S2 = int(ix_bits.sum() + iy_bits.sum())
-    return ThresholdStatistics(t=float(t), T=T, S2=S2, i_x=i_x, i_y=i_y)
+    return ThresholdStatistics(T=T, S2=S2)
 
 
 def _slope(rule: str, xi_or_c: float | None) -> float:
@@ -326,11 +323,10 @@ class ThresholdTrace:
 
 @dataclass(frozen=True)
 class ThresholdDecision:
-    """Outcome of the threshold search."""
+    """Outcome of the threshold search; t0 is ``trace.ts[0]``."""
 
     theta: float
     defaulted: bool
-    t0: float
     theta_index: int
     trace: ThresholdTrace = field(repr=False)
 
@@ -382,7 +378,6 @@ def select_threshold(
     return ThresholdDecision(
         theta=float(ts[index]),  # ts[0] is t0
         defaulted=defaulted,
-        t0=t0,
         theta_index=index,
         trace=ThresholdTrace(ts=ts, T=T, S2=S2),
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 from configparser import ConfigParser
@@ -63,7 +64,7 @@ def _write_json(path, payload: dict) -> None:
     body = dict(payload)
     body["schema_version"] = SCHEMA_VERSION
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
+        json.dump(body, fh, indent=2, sort_keys=True, allow_nan=False)  # RFC 8259 JSON
         fh.write("\n")
 
 
@@ -141,7 +142,7 @@ def _cmd_cv(args, out):
     least = float(curve.values.min())
     result = {
         "data": str(args.data),
-        "theta_cv": curve.theta_cv,
+        "theta_cv": None if curve.theta_cv == -math.inf else curve.theta_cv,  # no truncation
         "cv_minimum": least,
         "grid_size": int(curve.ts.size),
         "minimizer_count": int(curve.minimizers.size),
@@ -281,7 +282,7 @@ def _cmd_apriori(args, out):
     best = float(curve.values.max())
     config = {
         "scenario": scenario_fields(scenario),
-        "method": curve.method,
+        "method": method,
         "t_star": curve.t_star,
         "predicted_success_at_t_star": best,
         "trials": trials,

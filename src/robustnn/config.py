@@ -86,9 +86,12 @@ def parse_number_list(text: str) -> list[float]:
         count = int(math.floor(steps)) + 1
         return [start + i * step for i in range(count)]
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        numbers = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigurationError(f"non-numeric entry in list {text!r}") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigurationError(f"list entries must be finite, got {text!r}")
+    return numbers
 
 
 def _equal_weights(window: float) -> tuple[float, ...]:
@@ -275,18 +278,12 @@ def _read(values: dict, section: str, key: str, convert: Callable[[str], Any]) -
 
 
 def scenario_from_config(parser: configparser.ConfigParser | None, **overrides) -> Scenario:
-    """Build a Scenario from the [scenario] section plus keyword overrides.
-
-    Overrides use the section's string syntax for marginal and dependence, or
-    already-built objects.
-    """
+    """Build a Scenario from the [scenario] section plus keyword overrides in
+    the section's text form; a None override is left out."""
     values = _section(parser, "scenario")
     values.update((key, value) for key, value in overrides.items() if value is not None)
-    marginal, dependence = values["marginal"], values["dependence"]
-    if isinstance(marginal, str):
-        marginal = parse_blocked_marginal(marginal)
-    if isinstance(dependence, str):
-        dependence = parse_dependence(dependence)
+    marginal = parse_blocked_marginal(values["marginal"])
+    dependence = parse_dependence(values["dependence"])
     placement = str(values["shift_placement"]).strip().lower()
     if placement not in PLACEMENTS:
         raise ConfigurationError(

@@ -39,6 +39,7 @@ independent draws of the process (they never share innovations).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Union, get_args
@@ -216,6 +217,13 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("p", "m", "n", "seed"):  # a numpy integer is stored as an int
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ParameterError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.p < 2:
             raise ParameterError(f"p must be at least 2, got {self.p}")
         if self.m < 1 or self.n < 1:
@@ -367,7 +375,7 @@ def shift_amount(scenario: Scenario) -> float:
     model = scenario.dependence
     p, r = scenario.p, scenario.r
     if isinstance(model, Independent):
-        return solve_scale(scenario.marginal, p, r).a_p
+        return solve_scale(scenario.marginal, p, r)
     if isinstance(model, (MovingAverage, AR1)):
         base = scenario.marginal
         if isinstance(model, MovingAverage):

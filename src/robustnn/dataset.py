@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import MethodSpec, RobustMethod, _leave_one_out, evaluate_method
-from .errors import DatasetError, ProtocolError
+from .errors import DatasetError, SampleSizeError
 
 __all__ = [
     "Dataset",
@@ -255,7 +255,7 @@ def loo_cross_validate(dataset: Dataset, method: MethodSpec) -> LooResult:
     counts = {lab: sum(x == lab for x in dataset.labels) for lab in (first, second)}
     for lab, count in counts.items():
         if count < 2:
-            raise ProtocolError(
+            raise SampleSizeError(
                 f"class {lab!r} has {count} sample(s); leave-one-out needs at least 2"
             )
     labels = np.array(dataset.labels)

@@ -38,7 +38,7 @@ from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ParameterError, SolverError
+from .errors import ConfigurationError, ParameterError, SolverError
 
 __all__ = [
     "Normal",
@@ -47,7 +47,6 @@ __all__ = [
     "Subbotin",
     "Pareto",
     "MarginalSpec",
-    "ScaleSolution",
     "solve_scale",
     "parse_marginal",
     "format_marginal",
@@ -57,7 +56,7 @@ __all__ = [
 def _check_quantile(q: float) -> float:
     q = float(q)
     if not 0.0 < q < 1.0:
-        raise DomainError(f"survival level must lie in (0, 1), got {q!r}")
+        raise ParameterError(f"survival level must lie in (0, 1), got {q!r}")
     return q
 
 
@@ -219,32 +218,6 @@ MarginalSpec = Union[Normal, StudentT, Exponential, Subbotin, Pareto]
 _KINDS = {cls.kind: cls for cls in (Normal, StudentT, Exponential, Subbotin, Pareto)}
 
 
-@dataclass(frozen=True)
-class ScaleSolution:
-    """Result of the exceedance-scale calibration.
-
-    Attributes
-    ----------
-    a_p : float
-        Level solving sum_k P(X^(k) > a_p) = p^(1-r).
-    r : float
-        Rarity exponent used.
-    p : int
-        Total number of components.
-    achieved_sum : float
-        The exceedance sum evaluated at ``a_p``; within 1e-8 relative of
-        the target p^(1-r).
-    iterations : int
-        Root-finder iterations (0 when the closed-form reduction applies).
-    """
-
-    a_p: float
-    r: float
-    p: int
-    achieved_sum: float
-    iterations: int
-
-
 def _normalize_marginals(
     marginals: MarginalSpec | Sequence[tuple[MarginalSpec, int]], p: int
 ) -> list[tuple[MarginalSpec, int]]:
@@ -266,7 +239,7 @@ def _normalize_marginals(
 
 def solve_scale(
     marginals: MarginalSpec | Sequence[tuple[MarginalSpec, int]], p: int, r: float
-) -> ScaleSolution:
+) -> float:
     """Find the level ``a`` with sum_k P(X^(k) > a) = p^(1-r).
 
     Parameters
@@ -275,18 +248,19 @@ def solve_scale(
         Component distributions; a bare spec means all ``p`` components share
         it.  Counts must sum to ``p``.
     p : int
-        Number of components, at least 1.
+        Number of components, at least 2.
     r : float
         Rarity exponent in (0, 1).
 
     Returns
     -------
-    ScaleSolution
-        With ``achieved_sum`` within 1e-8 relative of the target.
+    float
+        The level ``a``; the exceedance sum there is checked to lie within
+        1e-8 relative of the target, else SolverError.
     """
     p = int(p)
-    if p < 1:
-        raise ParameterError(f"p must be at least 1, got {p}")
+    if p < 2:
+        raise ParameterError(f"p must be at least 2, got {p}")
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ParameterError(f"r must lie in (0, 1), got {r!r}")
@@ -294,42 +268,27 @@ def solve_scale(
     q = p ** (-r)
     target = p ** (1.0 - r)
 
-    specs = {spec for spec, _ in blocks}
-    if len(specs) == 1:
-        spec = next(iter(specs))
-        a = spec.inverse_survival(q)
-        achieved = p * spec.survival(a)
-        iterations = 0
-    else:
-        points = [spec.inverse_survival(q) for spec, _ in blocks]
-        lo, hi = min(points), max(points)
+    def achieved(a: float) -> float:
+        return sum(count * spec.survival(a) for spec, count in blocks)
 
-        def excess(a: float) -> float:
-            return sum(count * spec.survival(a) for spec, count in blocks) - target
-
-        if lo == hi:
-            a = lo
-            iterations = 0
-        else:
-            f_lo, f_hi = excess(lo), excess(hi)
-            if f_lo < -1e-8 * target or f_hi > 1e-8 * target:
-                raise SolverError(
-                    "could not bracket the exceedance level between the "
-                    "per-marginal inverse survival points"
-                )
-            from scipy.optimize import brentq
-
-            a, res = brentq(
-                excess, lo, hi, xtol=1e-13 * max(1.0, abs(hi)), rtol=9e-16, full_output=True
+    # One family (or equal points): the common inverse survival point solves it.
+    points = [spec.inverse_survival(q) for spec, _ in blocks]
+    a, hi = min(points), max(points)
+    if a != hi:
+        if achieved(a) - target < -1e-8 * target or achieved(hi) - target > 1e-8 * target:
+            raise SolverError(
+                "could not bracket the exceedance level between the "
+                "per-marginal inverse survival points"
             )
-            iterations = res.iterations
-        achieved = sum(count * spec.survival(a) for spec, count in blocks)
+        from scipy.optimize import brentq
 
-    if abs(achieved - target) > 1e-8 * target:
-        raise SolverError(
-            f"exceedance sum {achieved!r} misses target {target!r} beyond tolerance"
+        a = brentq(
+            lambda a: achieved(a) - target, a, hi, xtol=1e-13 * max(1.0, abs(hi)), rtol=9e-16
         )
-    return ScaleSolution(a_p=float(a), r=r, p=p, achieved_sum=float(achieved), iterations=iterations)
+    total = achieved(a)
+    if abs(total - target) > 1e-8 * target:
+        raise SolverError(f"exceedance sum {total!r} misses target {target!r} beyond tolerance")
+    return float(a)
 
 
 def _number(key: str, value: str, text: str) -> float:

@@ -6,9 +6,8 @@ from genuine bugs.
 """
 
 __all__ = [
-    "RobustnnError", "ParameterError", "DomainError", "ShapeError", "SolverError",
-    "ConfigurationError", "DegenerateScenarioError", "SampleSizeError",
-    "UnsupportedSettingError", "ProtocolError", "DatasetError",
+    "RobustnnError", "ParameterError", "ShapeError", "SolverError", "ConfigurationError",
+    "DegenerateScenarioError", "SampleSizeError", "UnsupportedSettingError", "DatasetError",
 ]
 
 
@@ -17,11 +16,7 @@ class RobustnnError(Exception):
 
 
 class ParameterError(RobustnnError, ValueError):
-    """An argument or distribution parameter is outside its valid range."""
-
-
-class DomainError(RobustnnError, ValueError):
-    """A function was evaluated outside its mathematical domain."""
+    """An argument or distribution parameter is outside its valid range or domain."""
 
 
 class ShapeError(RobustnnError, ValueError):
@@ -41,15 +36,11 @@ class DegenerateScenarioError(RobustnnError, ValueError):
 
 
 class SampleSizeError(RobustnnError, ValueError):
-    """Too few samples for the requested procedure."""
+    """Too few samples for the procedure, e.g. one row in a class for leave-one-out or CV."""
 
 
 class UnsupportedSettingError(RobustnnError, ValueError):
     """The requested analysis is only defined for a restricted setting."""
-
-
-class ProtocolError(RobustnnError, ValueError):
-    """A cross-validation protocol precondition is violated."""
 
 
 class DatasetError(RobustnnError, ValueError):

@@ -157,9 +157,8 @@ def run_trial(
 
 @dataclass(frozen=True)
 class MethodRate:
-    """Aggregated success for one method over a common trial set."""
+    """Aggregated success for one method over a common trial set, keyed by its name."""
 
-    method: str
     rate: float
     se: float
     trials: int
@@ -230,7 +229,6 @@ def _rates(
         for name, (hits, defaults, _) in zip(names, np.sum(per_trial, axis=0)):
             rate = float(hits) / trials
             rates[name] = MethodRate(
-                method=name,
                 rate=rate,
                 se=_binomial_se(rate, trials),
                 trials=trials,
@@ -308,7 +306,6 @@ class ThresholdDistribution:
     bin_right: np.ndarray
     proportion: np.ndarray
     defaulted_fraction: float
-    thetas: np.ndarray
     shift: float
 
 
@@ -346,7 +343,6 @@ def threshold_distribution(
         bin_right=bin_right,
         proportion=proportion,
         defaulted_fraction=float(defaulted.sum()) / trials,
-        thetas=thetas,
         shift=shift,
     )
 
@@ -364,10 +360,10 @@ class SuccessCurve:
     x_name: str
 
 
-def _success_curve(scenario, score, grid, xs, x_name, trials, base_seed, key=(0,)) -> SuccessCurve:
-    """Run one curve study, seeded with ``key``; ``score`` returns a trial's correct
+def _success_curve(scenario, score, grid, xs, x_name, trials, base_seed) -> SuccessCurve:
+    """Run one curve study, seeded with key (0,); ``score`` returns a trial's correct
     flags over ``grid``, its NN flag and, for the c curve, its defaulted flags."""
-    per_trial = _run_cells([(scenario, key)], score, grid, trials, base_seed, None)[0]
+    per_trial = _run_cells([(scenario, (0,))], score, grid, trials, base_seed, None)[0]
     rates, nn_rate, *defaulted = (sum(flags) / trials for flags in zip(*per_trial))
     return SuccessCurve(
         xs=xs,
@@ -380,12 +376,22 @@ def _success_curve(scenario, score, grid, xs, x_name, trials, base_seed, key=(0,
     )
 
 
-def _t_grid_trial(scenario: Scenario, ts: np.ndarray, seed: int, z_from: str):
-    """One curve trial: the correct flags of 1(T(t) > 0) over ``ts``, and NN's."""
-    data = _draw(scenario, seed, z_from)
+def _fixed_flags(data: GeneratedData, ts: np.ndarray) -> np.ndarray:
+    """The correct flags of the label 1(T(t) > 0) over ``ts`` on one dataset."""
     T, _ = threshold_scan(data.x_samples, data.y_samples, data.z, ts)
+    return np.where(T <= 0, "X", "Y") == data.z_label
+
+
+def _t_grid_trial(scenario: Scenario, ts: np.ndarray, seed: int, z_from: str) -> np.ndarray:
+    """One a priori Monte Carlo trial: the correct flags of 1(T(t) > 0) over ``ts``."""
+    return _fixed_flags(_draw(scenario, seed, z_from), ts)
+
+
+def _t_curve_trial(scenario: Scenario, ts: np.ndarray, seed: int, z_from: str):
+    """One threshold-curve trial: ``_t_grid_trial``'s flags, and NN's."""
+    data = _draw(scenario, seed, z_from)
     nn = classify_nn_standard(data.x_samples, data.y_samples, data.z)
-    return np.where(T <= 0, "X", "Y") == data.z_label, nn == data.z_label
+    return _fixed_flags(data, ts), nn == data.z_label
 
 
 def _fixed_thresholds(t_grid, trials: int) -> np.ndarray:
@@ -412,7 +418,7 @@ def success_vs_threshold(
     """
     props = _fixed_thresholds(t_grid, trials)
     ts = props * shift_amount(scenario)
-    return _success_curve(scenario, _t_grid_trial, ts, props, "t_over_shift", trials, base_seed)
+    return _success_curve(scenario, _t_curve_trial, ts, props, "t_over_shift", trials, base_seed)
 
 
 def _c_grid_trial(scenario: Scenario, z_ps: np.ndarray, seed: int, z_from: str):
@@ -460,7 +466,6 @@ class AprioriCurve:
     ts: np.ndarray
     values: np.ndarray
     t_star: float
-    method: str
 
 
 def _term_moments(q_i: float, q_j: float, q_k: float) -> tuple[float, float]:
@@ -546,11 +551,12 @@ def apriori_optimal_threshold(
     elif method == "monte_carlo":
         if trials < 2:
             raise ParameterError("monte_carlo needs at least 2 trials")
-        values = _success_curve(scenario, _t_grid_trial, ts, ts, "t", trials, base_seed, ()).rates
+        per_trial = _run_cells([(scenario, ())], _t_grid_trial, ts, trials, base_seed, None)[0]
+        values = sum(per_trial) / trials  # as _success_curve sums its flags
     else:
         raise ParameterError(f"method must be 'normal_approx' or 'monte_carlo', got {method!r}")
     t_star = float(ts[values == values.max()].min())
-    return AprioriCurve(ts=ts, values=values, t_star=t_star, method=method)
+    return AprioriCurve(ts=ts, values=values, t_star=t_star)
 
 
 def write_rates_csv(path, fields: Sequence[str], cells: Sequence[Sequence], rates) -> None:
@@ -560,9 +566,9 @@ def write_rates_csv(path, fields: Sequence[str], cells: Sequence[Sequence], rate
         writer = csv.writer(fh)
         writer.writerow([*fields, "method", "rate", "se", "trials"])
         for values, cell in zip(cells, rates, strict=True):
-            for rate in (cell or {}).values():
+            for name, rate in (cell or {}).items():
                 writer.writerow(
-                    [*map(repr, values), rate.method, repr(rate.rate), repr(rate.se), rate.trials]
+                    [*map(repr, values), name, repr(rate.rate), repr(rate.se), rate.trials]
                 )
 
 

@@ -306,15 +306,15 @@ def test_criterion_07_predicted_vs_empirical(slope_curve):
 
 def test_criterion_08_scale_solver_exactness():
     pareto = solve_scale(Pareto(1.0), 10000, 0.5)
-    pareto_err = abs(pareto.a_p - 100.0) / 100.0
+    pareto_err = abs(pareto - 100.0) / 100.0
     target = 0.4 * math.log(20000.0)
     expo = solve_scale(Exponential(), 20000, 0.4)
-    expo_err = abs(expo.a_p - target) / target
+    expo_err = abs(expo - target) / target
     _report(
         8,
         pareto_err <= 1e-6 and expo_err <= 1e-8,
-        f"power-tail solution {pareto.a_p!r} (rel err {pareto_err:.2e} vs 1e-6), "
-        f"exponential solution {expo.a_p!r} (rel err {expo_err:.2e} vs 1e-8)",
+        f"power-tail solution {pareto!r} (rel err {pareto_err:.2e} vs 1e-6), "
+        f"exponential solution {expo!r} (rel err {expo_err:.2e} vs 1e-8)",
     )
 
 

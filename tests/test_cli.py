@@ -3,6 +3,7 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 import robustnn.cli as cli
@@ -18,7 +19,7 @@ from robustnn.classifier import (
 from robustnn.cli import dispatch
 from robustnn.config import load_config, methods_from_config, scenario_from_config
 from robustnn.datagen import shift_amount
-from robustnn.dataset import load_dataset
+from robustnn.dataset import Dataset, load_dataset, save_dataset
 from robustnn.experiments import success_vs_c, threshold_distribution
 
 SCENARIO_200 = "[scenario]\np = 200\nbeta = 0.6\nr = 0.7\nseed = 3\n"
@@ -181,8 +182,29 @@ def test_loo_and_cv_on_generated_data(tmp_path, capsys):
     payload = json.loads(cv_out.read_text())
     assert payload["grid_size"] >= 1
     assert payload["minimizer_count"] >= 1
-    assert isinstance(payload["theta_cv"], float)
-    capsys.readouterr()
+    # CV is already least with no truncation (t = -inf) here, which JSON writes as null.
+    assert payload["theta_cv"] is None
+    assert capsys.readouterr().out.endswith("theta_cv = -inf (CV = 0.0)\n")
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_cv_writes_null_for_no_truncation_and_only_standard_json(tmp_path, capsys):
+    # Well separated classes: CV is least already with no truncation, t = -inf.
+    rng = np.random.default_rng(0)
+    samples = np.vstack([rng.normal(0.0, 1.0, (3, 20)), rng.normal(5.0, 1.0, (3, 20))])
+    ids = tuple(f"f{k}" for k in range(20))
+    data = tmp_path / "s.csv"
+    save_dataset(Dataset(ids, samples, ("a",) * 3 + ("b",) * 3), data)
+    out = tmp_path / "cv.json"
+    assert dispatch(["cv", "--data", str(data), "--out", str(out)]) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert [path.name for path in written] == ["cv.json", "cv.manifest.json"]
+    cv, manifest = (json.loads(p.read_text(), parse_constant=_reject_non_finite) for p in written)
+    assert cv["theta_cv"] is None and manifest["config"]["theta_cv"] is None
+    assert capsys.readouterr().out == "theta_cv = -inf (CV = 0.0)\n"
 
 
 def test_sweep_writes_grid_and_dominance(tmp_path, capsys):
@@ -606,7 +628,9 @@ def test_apriori_nan_grid_point_is_an_error_line(tmp_path, capsys, method):
         SCENARIO_200 + f"[apriori]\nt_grid = 0.5, nan\nmethod = {method}\ntrials = 4\n",
     )
     assert dispatch(["apriori", "--config", cfg, "--out", str(tmp_path / "ap.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error: t_grid must be nonempty and free of NaN")
+    # The config reader rejects it, as it rejects a non-finite range bound.
+    err = capsys.readouterr().err
+    assert err == "error: [apriori] t_grid: list entries must be finite, got '0.5, nan'\n"
 
 
 def test_loo_names_the_csv_line_of_a_non_finite_value(tmp_path, capsys):

@@ -53,11 +53,21 @@ def test_parse_number_list_errors():
             parse_number_list(bad)
 
 
-@pytest.mark.parametrize("text", ["0:inf:1", "0:nan:1", "-inf:0:1", "0:1:inf"])
-def test_parse_number_list_rejects_a_non_finite_range_bound(text):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(text, f"range bounds must be finite, got {text!r}", id=text)
+        for text in ("0:inf:1", "0:nan:1", "-inf:0:1", "0:1:inf")
+    ]
+    + [  # a comma list's entries, as its range's bounds
+        pytest.param(text, f"list entries must be finite, got {text!r}", id=text)
+        for text in ("0.5, inf", "nan", "-inf, 1", "1, 2, Infinity")
+    ],
+)
+def test_parse_number_list_rejects_a_non_finite_range_bound(text, message):
     with pytest.raises(ConfigurationError) as info:
         parse_number_list(text)
-    assert str(info.value) == f"range bounds must be finite, got {text!r}"
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -268,8 +278,7 @@ def test_scenario_from_config_overrides():
     sc = scenario_from_config(None, p=50, r=0.8, marginal="exponential")
     assert sc.p == 50 and sc.r == 0.8
     assert sc.marginal == Exponential()
-    # already-built objects pass straight through
-    sc2 = scenario_from_config(None, p=60, marginal=Subbotin(1.5))
+    sc2 = scenario_from_config(None, p=60, marginal="subbotin gamma=1.5")
     assert sc2.marginal == Subbotin(1.5)
 
 

@@ -1,6 +1,7 @@
 """Generators, dependence models, shift placement, and seed derivation."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 import warnings
@@ -33,6 +34,7 @@ from robustnn import (
 )
 import robustnn.datagen as datagen
 from robustnn.datagen import _calibration_sample, _component_params, _exp_ma_transform
+from robustnn.config import scenario_fields
 from robustnn.datagen import DEPENDENCE, innovations_needed
 from robustnn.seeds import mix64
 
@@ -372,6 +374,17 @@ def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         Scenario(**dict(ok, marginal=((Normal(), 50), (Normal(), 50)),
                         dependence=AR1(0.5)))
+
+
+@pytest.mark.parametrize("name", ["p", "m", "n", "seed"])
+def test_scenario_integer_fields_reject_a_float_and_store_an_int(name):
+    ok = dict(p=200, m=2, n=2, beta=0.6, r=0.5, marginal=Normal(), seed=3)
+    with pytest.raises(ParameterError, match=rf"^{name} must be an integer, got 2\.5$"):
+        Scenario(**dict(ok, **{name: 2.5}))
+    sc = Scenario(**dict(ok, **{name: np.int64(ok[name])}))
+    assert type(getattr(sc, name)) is int
+    assert sc == Scenario(**ok)
+    json.dumps(scenario_fields(sc))  # a numpy integer would not serialise
 
 
 def test_gen_mixed_light_heavy_coupling():

@@ -18,8 +18,8 @@ from robustnn import (
     ExtremaMethod,
     Normal,
     ParameterError,
-    ProtocolError,
     RobustMethod,
+    SampleSizeError,
     Scenario,
     StandardNNMethod,
     classify_extrema,
@@ -319,7 +319,7 @@ def test_loo_requires_two_per_class():
         np.array([[0.0, 0.0], [1.0, 1.0], [1.1, 1.1]]),
         ("u", "v", "v"),
     )
-    with pytest.raises(ProtocolError):
+    with pytest.raises(SampleSizeError):
         loo_cross_validate(ds, StandardNNMethod())
 
 

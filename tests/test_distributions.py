@@ -17,7 +17,7 @@ from robustnn import (
     parse_marginal,
     solve_scale,
 )
-from robustnn.errors import ConfigurationError, DomainError
+from robustnn.errors import ConfigurationError
 
 
 # Arguments at and beyond the edges of the double range, signed zeros included.
@@ -100,7 +100,7 @@ def test_inverse_survival_round_trip():
     for spec in specs:
         for q in (0.4, 0.1, 1e-3):
             assert spec.survival(spec.inverse_survival(q)) == pytest.approx(q, rel=1e-9)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             spec.inverse_survival(0.0)
 
 
@@ -115,37 +115,43 @@ def test_samplers_match_survival():
 
 
 def test_solve_scale_single_family_exact():
-    sol = solve_scale(Pareto(1.0), 10000, 0.5)
-    assert sol.a_p == pytest.approx(100.0, rel=1e-6)
-    assert sol.iterations == 0
-    sol = solve_scale(Exponential(), 20000, 0.4)
-    assert sol.a_p == pytest.approx(3.961395021014451, rel=1e-8)
+    a = solve_scale(Pareto(1.0), 10000, 0.5)
+    assert a == pytest.approx(100.0, rel=1e-6)
+    # The closed-form reduction: the inverse survival point itself, bit for bit.
+    assert a.hex() == Pareto(1.0).inverse_survival(10000 ** -0.5).hex()
+    a = solve_scale(Exponential(), 20000, 0.4)
+    assert a == pytest.approx(3.961395021014451, rel=1e-8)
     # brentq on scipy's sf gives the same level for student t
-    sol = solve_scale(StudentT(4.0), 20000, 0.4)
-    assert sol.a_p == pytest.approx(3.04879484080968, rel=1e-9)
+    a = solve_scale(StudentT(4.0), 20000, 0.4)
+    assert a == pytest.approx(3.04879484080968, rel=1e-9)
 
 
 def test_solve_scale_achieved_sum():
-    for spec, p, r in ((Normal(), 500, 0.3), (StudentT(2.0), 2000, 0.7)):
-        sol = solve_scale(spec, p, r)
-        assert sol.achieved_sum == pytest.approx(p ** (1.0 - r), rel=1e-8)
-        assert sol.p == p and sol.r == r
+    # The exceedance sum recomputed at the returned level, on the single and mixed branches.
+    for blocks, r in (
+        ([(Normal(), 500)], 0.3),
+        ([(StudentT(2.0), 2000)], 0.7),
+        ([(Exponential(), 60), (Normal(), 40)], 0.5),
+        ([(StudentT(3.0), 1500), (Subbotin(1.5), 400), (Pareto(2.0), 100)], 0.6),
+    ):
+        p = sum(count for _, count in blocks)
+        a = solve_scale(blocks[0][0] if len(blocks) == 1 else blocks, p, r)
+        achieved = sum(count * spec.survival(a) for spec, count in blocks)
+        assert achieved == pytest.approx(p ** (1.0 - r), rel=1e-8)
 
 
 def test_solve_scale_mixed_blocks():
     # scipy.optimize.brentq on 60*exp(-a) + 40*norm.sf(a) = 10
-    sol = solve_scale([(Exponential(), 60), (Normal(), 40)], 100, 0.5)
-    assert sol.a_p == pytest.approx(1.910653617432875, rel=1e-9)
+    a = solve_scale([(Exponential(), 60), (Normal(), 40)], 100, 0.5)
+    assert a == pytest.approx(1.910653617432875, rel=1e-9)
     # The brentq result itself, pinned bit for bit.
-    assert (sol.a_p.hex(), sol.achieved_sum.hex(), sol.iterations) == (
-        "0x1.e9209870dbb95p+0", "0x1.3fffffffffffbp+3", 8)
+    assert a.hex() == "0x1.e9209870dbb95p+0"
 
 
 def test_solve_scale_identical_blocks_collapse():
     whole = solve_scale(Normal(), 100, 0.5)
     split = solve_scale([(Normal(), 60), (Normal(), 40)], 100, 0.5)
-    assert split.a_p == pytest.approx(whole.a_p, rel=1e-12)
-    assert split.iterations == 0
+    assert split.hex() == whole.hex()
 
 
 def test_solve_scale_rejects_bad_arguments():
@@ -153,6 +159,8 @@ def test_solve_scale_rejects_bad_arguments():
         solve_scale(Normal(), 100, 1.0)
     with pytest.raises(ParameterError):
         solve_scale(Normal(), 0, 0.5)
+    with pytest.raises(ParameterError, match=r"^p must be at least 2, got 1$"):
+        solve_scale(Normal(), 1, 0.5)
     with pytest.raises(ParameterError):
         solve_scale([(Normal(), 60), (Exponential(), 30)], 100, 0.5)
     with pytest.raises(ParameterError):

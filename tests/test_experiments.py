@@ -246,7 +246,7 @@ def test_dominance_ties_go_to_a_robust_method_then_method_order(tmp_path):
 
     def cell(*values):
         return {
-            method.name: MethodRate(method.name, value, 0.0, 10)
+            method.name: MethodRate(value, 0.0, 10)
             for method, value in zip(methods, values)
         }
 
@@ -341,12 +341,14 @@ def test_threshold_distribution():
     assert dist.shift == pytest.approx(shift_amount(SMALL))
     assert 0.0 <= dist.defaulted_fraction < 1.0
     assert type(dist.defaulted_fraction) is float  # the CLI prints its repr
-    assert dist.thetas.size == round((1.0 - dist.defaulted_fraction) * 60)
+    kept = round((1.0 - dist.defaulted_fraction) * 60)  # the non-defaulted selections
+    np.testing.assert_allclose(dist.proportion * kept, np.round(dist.proportion * kept))
     assert dist.bin_left.size == dist.bin_right.size == dist.proportion.size == 12
     assert np.all(dist.bin_right > dist.bin_left)
     assert dist.proportion.sum() == pytest.approx(1.0 - dist.defaulted_fraction)
     again = threshold_distribution(SMALL, 60, RobustMethod(xi_or_c=0.3), 11, bins=12)
-    np.testing.assert_array_equal(dist.thetas, again.thetas)
+    for name in ("bin_left", "bin_right", "proportion"):
+        np.testing.assert_array_equal(getattr(dist, name), getattr(again, name))
 
 
 def test_threshold_distribution_rejects_a_bad_spec_before_any_trial(monkeypatch):
