@@ -54,7 +54,7 @@ Ties always resolve to the X population.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Literal, Union, get_args
 
 import numpy as np
@@ -162,21 +162,22 @@ def compute_T_S(train_x, train_y, z, t: float) -> ThresholdStatistics:
     return ThresholdStatistics(T=T, S2=S2)
 
 
-def _slope(rule: str, xi_or_c: float | None) -> float:
-    """``xi_or_c``, or when None the rule's default, DEFAULT_XI or DEFAULT_C."""
-    return (DEFAULT_XI if rule == "dependent" else DEFAULT_C) if xi_or_c is None else xi_or_c
+def _robust_slope(rule: str, xi_or_c: float | None) -> float:
+    """``xi_or_c``, or when None the rule's default slope, once the rule and the slope check."""
+    if rule not in RULES:
+        raise ParameterError(f"unknown rule {rule!r}; expected one of {list(RULES)}")
+    c = float((DEFAULT_XI if rule == "dependent" else DEFAULT_C) if xi_or_c is None else xi_or_c)
+    if not 0 <= c < math.inf:  # NaN and inf would never let the scan fire
+        raise ParameterError(f"robust slope c must be finite and nonnegative, got {c!r}")
+    return c
 
 
 def zp_value(rule: str, p: int, xi_or_c: float | None) -> float:
     """Critical value for the threshold search: c*sqrt(log p) or xi*log p."""
-    if rule not in RULES:
-        raise ParameterError(f"rule must be one of {list(RULES)}, got {rule!r}")
+    xi_or_c = _robust_slope(rule, xi_or_c)
     p = int(p)
     if p < 2:
         raise ParameterError(f"p must be at least 2, got {p}")
-    xi_or_c = float(_slope(rule, xi_or_c))
-    if not 0 <= xi_or_c < math.inf:  # NaN and inf would never let the scan fire
-        raise ParameterError(f"xi_or_c must be finite and nonnegative, got {xi_or_c!r}")
     logp = math.log(p)
     return xi_or_c * (logp if rule == "dependent" else math.sqrt(logp))
 
@@ -530,8 +531,8 @@ class RobustMethod:
     rule: str = "independent"
     xi_or_c: float | None = None  # None: the rule's default slope, resolved here
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi_or_c", _slope(self.rule, self.xi_or_c))
+    def __post_init__(self):  # checks the rule, then resolves and checks the slope
+        object.__setattr__(self, "xi_or_c", _robust_slope(self.rule, self.xi_or_c))
 
     def decide(self, train_x, train_y, z) -> tuple[Label, float, bool]:
         label, decision = classify_robust(train_x, train_y, z, self.rule, self.xi_or_c)
@@ -547,16 +548,28 @@ class StandardNNMethod:
 
 
 @dataclass(frozen=True)
-class TruncatedNNMethod:
-    name: ClassVar[str] = "nn_trunc"
+class _ThresholdMethod:
+    """A method at a given threshold t, which must be finite; each subclass names itself."""
+
     t: float
+
+    def __post_init__(self):
+        if self.t is None:
+            raise ConfigurationError(f"{self.name} needs a threshold t")
+        if not math.isfinite(self.t):  # NaN and inf leave every component on one side
+            raise ParameterError(f"{self.name} threshold t must be finite, got {self.t!r}")
+
+
+@dataclass(frozen=True)
+class TruncatedNNMethod(_ThresholdMethod):
+    name: ClassVar[str] = "nn_trunc"
 
     def decide(self, train_x, train_y, z) -> tuple[Label, None, None]:
         return classify_nn_truncated(train_x, train_y, z, self.t), None, None
 
 
 @dataclass(frozen=True)
-class FixedThresholdMethod:
+class FixedThresholdMethod(_ThresholdMethod):
     """Indicator classifier at a fixed threshold, bypassing selection.
 
     It counts at its one threshold with ``compute_T_S``, O((m + n) p): the
@@ -566,7 +579,6 @@ class FixedThresholdMethod:
     at m = n = 5)."""
 
     name: ClassVar[str] = "fixed_threshold"
-    t: float
 
     def decide(self, train_x, train_y, z) -> tuple[Label, None, None]:
         return ("X" if compute_T_S(train_x, train_y, z, self.t).T <= 0 else "Y"), None, None
@@ -590,27 +602,12 @@ METHODS = {cls.name: cls for cls in get_args(MethodSpec)}
 def make_method(
     name: str, rule: str = "independent", c: float | None = None, t: float | None = None
 ) -> MethodSpec:
-    """The method called ``name``, as the config file and the CLI build it.
-
-    ``rule`` and ``c`` configure the robust method; ``c`` defaults by rule,
-    as ``RobustMethod`` resolves it.  ``t`` is the threshold nn_trunc and
-    fixed_threshold need."""
+    """The method called ``name`` with the settings its fields name, checked by the spec:
+    ``rule`` and ``c`` (``xi_or_c``) for robust, ``t`` for nn_trunc and fixed_threshold."""
     if name not in METHODS:
         raise ConfigurationError(f"unknown method {name!r}; expected one of {list(METHODS)}")
-    cls = METHODS[name]
-    if cls is RobustMethod:
-        if rule not in RULES:
-            raise ConfigurationError(f"unknown rule {rule!r}; expected one of {list(RULES)}")
-        method = RobustMethod(rule=rule, xi_or_c=c)
-        c = method.xi_or_c
-        if not 0 <= c < math.inf:
-            raise ConfigurationError(f"robust slope c must be finite and nonnegative, got {c!r}")
-        return method
-    if cls in (TruncatedNNMethod, FixedThresholdMethod):
-        if t is None:
-            raise ConfigurationError(f"{name} needs a threshold t")
-        return cls(t=t)
-    return cls()
+    settings = {"rule": rule, "xi_or_c": c, "t": t}
+    return METHODS[name](**{f.name: settings[f.name] for f in fields(METHODS[name])})
 
 
 def evaluate_method(

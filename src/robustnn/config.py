@@ -19,7 +19,7 @@ compound values:
   ``ar1 alpha=0.5``; ``exp_ma decay=0.5 lead=1 alpha_range=0.5,2
   offset_bound=0 innovation=pareto;gamma=2``.  The formatters write every
   field in this form, so ``parse(format(spec)) == spec``.
-* number lists: ``0.1, 0.2, 0.3`` or the inclusive range ``0.1:0.9:0.2``.
+* number lists: ``0.1, 0.2, 0.3`` or the exact inclusive range ``0.1:0.9:0.2``.
 
 ``default_config()`` returns a complete annotated template; every key it
 shows is optional in user files and defaults to the value shown.  A section
@@ -32,6 +32,8 @@ import configparser
 import math
 import os
 from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 from typing import Any, Callable
 
 from .classifier import DEFAULT_C, DEFAULT_XI, METHODS, MethodSpec, make_method
@@ -59,32 +61,34 @@ _MAX_RANGE_POINTS = 10**6
 
 
 def parse_number_list(text: str) -> list[float]:
-    """Parse ``a, b, c`` or the inclusive range ``start:stop:step`` of at
-    most a million points."""
+    """Parse ``a, b, c`` or the inclusive range ``start:stop:step`` of at most a
+    million points.  A range is exact on the decimals written: point i is one correctly
+    rounded integer division, the double nearest start + i * step (0.85, not 0.85000...01)."""
     text = text.strip()
     if not text:
         raise ConfigurationError("empty number list")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigurationError(
-                f"range must be start:stop:step, got {text!r}"
-            )
+            raise ConfigurationError(f"range must be start:stop:step, got {text!r}")
         try:
-            start, stop, step = (float(part) for part in parts)
-        except ValueError:
+            bounds = [Decimal(part) for part in parts]
+        except ArithmeticError:  # decimal.InvalidOperation
             raise ConfigurationError(f"non-numeric range bound in {text!r}") from None
-        if not all(map(math.isfinite, (start, stop, step))):
+        if not all(b.is_finite() and math.isfinite(b) for b in bounds):  # and finite as doubles
             raise ConfigurationError(f"range bounds must be finite, got {text!r}")
+        # The exact decimal of a double has at most 1074 places, that of 2**-1074.
+        if max(-b.as_tuple().exponent for b in bounds) > 1074:
+            raise ConfigurationError(f"range {text!r} has a bound with over 1074 decimal places")
+        start, stop, step = map(Fraction, bounds)
         if step <= 0 or stop < start:
-            raise ConfigurationError(
-                f"range needs step > 0 and stop >= start, got {text!r}"
-            )
-        steps = (stop - start) / step + 1e-9  # inf where the bounds or the count overflow
-        if not steps < _MAX_RANGE_POINTS:
+            raise ConfigurationError(f"range needs step > 0 and stop >= start, got {text!r}")
+        count = (stop - start) // step + 1
+        if count > _MAX_RANGE_POINTS:
             raise ConfigurationError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
-        count = int(math.floor(steps)) + 1
-        return [start + i * step for i in range(count)]
+        scale = math.lcm(start.denominator, step.denominator)
+        first, gap = int(start * scale), int(step * scale)
+        return [(first + i * gap) / scale for i in range(count)]
     try:
         numbers = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:

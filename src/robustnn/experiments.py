@@ -325,7 +325,6 @@ def threshold_distribution(
     """
     if not isinstance(method, RobustMethod):
         raise ParameterError(f"threshold_distribution needs a RobustMethod, got {method!r}")
-    zp_value(method.rule, scenario.p, method.xi_or_c)  # a bad rule or slope fails before any trial
     if bins < 1:
         raise ParameterError(f"bins must be positive, got {bins}")
     per_trial = _run_cells([(scenario, (0,))], run_trial, [method], trials, base_seed, workers)[0]

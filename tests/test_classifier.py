@@ -334,8 +334,11 @@ def test_zp_value_closed_forms():
     assert zp_value("independent", 100, 0.5) == 0.5 * math.sqrt(math.log(100))
     assert zp_value("dependent", 100, 0.2) == 0.2 * math.log(100)
     for rule in ("bonferroni", "independent_sqrt_logp", "dependent_logp"):
-        with pytest.raises(ParameterError, match="rule must be one of"):
+        with pytest.raises(ParameterError) as info:
             zp_value(rule, 100, 0.5)
+        assert str(info.value) == (
+            f"unknown rule {rule!r}; expected one of ['independent', 'dependent']"
+        )
     with pytest.raises(ParameterError):
         zp_value("independent", 1, 0.5)
     with pytest.raises(ParameterError):
@@ -609,12 +612,33 @@ def test_evaluate_method_rejects_a_non_spec():
 def test_make_method_rejects_an_unknown_rule():
     assert RULES == ("independent", "dependent")
     for rule in ("bogus", "independent_sqrt_logp", "dependent_logp"):
-        with pytest.raises(ConfigurationError) as info:
+        with pytest.raises(ParameterError) as info:
             make_method("robust", rule=rule)
         assert str(info.value) == (
             f"unknown rule {rule!r}; expected one of ['independent', 'dependent']"
         )
     assert make_method("robust", rule="dependent").xi_or_c == DEFAULT_XI
+
+
+def test_threshold_methods_need_a_finite_t():
+    for build, message in [
+        (lambda: TruncatedNNMethod(t=math.inf), "nn_trunc threshold t must be finite, got inf"),
+        (
+            lambda: make_method("fixed_threshold", t=math.nan),
+            "fixed_threshold threshold t must be finite, got nan",
+        ),
+        (
+            lambda: FixedThresholdMethod(t=-math.inf),
+            "fixed_threshold threshold t must be finite, got -inf",
+        ),
+    ]:
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == message
+    with pytest.raises(ConfigurationError) as info:
+        make_method("nn_trunc")
+    assert str(info.value) == "nn_trunc needs a threshold t"
+    assert make_method("nn_trunc", t=0.5) == TruncatedNNMethod(t=0.5)
 
 
 def test_defaults():

@@ -150,6 +150,12 @@ def test_classify_bad_index(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # Row 0 is the one X row: holding it out leaves no X row to train on.
+    code = dispatch(
+        ["classify", "--data", str(data), "--index", "0", "--out", str(tmp_path / "r.json")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: training split leaves an empty class\n"
 
 
 def test_classify_missing_data(tmp_path, capsys):
@@ -356,6 +362,40 @@ def test_nn_trunc_requires_t(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["loo", "--method", "nn_trunc", "--t", "inf"],
+            "nn_trunc threshold t must be finite, got inf",
+        ),
+        (
+            ["classify", "--method", "fixed_threshold", "--t", "nan"],
+            "fixed_threshold threshold t must be finite, got nan",
+        ),
+    ],
+    ids=["loo_inf", "classify_nan"],
+)
+def test_non_finite_t_flag_is_an_error_line(tmp_path, capsys, argv, message):
+    data = tmp_path / "data.csv"
+    assert dispatch(["gen", "--config", write_cfg(tmp_path, SCENARIO_200), "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert dispatch([*argv, "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
+
+
+def test_non_finite_fixed_t_fails_a_sweep_before_calibration(tmp_path, capsys):
+    setting = "[methods]\nmethods = robust, fixed_threshold\nfixed_t = nan\n"
+    cfg = write_cfg(tmp_path, STUDIES_200 + setting)
+    shift_amount.cache_clear()
+    assert dispatch(["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: fixed_threshold threshold t must be finite, got nan\n"
+    assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
 
 
 @pytest.mark.parametrize("rule, slope", [("independent", DEFAULT_C), ("dependent", DEFAULT_XI)])

@@ -42,15 +42,23 @@ def test_parse_number_list_explicit():
 
 
 def test_parse_number_list_range():
-    assert parse_number_list("0.55:0.95:0.1") == pytest.approx([0.55, 0.65, 0.75, 0.85, 0.95])
-    assert parse_number_list("0.1:0.9:0.2") == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
+    # Each point is the double nearest the decimal it names, with no drift.
+    assert parse_number_list("0.55:0.95:0.1") == [0.55, 0.65, 0.75, 0.85, 0.95]
+    assert parse_number_list("0.1:0.9:0.2") == [0.1, 0.3, 0.5, 0.7, 0.9]
+    assert parse_number_list("0.0:1.2:0.1") == [k / 10 for k in range(13)]
+    assert parse_number_list("0.7:0.9:0.1") == [0.7, 0.8, 0.9]
+    assert parse_number_list("1e-3:3e-3:1e-3") == [0.001, 0.002, 0.003]
     assert parse_number_list("2:2:1") == [2.0]
+    assert parse_number_list("0:1:0.3") == [0.0, 0.3, 0.6, 0.9]
 
 
 def test_parse_number_list_errors():
     for bad in ("", "1:2", "1:0:1", "a, b"):
         with pytest.raises(ConfigurationError):
             parse_number_list(bad)
+    with pytest.raises(ConfigurationError) as info:  # not a 10**2000 denominator
+        parse_number_list("1e-2000:1:1")
+    assert str(info.value) == "range '1e-2000:1:1' has a bound with over 1074 decimal places"
 
 
 @pytest.mark.parametrize(

@@ -112,6 +112,10 @@ def test_shift_amount_ar1_closed_form():
     from scipy.stats import norm
     expected = norm.isf(1000 ** -0.5, scale=math.sqrt((1 - 0.5) / (1 + 0.5)))
     assert shift_amount(sc) == pytest.approx(expected, rel=1e-10)
+    # alpha = 0 leaves the innovations independent
+    assert shift_amount(replace(sc, dependence=AR1(0.0))) == shift_amount(
+        replace(sc, dependence=Independent())
+    )
 
 
 def test_shift_amount_exp_ma_matches_empirical_tail():
@@ -147,6 +151,8 @@ def test_apply_dependence_ar1_hand_case():
     np.testing.assert_allclose(out, [2.0, 1.0, 2.5])
     ones = apply_dependence(AR1(0.7), np.ones(50), 50)
     np.testing.assert_allclose(ones, 1.0)
+    innovations = np.array([2.0, -1.0, 4.0])  # alpha = 0: no filter
+    np.testing.assert_array_equal(apply_dependence(AR1(0.0), innovations, 3), innovations)
     # One AR1 draw pinned bit for bit, so the filter's arithmetic cannot drift.
     sc = Scenario(p=200, m=2, n=1, beta=0.6, r=0.5, marginal=Normal(), dependence=AR1(0.5),
                   seed=11)

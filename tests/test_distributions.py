@@ -102,6 +102,11 @@ def test_inverse_survival_round_trip():
             assert spec.survival(spec.inverse_survival(q)) == pytest.approx(q, rel=1e-9)
         with pytest.raises(ParameterError):
             spec.inverse_survival(0.0)
+    subbotin = Subbotin(1.5)  # symmetric about 0: the median and the lower half
+    assert subbotin.inverse_survival(0.5) == 0.0
+    for q in (0.6, 0.9, 1 - 1e-3):
+        x = subbotin.inverse_survival(q)
+        assert x < 0 and subbotin.survival(x) == pytest.approx(q, rel=1e-9)
 
 
 def test_samplers_match_survival():

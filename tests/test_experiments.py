@@ -349,6 +349,10 @@ def test_threshold_distribution():
     again = threshold_distribution(SMALL, 60, RobustMethod(xi_or_c=0.3), 11, bins=12)
     for name in ("bin_left", "bin_right", "proportion"):
         np.testing.assert_array_equal(getattr(dist, name), getattr(again, name))
+    never = threshold_distribution(SMALL, 20, RobustMethod(xi_or_c=1e6), 11, bins=12)
+    assert never.defaulted_fraction == 1.0  # no point fires: an empty histogram
+    for name in ("bin_left", "bin_right", "proportion"):
+        assert getattr(never, name).size == 0
 
 
 def test_threshold_distribution_rejects_a_bad_spec_before_any_trial(monkeypatch):
@@ -356,14 +360,28 @@ def test_threshold_distribution_rejects_a_bad_spec_before_any_trial(monkeypatch)
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(experiments, "_run_cells", no_trials)
-    for method, bins, message in [
-        (StandardNNMethod(), 20, "needs a RobustMethod"),
-        (RobustMethod(xi_or_c=math.nan), 20, "xi_or_c must be finite"),
-        (RobustMethod(rule="independent_sqrt_logp"), 20, "rule must be one of"),
-        (RobustMethod(), 0, "bins must be positive, got 0"),
+    # A bad rule or slope fails when the spec is built, before any trial.
+    for build, bins, message in [
+        (
+            StandardNNMethod,
+            20,
+            "threshold_distribution needs a RobustMethod, got StandardNNMethod()",
+        ),
+        (
+            lambda: RobustMethod(xi_or_c=math.nan),
+            20,
+            "robust slope c must be finite and nonnegative, got nan",
+        ),
+        (
+            lambda: RobustMethod(rule="independent_sqrt_logp"),
+            20,
+            "unknown rule 'independent_sqrt_logp'; expected one of ['independent', 'dependent']",
+        ),
+        (RobustMethod, 0, "bins must be positive, got 0"),
     ]:
-        with pytest.raises(ParameterError, match=message):
-            threshold_distribution(SMALL, 8, method, 0, bins=bins)
+        with pytest.raises(ParameterError) as info:
+            threshold_distribution(SMALL, 8, build(), 0, bins=bins)
+        assert str(info.value) == message
 
 
 def test_success_vs_threshold_curve():

@@ -115,6 +115,12 @@ def test_cv_rejects_samples_without_components():
         select_threshold_cv(X, Y)
     with pytest.raises(ShapeError, match=message):
         cv_error(0.0, X, Y)
+    X, Y = np.zeros((2, 3)), np.zeros((2, 4))  # rows of different widths
+    message = "samples_x and samples_y must have the same number of components"
+    with pytest.raises(ShapeError, match=message):
+        select_threshold_cv(X, Y)
+    with pytest.raises(ShapeError, match=message):
+        cv_error(0.0, X, Y)
 
 
 def test_cv_error_on_tiny_values_takes_the_largest_scale():
@@ -389,6 +395,12 @@ def test_apriori_requires_simple_setting():
                      dependence=MovingAverage.equal(3)),
             1.0,
         )
+    blocked = Scenario(
+        p=100, m=1, n=1, beta=0.5, r=0.5, marginal=((Normal(), 40), (StudentT(4.0), 60))
+    )
+    with pytest.raises(UnsupportedSettingError) as info:
+        apriori_optimal_threshold(blocked, [1.0])
+    assert str(info.value) == "a priori analysis requires identically distributed components"
     with pytest.raises(ParameterError):
         apriori_success_rate(
             Scenario(p=100, m=1, n=1, beta=0.5, r=0.5, marginal=Normal()),
