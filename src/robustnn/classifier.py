@@ -30,20 +30,20 @@ argsort ranks the distinct values from 1, a threshold t becomes the cut
 c = #(values <= t) in that order, and a component of rank r is at or below t
 exactly when r <= c.  The default grid's cuts follow from its construction
 (midpoint k passes k + 1 values, or k + 2 where it rounds onto the upper
-one); only a caller's grid is searched.  One pass down the rows counts each
-row's components below every common cut (``_below``: one ``bincount`` and
-one ``cumsum``, or one sort of its p ranks where there are many cuts per
-component) and keeps each class's least distance at each cut and the count
-of the lowest row at it; any grid then reads its points at their cuts.  Only
-one row's counts are held at a time, so a scan's memory is
-O((m + n) p + grid) and not O((m + n) cuts), about (m + n)^2 p.
-Leave-one-out folds of N rows all pool the same N rows, so they share one
-ranking and each row's counts below every cut.  Fold i is the scan with row
-i as z, and each unordered pair's count of minima below every cut serves
-both rows' folds: it is made once and folded, as the scan folds a row
-(``_keep_nearer``), into each row's least distance to the other row's class.
-A fold adds only its t0, ``_median`` of its rows as ``select_threshold``
-takes it, and its grid.
+one); only a caller's grid is searched.
+
+One kernel (``_nearest_rows``) folds rows into held-out rows' nearest-row
+state.  Given the rows, their classes, a ranking floor and which rows are
+held out, it leaves each held row's least distance to each class and that
+row's count below, at every common cut (``_below``: one ``bincount`` and
+one ``cumsum``, or one sort of p ranks where there are many cuts per
+component), in the least unsigned types that hold the cut count and 2p.
+Each pair of rows is counted once and partners arrive in increasing index,
+so the lowest row wins a tie.  The scan is the kernel with z held: one row,
+so each partner is counted as it is folded, and memory is O((m + n) p +
+grid).  Leave-one-out holds every row: its folds pool the same rows and
+share one ranking, each row's counts and each pair's count of minima.  Any
+grid then reads T and S^2 at its cuts (``_statistics``), widened only there.
 
 Competitors: plain nearest neighbor on squared Euclidean distance,
 nearest neighbor on zeroed-below-threshold values v * 1(v > t), and a
@@ -205,7 +205,8 @@ def _midpoints(a, b):
     """0.5 * (a + b), or a + 0.5 * (b - a) where a + b overflows; a <= b."""
     with np.errstate(over="ignore"):
         mid = 0.5 * (a + b)
-        return np.where(np.isfinite(mid), mid, a + 0.5 * (b - a))
+        finite = np.isfinite(mid)
+        return mid if finite.all() else np.where(finite, mid, a + 0.5 * (b - a))
 
 
 def _breakpoints(values: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -250,55 +251,65 @@ def _keep_nearer(best, best_count, dist, count, closer) -> None:
     """Where ``dist`` < ``best``, take the row's distance and count: rows folded
     in increasing index keep the lowest on ties.  ``closer`` is a bool buffer.
     On a tie the two distances are equal, so the least distance is one
-    ``np.minimum``; only the count needs the mask.  The scan passes int64
-    arrays, leave-one-out the least unsigned type that holds 2p + 1."""
+    ``np.minimum``; only the count needs the mask."""
     np.less(dist, best, out=closer)
     np.minimum(best, dist, out=best)
     np.copyto(best_count, count, where=closer)
 
 
-def _nearest(z: np.ndarray, size: int, sides) -> tuple[np.ndarray, np.ndarray]:
-    """T and S^2 at common cuts 0..size-1, from ranks in 0..size-1: a
-    component of rank r is below the threshold at cut c when r <= c.
+def _nearest_rows(blocks, in_x, held, floor: float) -> tuple[np.ndarray, list]:
+    """The distinct values >= floor of the rows of ``blocks`` (2-D arrays,
+    stacked in order), and for each row of ``held`` (increasing indices) its
+    nearest other row of each class, X the rows with ``in_x``, at every
+    common cut: ((d_X, C_X), (d_Y, C_Y)).
 
-    ``sides`` are X's and Y's rows.  A row and z disagree where the smaller
-    rank is below the threshold and the larger is not, so their distance is
-    2 #(min below) - #(row below) - #(z below).  The z term is common to all
-    rows, moves neither the nearest rows nor T = d_x - d_y, and is left out.
-    Each class keeps its least distance and the nearest row's count below,
-    which gives S^2 = 2p - C_x - C_y.
+    A component of rank r is below the threshold at cut c when r <= c.  Two
+    rows disagree where the smaller rank is below and the larger is not, so
+    a held row's distance to row j is 2 #(min below) - C_j - C_held, C_j
+    being row j's count below.  C_held is common to all its partners, moves
+    neither its nearest rows nor T = d_X - d_Y, and is left out; S^2 is then
+    2p - C_X - C_Y.  Partners reach each held row in increasing index, so
+    the lowest row wins a tie; a class's first is taken as it is.  One held
+    row counts each partner when it folds it; more share every row's counts.
     """
-    low, closer = np.empty_like(z), np.empty(size, dtype=bool)
-    nearest = []
-    for rows in sides:
-        for i, row in enumerate(rows):
-            count = _below(row, size, np.int64)
-            dist = _below(np.minimum(row, z, out=low), size, np.int64)
-            dist *= 2
-            dist -= count
-            if i == 0:
-                best, best_count = dist, count
-            else:
-                _keep_nearer(best, best_count, dist, count, closer)
-        nearest.append((best, best_count))
-    (T, S2), (d_y, c_y) = nearest  # T and S2 reuse X's arrays
-    T -= d_y
-    S2 += c_y
-    np.subtract(2 * z.size, S2, out=S2)
-    return T, S2
+    values, ranks = _pooled_ranks(np.concatenate(blocks), floor)  # the stack is freed here
+    size, (n, p) = values.size + 1, ranks.shape
+    ranks = ranks.astype(np.min_scalar_type(size))  # 2-byte sort keys below 65536 cuts
+    dtype = np.min_scalar_type(2 * p)  # distances and counts are at most 2p
+    counts = [_below(row, size, dtype) for row in ranks] if len(held) > 1 else None
+    nearest = {h: [None, None] for h in held}
+    dist, closer = np.empty(size, dtype), np.empty(size, dtype=bool)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if a not in nearest and b not in nearest:
+                continue
+            both = _below(np.minimum(ranks[a], ranks[b]), size, dtype)
+            both *= 2
+            for h, o in ((a, b), (b, a)):
+                if h not in nearest:
+                    continue
+                count = _below(ranks[o], size, dtype) if counts is None else counts[o]
+                side, s = nearest[h], 0 if in_x[o] else 1
+                if side[s] is None:
+                    side[s] = (both - count, count if counts is None else count.copy())
+                else:
+                    np.subtract(both, count, out=dist)
+                    _keep_nearer(*side[s], dist, count, closer)
+    return values, [nearest[h] for h in held]
 
 
-def _scan(X: np.ndarray, Y: np.ndarray, z: np.ndarray, floor: float, ts=None):
-    """Grid, T and S^2 at thresholds ts >= floor (default: breakpoints from
-    floor), counted at every common cut and read at the grid's cuts."""
-    values, ranks = _pooled_ranks(np.concatenate([X, Y, z[None]]), floor)
-    if ts is None:
-        ts, cuts = _breakpoints(values, floor)
-    else:
-        cuts = np.searchsorted(values, ts, side="right")
-    nx = X.shape[0]
-    T, S2 = _nearest(ranks[-1], values.size + 1, (ranks[:nx], ranks[nx:-1]))
-    return ts, T[cuts], S2[cuts]
+def _statistics(nearest, p: int, cuts: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """T and S^2 in ``dtype`` at ``cuts``, from a held row's nearest rows: the
+    narrow arrays are read at the cuts and widened only there."""
+    (d_x, c_x), (d_y, c_y) = nearest
+    T = np.subtract(d_x[cuts], d_y[cuts], dtype=dtype)
+    return T, np.subtract(2 * p, (c_x + c_y)[cuts], dtype=dtype)  # c_x + c_y <= 2p
+
+
+def _held_z(X: np.ndarray, Y: np.ndarray, z: np.ndarray):
+    """The blocks X, Y and z, their rows' sides and z's index, for ``_nearest_rows``."""
+    m, n = len(X), len(Y)
+    return [X, Y, z[None]], np.arange(m + n + 1) < m, [m + n]
 
 
 def threshold_scan(train_x, train_y, z, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -309,8 +320,11 @@ def threshold_scan(train_x, train_y, z, ts) -> tuple[np.ndarray, np.ndarray]:
     """
     X, Y, z = _check_inputs(train_x, train_y, z)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.ndim != 1:
+        raise ShapeError(f"ts must be a scalar or 1-dimensional, got shape {ts.shape}")
     # fmin skips NaN thresholds, which exceed no value and so need no rank.
-    return _scan(X, Y, z, np.fmin.reduce(ts, initial=np.inf), ts)[1:]
+    values, (nearest,) = _nearest_rows(*_held_z(X, Y, z), np.fmin.reduce(ts, initial=np.inf))
+    return _statistics(nearest, z.size, np.searchsorted(values, ts, side="right"), np.int64)
 
 
 @dataclass(frozen=True)
@@ -370,11 +384,16 @@ def select_threshold(
     X, Y, z = _check_inputs(train_x, train_y, z)
     if t0 is None:
         t0 = _median(np.concatenate([X.ravel(), Y.ravel()]))
+    if np.ndim(t0) != 0:
+        raise ParameterError(f"t0 must be a scalar, got shape {np.shape(t0)}")
     t0 = float(t0)
     if not math.isfinite(t0):
         raise ParameterError(f"t0 must be finite, got {t0!r}")
     z_p = zp_value(rule, z.size, xi_or_c)
-    ts, T, S2 = _scan(X, Y, z, t0)
+    values, (nearest,) = _nearest_rows(*_held_z(X, Y, z), t0)
+    ts, cuts = _breakpoints(values, t0)
+    T, S2 = _statistics(nearest, z.size, cuts, np.int64)
+    del values, nearest, cuts  # free the scan's state before _first_firing's temporaries
     index, defaulted = _first_firing(T, S2, z_p)
     return ThresholdDecision(
         theta=float(ts[index]),  # ts[0] is t0
@@ -403,26 +422,16 @@ def _leave_one_out(
 ) -> list[tuple[Label, float, bool]]:
     """``classify_robust``'s (label, theta, defaulted) for each row of
     ``samples`` held out, trained on the rest (rows with ``in_x`` on the X
-    side), from one ranking of all the rows and one profile per pair of rows.
+    side): ``_nearest_rows`` with every row held, from one ranking of all the
+    rows and one profile per pair of rows.
 
     Every fold pools the same rows, so one ranking of the values at or
     above the least t0 serves them all.  Fold i's values are the common ones
     from lo_i = #(values < t0_i) on, its grid is t0_i and the common
-    midpoints from lo_i, and a common rank r is below the threshold at
-    common cut c exactly when r <= c.  Fold i is ``_nearest`` with row i as
-    z, so its distance to row j is 2 #(min(r_i, r_j) <= c) - C_j(c), C_j(c)
-    being row j's count below c.  Each unordered pair's 2 #(min below) is
-    made once and folded, less C_b, into a's nearest row of b's class and,
-    less C_a, into b's nearest row of a's class, partners in increasing
-    index as ``_nearest`` takes them.  Leaving out one row's p values moves
-    the pooled median across at most p values, so lo_i <= p, and the pair
-    profiles cover every common cut rather than only a fold's own.
-
-    Everything runs on narrow integers: ranks in the least unsigned type that
-    holds the number of common cuts, distances and counts in the least one
-    that holds 2p + 1, and each fold's T and S^2, formed once over every
-    common cut and read at its grid, in int32 (int64 only where 2p does not
-    fit).  No narrower: ``np.sqrt`` of a 16-bit S^2 is float32, and
+    midpoints from lo_i, and it reads T and S^2 at that grid's common cuts.
+    Leaving out one row's p values moves the pooled median across at most p
+    values, so lo_i <= p.  T and S^2 are int32 (int64 only where 2p does not
+    fit), no narrower: ``np.sqrt`` of a 16-bit S^2 is float32, and
     ``_first_firing`` must compare in float64 as ``select_threshold`` does.
     """
     n, p = samples.shape
@@ -433,37 +442,15 @@ def _leave_one_out(
         for rest in ~np.eye(n, dtype=bool)
     ]
     # No fold reads a value below the least t0, so rank from there.
-    values, ranks = _pooled_ranks(samples, min(t0s))
+    values, nearest = _nearest_rows([samples], in_x, list(range(n)), min(t0s))
     ts, cuts = _breakpoints(values, -np.inf)  # -inf, then every midpoint
-    size = values.size + 1
-    ranks = ranks.astype(np.min_scalar_type(size))  # 2-byte sort keys below 65536 cuts
-    # best[i, s]: row i's least distance to class s (0: X, 1: Y) at every cut,
-    # best_count[i, s] that row's count.  Distances are <= 2p: 2p + 1 is "no row yet".
-    dtype = np.min_scalar_type(2 * p + 1)
-    counts = np.array([_below(row, size, dtype) for row in ranks])
-    best = np.full((n, 2, size), 2 * p + 1, dtype)
-    best_count = np.empty((n, 2, size), dtype)  # set by the first row of each class
-    side = [0 if x else 1 for x in in_x]
-    dist, closer = np.empty(size, dtype), np.empty(size, dtype=bool)
-    for a in range(n):
-        for b in range(a + 1, n):
-            both = _below(np.minimum(ranks[a], ranks[b]), size, dtype)
-            both *= 2
-            np.subtract(both, counts[b], out=dist)
-            _keep_nearer(best[a, side[b]], best_count[a, side[b]], dist, counts[b], closer)
-            both -= counts[a]
-            _keep_nearer(best[b, side[a]], best_count[b, side[a]], both, counts[a], closer)
     los = np.searchsorted(values, t0s, side="left")
     his = np.searchsorted(values, t0s, side="right")
     wide = np.int32 if 2 * p <= np.iinfo(np.int32).max else np.int64
-    T_all, S2_all = np.empty(size, wide), np.empty(size, wide)
     verdicts = []
-    for i, (t0, lo, hi) in enumerate(zip(t0s, los, his)):
-        np.subtract(best[i, 0], best[i, 1], out=T_all, dtype=wide)
-        np.add(best_count[i, 0], best_count[i, 1], out=S2_all, dtype=wide)
-        np.subtract(2 * p, S2_all, out=S2_all)
+    for t0, lo, hi, near in zip(t0s, los, his, nearest):
         grid = np.r_[hi, cuts[lo + 1 :]]  # t0, then the midpoints above it
-        T, S2 = T_all[grid], S2_all[grid]
+        T, S2 = _statistics(near, p, grid, wide)
         index, defaulted = _first_firing(T, S2, z_p)
         theta = t0 if index == 0 else float(ts[lo + index])
         verdicts.append(("X" if T[index] <= 0 else "Y", theta, defaulted))
@@ -575,8 +562,8 @@ class FixedThresholdMethod(_ThresholdMethod):
     It counts at its one threshold with ``compute_T_S``, O((m + n) p): the
     scan ranks the pooled values and counts every cut, so one point of
     ``threshold_scan`` costs several times more (on a 2-vCPU x86 VM at
-    p = 20000: about 2 ms against 0.4 ms at m = n = 1, 16 ms against 0.4 ms
-    at m = n = 5)."""
+    p = 20000, standard normal rows, t = 0.5: about 1.5 ms against 0.3 ms
+    at m = n = 1, 11 ms against 0.4 ms at m = n = 5)."""
 
     name: ClassVar[str] = "fixed_threshold"
 

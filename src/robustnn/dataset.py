@@ -15,9 +15,9 @@ on each cell, which gives the same values and names the line of an error.
 
 Leave-one-out holds out each row in turn.  The robust folds all pool the
 same rows, so they share one ranking, each row's counts below every cut and
-each unordered pair's count of minima below every cut, folded into both
-rows' folds as the scan folds a row (``classifier._leave_one_out``); their
-verdicts are ``classify_robust``'s.  The other methods run fold by fold.
+each unordered pair's count of minima below every cut: the scan's kernel
+with every row held (``classifier._leave_one_out``); their verdicts are
+``classify_robust``'s.  The other methods run fold by fold.
 """
 
 from __future__ import annotations

@@ -174,8 +174,8 @@ def test_threshold_scan_matches_compute_T_S_at_any_threshold(instance):
         assert (T[k], S2[k]) == (stats.T, stats.S2)
 
 
-# _below's dtypes: the scan's int64, and leave-one-out's
-# np.min_scalar_type(2p + 1): uint8, uint16 and uint32.
+# _below's dtypes: the fold kernel's np.min_scalar_type(2p), uint8, uint16
+# and uint32, and int64 as one more input case.
 BELOW_DTYPES = [np.dtype(np.int64)] + [np.min_scalar_type(k) for k in (12, 65535, 65536)]
 
 bins_and_size = st.integers(1, 40).flatmap(
@@ -197,7 +197,7 @@ bins_and_size = st.integers(1, 40).flatmap(
 @example((np.array([65536, 65535, 0, 9], dtype=np.intp), 65536), np.dtype(np.uint32), True)
 def test_below_counts_the_bins_at_or_below_each_point_either_way(bins_size, dtype, narrow):
     bins, size = bins_size  # duplicates, and bins at 0, at size - 1 and at size
-    if narrow:  # leave-one-out's ranks, in the least unsigned type that holds size
+    if narrow:  # the fold kernel's ranks, in the least unsigned type that holds size
         bins = bins.astype(np.min_scalar_type(size))
     want = [(bins <= c).sum() for c in range(size)]
     for sort_above in (0, math.inf):  # always sort; never (size > nan is False)
@@ -416,6 +416,26 @@ def test_select_threshold_memory_is_linear_in_the_data_and_the_grid():
     # 40 training rows over a grid of about 20,000 points: dense profiles
     # would hold 80 rows x 20,000 columns (13 MB), 27 times the unit.
     assert select_threshold_peak_units(20, 1000) < 6
+
+
+def test_select_threshold_peak_per_common_cut_on_narrow_integers():
+    # At m = n = 5, p = 200,000 the grid has about 1.1 million common cuts,
+    # so ranks take 4 bytes, and distances and counts, at most 2p, 4 bytes.
+    # The peak is then the pooled ranking: the stacked rows and their ranks,
+    # 8 B per pooled value and about two pooled values per cut, and its sort
+    # arrays, about 65 B per cut.  Held in int64, the scan's per-cut state
+    # alone took the peak to about 98 B per cut.
+    rng = np.random.default_rng(31)
+    p = 200_000
+    X, Y, z = rng.standard_normal((5, p)), rng.standard_normal((5, p)), rng.standard_normal(p)
+    tracemalloc.start()
+    try:
+        decision = select_threshold(X, Y, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_cut = peak / decision.trace.ts.size
+    assert per_cut < 75, per_cut
 
 
 @pytest.mark.parametrize(("m", "p", "bound"), [(20, 1000, 4.45), (1, 20000, 3.8)])
@@ -671,6 +691,27 @@ def test_shape_validation():
         classify_nn_standard([[1.0, 2.0]], [[1.0, 2.0]], [[1.0, 2.0]])
     with pytest.raises(ParameterError):
         select_threshold([[1.0, 2.0]], [[1.0, 2.0]], [1.0, 2.0], t0=math.inf)
+
+
+THREE = [[0.0, 1.0, 2.0]] * 3, [[1.0, 2.0, 3.0]], [0.5, 1.5, 2.5]
+
+
+def test_a_grid_of_more_than_one_dimension_is_a_shape_error_naming_ts():
+    X, Y, z = THREE
+    message = r"^ts must be a scalar or 1-dimensional, got shape \(2, 2\)$"
+    with pytest.raises(ShapeError, match=message):
+        threshold_scan(X, Y, z, [[0.1, 0.2], [0.3, 0.4]])
+    assert threshold_scan(X, Y, z, 1.0)[0].shape == (1,)  # a scalar grid is one point
+
+
+def test_a_non_scalar_t0_is_a_parameter_error_naming_t0():
+    X, Y, z = THREE
+    for t0 in (np.array([0.5]), [0.5, 1.5], np.zeros((1, 1))):
+        with pytest.raises(ParameterError, match=r"^t0 must be a scalar, got shape \("):
+            select_threshold(X, Y, z, t0=t0)
+        with pytest.raises(ParameterError, match=r"^t0 must be a scalar"):
+            classify_robust(X, Y, z, t0=t0)
+    assert select_threshold(X, Y, z, t0=np.float64(1.0)).trace.ts[0] == 1.0
 
 
 def test_one_dimensional_training_promoted_to_single_row():

@@ -430,7 +430,7 @@ def assert_loo_matches_fold_by_fold(samples, in_x, rule, c):
 @example((ZEROS, np.array([True, False, True, False, False]), "independent", DEFAULT_C))
 @example((NEAR_MAX, np.array([True, True, False, False]), "dependent", 0.3))
 # Held out, row 0 is at 2p = 4 from row 1, its fold's one X row, at cuts
-# between 0 and 2: with "no row yet" at 2p, that fold would find no X row.
+# between 0 and 2: a "no row yet" mark at 2p would find no X row there.
 @example((np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
           np.array([True, True, False, False, False]), "independent", 0.0))
 def test_robust_loo_matches_fold_by_fold_classify_robust(instance):
@@ -439,12 +439,12 @@ def test_robust_loo_matches_fold_by_fold_classify_robust(instance):
 
 @settings(max_examples=100, deadline=None)
 @given(labeled_rows(max_rows=8))
-# Distances up to 2p, counts and 2p + 1, "no row yet", share
-# np.min_scalar_type(2p + 1); a held-out Y row is at 2p from every X row.
-@example(far_apart(127))  # 255 in uint8
-@example(far_apart(128))  # 257 needs uint16
-@example(far_apart(32767))  # 65535 in uint16
-@example(far_apart(32768))  # 65537 needs uint32
+# Distances and counts, at most 2p, share np.min_scalar_type(2p); a
+# held-out Y row is at 2p from every X row.
+@example(far_apart(127))  # 254 in uint8
+@example(far_apart(128))  # 256 needs uint16
+@example(far_apart(32767))  # 65534 in uint16
+@example(far_apart(32768))  # 65536 needs uint32
 # The dtype edges of an earlier layout, keys d n + row in
 # np.min_scalar_type((p + 1) n) with n = 6 rows (4 for far_apart(63, 2)).
 @example(far_apart(41))
