@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from configparser import ConfigParser
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -105,7 +106,17 @@ def _trials(args, parser: ConfigParser | None, section: str) -> int:
     return args.trials if args.trials is not None else get_setting(parser, section, "trials", int)
 
 
+def _method(args):
+    """The spec of --method; a method flag that the spec does not read must keep its default."""
+    read = {field.name for field in fields(METHODS[args.method])}
+    for flag, name in (("--c", "xi_or_c"), ("--rule", "rule"), ("--t", "t")):
+        if name not in read and getattr(args, flag[2:]) != _FLAGS[flag].get("default"):
+            raise ConfigurationError(f"method {args.method} does not read {flag}")
+    return make_method(args.method, args.rule, args.c, args.t)
+
+
 def _cmd_classify(args, out):
+    method = _method(args)
     dataset = load_dataset(args.data)
     index = args.index if args.index is not None else len(dataset.labels) - 1
     if not 0 <= index < len(dataset.labels):
@@ -116,7 +127,6 @@ def _cmd_classify(args, out):
     train_x, train_y = dataset.rows_of(first, index), dataset.rows_of(second, index)
     if train_x.shape[0] < 1 or train_y.shape[0] < 1:
         raise ConfigurationError("training split leaves an empty class")
-    method = make_method(args.method, args.rule, args.c, args.t)
     label, theta, defaulted = evaluate_method(train_x, train_y, dataset.samples[index], method)
     predicted = first if label == "X" else second
     truth = dataset.labels[index]
@@ -153,8 +163,8 @@ def _cmd_cv(args, out):
 
 
 def _cmd_loo(args, out):
+    method = _method(args)
     dataset = load_dataset(args.data)
-    method = make_method(args.method, args.rule, args.c, args.t)
     result = loo_cross_validate(dataset, method)
     payload = {
         "data": str(args.data),
@@ -239,11 +249,13 @@ def _cmd_curves(args, out, details_path):
     trials = _trials(args, parser, "curves")
     if args.kind == "threshold":
         grid = get_setting(parser, "curves", "t_grid", parse_number_list)
-        curve = success_vs_threshold(scenario, grid, trials, scenario.seed)
+        curve = success_vs_threshold(scenario, grid, trials, scenario.seed, workers=args.workers)
     else:
         grid = get_setting(parser, "curves", "c_grid", parse_number_list)
         rule = get_setting(parser, "methods", "robust_rule")
-        curve = success_vs_c(scenario, grid, trials, scenario.seed, rule=rule)
+        curve = success_vs_c(
+            scenario, grid, trials, scenario.seed, rule=rule, workers=args.workers
+        )
     write_columns_csv(out, [curve.x_name, "value"], curve.xs, curve.rates)
     payload = {
         "scenario": scenario_fields(scenario),
@@ -276,7 +288,7 @@ def _cmd_apriori(args, out):
     method = get_setting(parser, "apriori", "method").strip()
     trials = _trials(args, parser, "apriori")
     curve = apriori_optimal_threshold(
-        scenario, grid, method, trials=trials, base_seed=scenario.seed
+        scenario, grid, method, trials=trials, base_seed=scenario.seed, workers=args.workers
     )
     write_columns_csv(out, ["t", "value"], curve.ts, curve.values)
     best = float(curve.values.max())
@@ -343,9 +355,9 @@ _COMMANDS = {  # name: (handler, help, options before --out, --out's default)
     "threshold-dist": (_cmd_threshold_dist, "distribution of selected thresholds",
                        f"{_SCENARIO} --trials --c --workers", "threshold_hist.csv"),
     "curves": (_cmd_curves, "success vs fixed threshold or vs slope c",
-               f"{_SCENARIO} --kind --trials", "curve.csv"),
+               f"{_SCENARIO} --kind --trials --workers", "curve.csv"),
     "apriori": (_cmd_apriori, "predicted success curve and optimal threshold",
-                f"{_SCENARIO} --trials", "apriori_curve.csv"),
+                f"{_SCENARIO} --trials --workers", "apriori_curve.csv"),
     "sample-size": (_cmd_sample_size, "success rates across (m, n) training sizes",
                     f"{_SCENARIO} --trials --workers", "sample_size.csv"),
 }

@@ -14,8 +14,10 @@ binomial sqrt(rate * (1 - rate) / trials).
 ``_run_cells`` is the one engine for the trials of every study: it checks and
 calibrates every cell in this process first, then scores all the trials with
 the study's per-trial function, serially or on a single process pool whose
-forked workers inherit the calibration.  Results are reproducible bit-for-bit
-and independent of execution order, so parallel runs equal serial ones.
+forked workers inherit the calibration.  A study's ``workers`` argument is
+its one source of worker processes: None (the default) is serial, 0 is one
+per CPU.  Results are reproducible bit-for-bit and independent of execution
+order, so parallel runs equal serial ones.
 
 Provided studies:
 
@@ -38,10 +40,6 @@ Provided studies:
 
 ``write_rates_csv`` writes a grid study's rates, ``write_dominance_csv`` the
 sweep's best method per cell, ``write_columns_csv`` the curves and histogram.
-
-Worker processes are capped by a study's ``workers`` argument, else by the
-ROBUSTNN_THREADS environment variable (0: one worker per CPU; the curves and
-the a priori Monte Carlo read only the variable); the default is serial.
 """
 
 from __future__ import annotations
@@ -86,40 +84,20 @@ __all__ = [
     "AprioriCurve",
     "apriori_success_rate",
     "apriori_optimal_threshold",
-    "resolve_workers",
     "write_rates_csv",
     "write_dominance_csv",
     "write_columns_csv",
 ]
 
-THREADS_ENV = "ROBUSTNN_THREADS"
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else ROBUSTNN_THREADS, else 1 (serial)."""
-    if workers is None:
-        raw = os.environ.get(THREADS_ENV)
-        if raw is None:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{THREADS_ENV} must be a nonnegative integer, got {raw!r}"
-            ) from None
-    workers = int(workers)
-    if workers < 0:
-        raise ConfigurationError(f"worker count must be nonnegative, got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
-
-
 def _worker_count(trials: int, workers: int | None) -> int:
-    """``resolve_workers(workers)`` for a study of ``trials`` trials, which must be positive."""
+    """Worker processes for ``trials`` trials: 1 (serial) for None, one per CPU for 0."""
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    return resolve_workers(workers)
+    if workers is None:
+        return 1
+    if workers < 0:
+        raise ConfigurationError(f"worker count must be nonnegative, got {workers}")
+    return int(workers) or os.cpu_count() or 1
 
 
 def _trial_plan(trials: int, base_seed: int, key: tuple[int, ...]) -> list[tuple[int, str]]:
@@ -359,10 +337,10 @@ class SuccessCurve:
     x_name: str
 
 
-def _success_curve(scenario, score, grid, xs, x_name, trials, base_seed) -> SuccessCurve:
+def _success_curve(scenario, score, grid, xs, x_name, trials, base_seed, workers) -> SuccessCurve:
     """Run one curve study, seeded with key (0,); ``score`` returns a trial's correct
     flags over ``grid``, its NN flag and, for the c curve, its defaulted flags."""
-    per_trial = _run_cells([(scenario, (0,))], score, grid, trials, base_seed, None)[0]
+    per_trial = _run_cells([(scenario, (0,))], score, grid, trials, base_seed, workers)[0]
     rates, nn_rate, *defaulted = (sum(flags) / trials for flags in zip(*per_trial))
     return SuccessCurve(
         xs=xs,
@@ -393,13 +371,13 @@ def _t_curve_trial(scenario: Scenario, ts: np.ndarray, seed: int, z_from: str):
     return _fixed_flags(data, ts), nn == data.z_label
 
 
-def _fixed_thresholds(t_grid, trials: int) -> np.ndarray:
-    """A fixed-threshold study's grid as floats, checked with its trial count
-    before anything is calibrated: nonempty and free of NaN."""
+def _fixed_thresholds(t_grid, trials: int, workers: int | None) -> np.ndarray:
+    """A fixed-threshold study's grid as floats, checked with its trial and
+    worker counts before anything is calibrated: nonempty and free of NaN."""
     grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if grid.size == 0 or np.isnan(grid).any():
         raise ParameterError(f"t_grid must be nonempty and free of NaN, got {grid.tolist()}")
-    _worker_count(trials, None)
+    _worker_count(trials, workers)
     return grid
 
 
@@ -408,6 +386,8 @@ def success_vs_threshold(
     t_grid: Sequence[float],
     trials: int,
     base_seed: int,
+    *,
+    workers: int | None = None,
 ) -> SuccessCurve:
     """Success of the fixed-threshold classifier over a grid of thresholds.
 
@@ -415,9 +395,11 @@ def success_vs_threshold(
     the label is simply 1(T(t) > 0).  Every grid point and the NN reference
     are scored on the same per-trial datasets.
     """
-    props = _fixed_thresholds(t_grid, trials)
+    props = _fixed_thresholds(t_grid, trials, workers)
     ts = props * shift_amount(scenario)
-    return _success_curve(scenario, _t_curve_trial, ts, props, "t_over_shift", trials, base_seed)
+    return _success_curve(
+        scenario, _t_curve_trial, ts, props, "t_over_shift", trials, base_seed, workers
+    )
 
 
 def _c_grid_trial(scenario: Scenario, z_ps: np.ndarray, seed: int, z_from: str):
@@ -437,6 +419,7 @@ def success_vs_c(
     base_seed: int,
     *,
     rule: str = "independent",
+    workers: int | None = None,
 ) -> SuccessCurve:
     """Success of the robust classifier as the critical-value slope varies.
 
@@ -447,7 +430,7 @@ def success_vs_c(
     if cs.size == 0:
         raise ParameterError("c_grid must be nonempty")
     z_ps = np.array([zp_value(rule, scenario.p, c) for c in cs])
-    return _success_curve(scenario, _c_grid_trial, z_ps, cs, "c", trials, base_seed)
+    return _success_curve(scenario, _c_grid_trial, z_ps, cs, "c", trials, base_seed, workers)
 
 
 @dataclass(frozen=True)
@@ -520,6 +503,7 @@ def apriori_success_rate(
     *,
     trials: int = 2000,
     base_seed: int = 0,
+    workers: int | None = None,
 ) -> SuccessEstimate:
     """Predicted balanced success of the fixed-threshold classifier.
 
@@ -528,7 +512,9 @@ def apriori_success_rate(
     simulates ``trials`` full datasets (balanced labels) and reports the
     binomial standard error.  This is the one-point ``apriori_optimal_threshold``.
     """
-    curve = apriori_optimal_threshold(scenario, [t], method, trials=trials, base_seed=base_seed)
+    curve = apriori_optimal_threshold(
+        scenario, [t], method, trials=trials, base_seed=base_seed, workers=workers
+    )
     value = float(curve.values[0])
     se = _binomial_se(value, trials) if method == "monte_carlo" else 0.0
     return SuccessEstimate(value=value, se=se)
@@ -541,16 +527,17 @@ def apriori_optimal_threshold(
     *,
     trials: int = 2000,
     base_seed: int = 0,
+    workers: int | None = None,
 ) -> AprioriCurve:
     """Evaluate the a priori success over a threshold grid; best = smallest argmax."""
-    ts = _fixed_thresholds(t_grid, trials)  # on both paths, so both read ROBUSTNN_THREADS
+    ts = _fixed_thresholds(t_grid, trials, workers)  # on both paths, so both check workers
     _check_apriori_scenario(scenario)
     if method == "normal_approx":
         values = np.array([_normal_approx_success(scenario, t) for t in ts])
     elif method == "monte_carlo":
         if trials < 2:
             raise ParameterError("monte_carlo needs at least 2 trials")
-        per_trial = _run_cells([(scenario, ())], _t_grid_trial, ts, trials, base_seed, None)[0]
+        per_trial = _run_cells([(scenario, ())], _t_grid_trial, ts, trials, base_seed, workers)[0]
         values = sum(per_trial) / trials  # as _success_curve sums its flags
     else:
         raise ParameterError(f"method must be 'normal_approx' or 'monte_carlo', got {method!r}")

@@ -166,6 +166,29 @@ def test_classify_missing_data(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["loo", "--method", "nn", "--t", "nan", "--c", "-5", "--rule", "dependent"],
+            "method nn does not read --c",
+        ),
+        (["classify", "--method", "extrema", "--t", "1"], "method extrema does not read --t"),
+    ],
+    ids=["loo_nn", "classify_extrema"],
+)
+def test_flag_the_method_does_not_read_is_an_error_line(tmp_path, capsys, argv, message):
+    cfg = write_cfg(tmp_path, "[scenario]\np = 200\nm = 2\nn = 2\nbeta = 0.6\nr = 0.7\n")
+    data = tmp_path / "data.csv"
+    assert dispatch(["gen", "--config", cfg, "--out", str(data)]) == 0
+    capsys.readouterr()
+    written = sorted(tmp_path.iterdir())
+    for path in (data, tmp_path / "nope.csv"):  # the flags are checked before the data is read
+        assert dispatch([*argv, "--data", str(path), "--out", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(tmp_path.iterdir()) == written
+
+
 def test_loo_and_cv_on_generated_data(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -488,43 +511,37 @@ STUDIES_200 = (
     + "[threshold_dist]\ntrials = 2\n"
 )
 WORKERS_ERROR = "worker count must be nonnegative, got -1"
-THREADS_ERROR = f"{experiments.THREADS_ENV} must be a nonnegative integer, got 'lots'"
 TRIALS_ERROR = "trials must be positive, got 0"
 
 
 @pytest.mark.parametrize(
-    "argv, threads, setting, message",
+    "argv, setting, message",
     [
-        (["sweep", "--workers", "-1"], None, "", WORKERS_ERROR),
-        (["sample-size", "--workers", "-1"], None, "", WORKERS_ERROR),
-        (["threshold-dist", "--workers", "-1"], None, "", WORKERS_ERROR),
-        (["sweep"], "lots", "", THREADS_ERROR),
-        (["curves", "--kind", "c"], "lots", "", THREADS_ERROR),
-        (["curves", "--kind", "threshold"], "lots", "", THREADS_ERROR),
-        (["curves", "--kind", "c", "--trials", "0"], None, "", TRIALS_ERROR),
-        (["curves", "--kind", "threshold", "--trials", "0"], None, "", TRIALS_ERROR),
-        (["sample-size", "--trials", "0"], None, "", TRIALS_ERROR),
-        (["threshold-dist", "--trials", "0"], None, "", TRIALS_ERROR),
-        (["apriori", "--trials", "0"], None, "", TRIALS_ERROR),
-        (["apriori"], "lots", "", THREADS_ERROR),
-        (["sweep"], None, "[methods]\nmethod = nn\n", "unknown key [methods] method"),
-        (["sweep"], None, "[apriori]\ntrails = 2\n[sweeep]\n", "unknown key [apriori] trails"),
-        (["sweep"], None, "[sweeep]\ntrials = 2\n", "unknown section [sweeep]"),
+        (["sweep", "--workers", "-1"], "", WORKERS_ERROR),
+        (["sample-size", "--workers", "-1"], "", WORKERS_ERROR),
+        (["threshold-dist", "--workers", "-1"], "", WORKERS_ERROR),
+        (["curves", "--kind", "c", "--workers", "-1"], "", WORKERS_ERROR),
+        (["curves", "--kind", "threshold", "--workers", "-1"], "", WORKERS_ERROR),
+        (["curves", "--kind", "c", "--trials", "0"], "", TRIALS_ERROR),
+        (["curves", "--kind", "threshold", "--trials", "0"], "", TRIALS_ERROR),
+        (["sample-size", "--trials", "0"], "", TRIALS_ERROR),
+        (["threshold-dist", "--trials", "0"], "", TRIALS_ERROR),
+        (["apriori", "--trials", "0"], "", TRIALS_ERROR),
+        (["apriori", "--workers", "-1"], "", WORKERS_ERROR),
+        (["sweep"], "[methods]\nmethod = nn\n", "unknown key [methods] method"),
+        (["sweep"], "[apriori]\ntrails = 2\n[sweeep]\n", "unknown key [apriori] trails"),
+        (["sweep"], "[sweeep]\ntrials = 2\n", "unknown section [sweeep]"),
     ],
     ids=[
-        "sweep_workers", "sample_size_workers", "threshold_dist_workers", "sweep_threads",
-        "c_curve_threads", "t_curve_threads", "c_curve_trials", "t_curve_trials",
-        "sample_size_trials", "threshold_dist_trials", "apriori_trials", "apriori_threads",
+        "sweep_workers", "sample_size_workers", "threshold_dist_workers",
+        "c_curve_workers", "t_curve_workers", "c_curve_trials", "t_curve_trials",
+        "sample_size_trials", "threshold_dist_trials", "apriori_trials", "apriori_workers",
         "unknown_key", "first_unknown", "unknown_section",
     ],
 )
 def test_bad_count_or_config_entry_is_an_error_line_before_calibration(
-    tmp_path, capsys, monkeypatch, argv, threads, setting, message
+    tmp_path, capsys, argv, setting, message
 ):
-    if threads is None:
-        monkeypatch.delenv(experiments.THREADS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(experiments.THREADS_ENV, threads)
     cfg = write_cfg(tmp_path, STUDIES_200 + setting)
     shift_amount.cache_clear()
     assert dispatch([*argv, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
@@ -574,8 +591,8 @@ PINNED_COMMANDS = {
     "gen": ("--config --seed --z-from", "generated.csv"),
     "sweep": ("--config --seed --trials --workers", "grid.csv"),
     "threshold-dist": ("--config --seed --trials --c --workers", "threshold_hist.csv"),
-    "curves": ("--config --seed --kind --trials", "curve.csv"),
-    "apriori": ("--config --seed --trials", "apriori_curve.csv"),
+    "curves": ("--config --seed --kind --trials --workers", "curve.csv"),
+    "apriori": ("--config --seed --trials --workers", "apriori_curve.csv"),
     "sample-size": ("--config --seed --trials --workers", "sample_size.csv"),
 }
 

@@ -24,6 +24,7 @@ from robustnn import (
     StandardNNMethod,
     StudentT,
     apriori_optimal_threshold,
+    apriori_success_rate,
     classify_robust,
     dataset_from_generated,
     derive_seed,
@@ -40,7 +41,7 @@ from robustnn import (
     threshold_distribution,
 )
 from robustnn.datagen import _calibration_sample
-from robustnn.experiments import MethodRate, resolve_workers, write_columns_csv
+from robustnn.experiments import MethodRate, _worker_count, write_columns_csv
 from robustnn.experiments import write_dominance_csv, write_rates_csv
 
 SMALL = Scenario(p=300, m=1, n=1, beta=0.6, r=0.7, marginal=Normal(), seed=0)
@@ -177,7 +178,35 @@ def test_parallel_sweep_and_sample_size_match_serial():
     assert serial == parallel
 
 
-def test_parallel_study_starts_one_pool(monkeypatch):
+def test_parallel_threshold_distribution_matches_serial():
+    method = RobustMethod(xi_or_c=0.3)
+    serial = threshold_distribution(SMALL, 12, method, base_seed=6, bins=5)
+    parallel = threshold_distribution(SMALL, 12, method, base_seed=6, bins=5, workers=2)
+    assert parallel.defaulted_fraction == serial.defaulted_fraction
+    assert parallel.shift == serial.shift
+    for name in ("bin_left", "bin_right", "proportion"):
+        assert getattr(parallel, name).tobytes() == getattr(serial, name).tobytes(), name
+
+
+def _studies(workers):
+    """Every study, at a size where ``workers=2`` starts a pool."""
+    return [
+        lambda: sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 4, 3, workers=workers),
+        lambda: grid_study(SMALL, ("m", "n"), [(1, 1), (2, 1)], METHODS, 4, 4, workers=workers),
+        lambda: estimate_success_rate(SMALL, METHODS, 8, 5, workers=workers),
+        lambda: threshold_distribution(SMALL, 8, RobustMethod(xi_or_c=0.3), 6, workers=workers),
+        lambda: success_vs_threshold(SMALL, [0.2, 0.6], 8, 7, workers=workers),
+        lambda: success_vs_c(SMALL, [0.2, 0.6], 8, 8, workers=workers),
+        lambda: apriori_optimal_threshold(
+            SMALL, [0.5, 1.0], "monte_carlo", trials=8, workers=workers
+        ),
+        lambda: apriori_success_rate(SMALL, 0.5, "monte_carlo", trials=8, workers=workers),
+    ]
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The max_workers of every process pool a study starts."""
     started = []
 
     class CountingPool(experiments.ProcessPoolExecutor):
@@ -186,34 +215,30 @@ def test_parallel_study_starts_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setenv("ROBUSTNN_THREADS", "2")  # curves and apriori take no workers argument
-    studies = [
-        lambda: sweep_beta_r([0.5, 0.7], [0.4, 0.8], SMALL, METHODS, 4, base_seed=3, workers=2),
-        lambda: grid_study(SMALL, ("m", "n"), [(1, 1), (2, 1)], METHODS, 4, 4, workers=2),
-        lambda: estimate_success_rate(SMALL, METHODS, trials=8, base_seed=5, workers=2),
-        lambda: threshold_distribution(SMALL, 8, RobustMethod(xi_or_c=0.3), 6, workers=2),
-        lambda: success_vs_threshold(SMALL, [0.2, 0.6], trials=8, base_seed=7),
-        lambda: success_vs_c(SMALL, [0.2, 0.6], trials=8, base_seed=8),
-        lambda: apriori_optimal_threshold(SMALL, [0.5, 1.0], "monte_carlo", trials=8),
-    ]
-    for study in studies:
-        started.clear()
+    return started
+
+
+def test_parallel_study_starts_one_pool(pools_started):
+    for study in _studies(workers=2):
+        pools_started.clear()
         study()
-        assert started == [2]
+        assert pools_started == [2]
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("ROBUSTNN_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    assert resolve_workers(0) >= 1
-    monkeypatch.setenv("ROBUSTNN_THREADS", "4")
-    assert resolve_workers(None) == 4
-    monkeypatch.setenv("ROBUSTNN_THREADS", "lots")
+@pytest.mark.parametrize("value", ["2", "lots"])
+def test_studies_read_no_environment_variable(monkeypatch, pools_started, value):
+    monkeypatch.setenv("ROBUSTNN_THREADS", value)
+    for study in _studies(workers=None):
+        study()
+        assert pools_started == []
+
+
+def test_worker_count():
+    assert _worker_count(4, None) == 1
+    assert _worker_count(4, 3) == 3
+    assert _worker_count(4, 0) >= 1
     with pytest.raises(ConfigurationError):
-        resolve_workers(None)
-    with pytest.raises(ConfigurationError):
-        resolve_workers(-2)
+        _worker_count(4, -2)
 
 
 def test_sweep_beta_r_grid(tmp_path):

@@ -144,25 +144,26 @@ def _write_configs(work: Path) -> None:
     )
 
 
-def _digest(name: str) -> str:
-    """Run one command in the current directory and hash what it prints and writes.
+def _run(argv: list[str], files: list[str]) -> list[bytes]:
+    """Run one command in the current directory: what it prints, then every file it writes.
 
-    The command must create exactly its listed files, the last of them its
-    manifest, and the manifest must list every other one once.
+    The command must create exactly ``files``, the last of them its manifest,
+    and the manifest must list every other one once.
     """
-    argv, files = COMMANDS[name]
     before = set(os.listdir())
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = dispatch(argv)
-    assert code == 0, name
-    assert sorted(set(os.listdir()) - before) == sorted(files), name
+    assert code == 0, argv
+    assert sorted(set(os.listdir()) - before) == sorted(files), argv
     *outputs, manifest = files
-    assert json.loads(Path(manifest).read_text())["outputs"] == outputs, name
-    h = hashlib.sha256(stdout.getvalue().encode())
-    for file in files:
-        h.update(Path(file).read_bytes())
-    return h.hexdigest()
+    assert json.loads(Path(manifest).read_text())["outputs"] == outputs, argv
+    return [stdout.getvalue().encode(), *(Path(file).read_bytes() for file in files)]
+
+
+def _digest(name: str) -> str:
+    """The sha256 of what the command called ``name`` prints and writes."""
+    return hashlib.sha256(b"".join(_run(*COMMANDS[name]))).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -185,10 +186,20 @@ def test_cli_output_matches_golden_digest(digests, name):
 
 @pytest.mark.parametrize("name", ["curves_c", "curves_threshold", "apriori_monte_carlo"])
 def test_parallel_curves_match_golden_digest(tmp_path, monkeypatch, name):
-    """With two workers the 6 trials of a curve or of the a priori Monte Carlo
-    run on a process pool; the variable is not in argv, so even the manifest
-    is the serial run's."""
-    _write_configs(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("ROBUSTNN_THREADS", "2")
-    assert _digest(name) == GOLDEN[name]
+    """With ``--workers 2`` the 6 trials of a curve or of the a priori Monte Carlo
+    run on a process pool and print and write the serial golden run's bytes;
+    the manifests differ only in argv, which records the flag."""
+    argv, files = COMMANDS[name]
+    runs = []
+    for workers in ([], ["--workers", "2"]):
+        work = tmp_path / str(len(runs))
+        work.mkdir()
+        _write_configs(work)
+        monkeypatch.chdir(work)
+        runs.append(_run([*argv, *workers], files))
+    serial, parallel = runs
+    assert hashlib.sha256(b"".join(serial)).hexdigest() == GOLDEN[name]
+    assert parallel[:-1] == serial[:-1]
+    serial_manifest, parallel_manifest = (json.loads(run[-1]) for run in runs)
+    assert parallel_manifest.pop("argv") == [*serial_manifest.pop("argv"), "--workers", "2"]
+    assert parallel_manifest == serial_manifest
