@@ -315,7 +315,8 @@ _THRESHOLD_KEYS = {"nn_trunc": "truncated_t", "fixed_threshold": "fixed_t"}
 
 
 def methods_from_config(parser: configparser.ConfigParser | None) -> list[MethodSpec]:
-    """Build the method list from the [methods] section."""
+    """Build the method list from the [methods] section.  A setting that no
+    listed method reads is still checked, by building the spec it names."""
     values = _section(parser, "methods")
     names = [name.strip().lower() for name in values["methods"].split(",")]
     names = [name for name in names if name]
@@ -325,11 +326,13 @@ def methods_from_config(parser: configparser.ConfigParser | None) -> list[Method
     def number(key: str | None) -> float | None:
         return get_setting(parser, "methods", key, float, optional=True)
 
-    c = number("robust_c")
-    return [
-        make_method(name, values["robust_rule"], c, number(_THRESHOLD_KEYS.get(name)))
-        for name in names
-    ]
+    rule, c = values["robust_rule"], number("robust_c")
+    methods = [make_method(name, rule, c, number(_THRESHOLD_KEYS.get(name))) for name in names]
+    make_method("robust", rule, c)
+    for name, key in _THRESHOLD_KEYS.items():
+        if (t := number(key)) is not None:
+            make_method(name, t=t)
+    return methods
 
 
 def parse_mn_pairs(text: str) -> list[tuple[int, int]]:

@@ -5,7 +5,9 @@ independent draw of the same process with a constant shift added to a sparse
 set of components.  The number of shifted components is round(p^(1-beta)) and
 each shift equals the calibrated exceedance level a_p(r) from
 ``distributions.solve_scale``, so beta controls sparsity and r controls
-signal size, both on logarithmic scales.
+signal size, both on logarithmic scales.  ``shift_amount`` is the one
+calibration; it rejects a scenario without contrast (a non-positive level, or
+no unshifted component) with DegenerateScenarioError.
 
 Dependence structures for the base process:
 
@@ -66,7 +68,6 @@ __all__ = [
     "shift_count",
     "place_shifts",
     "shift_amount",
-    "checked_shift_amount",
     "innovations_needed",
     "apply_dependence",
     "generate",
@@ -359,7 +360,9 @@ def _component_params(
 
 @lru_cache(maxsize=None)
 def shift_amount(scenario: Scenario) -> float:
-    """The common magnitude a_p(r) added to every shifted component.
+    """The common magnitude a_p(r) added to every shifted component, or
+    DegenerateScenarioError (not cached) when the scenario has no contrast: a
+    non-positive amount, or a shift count outside [1, p - 1].
 
     Independent layouts use the exact exceedance calibration on the scenario
     marginals.  MovingAverage and AR1 use the implied normal component
@@ -375,8 +378,8 @@ def shift_amount(scenario: Scenario) -> float:
     model = scenario.dependence
     p, r = scenario.p, scenario.r
     if isinstance(model, Independent):
-        return solve_scale(scenario.marginal, p, r)
-    if isinstance(model, (MovingAverage, AR1)):
+        amount = solve_scale(scenario.marginal, p, r)
+    elif isinstance(model, (MovingAverage, AR1)):
         base = scenario.marginal
         if isinstance(model, MovingAverage):
             w = np.asarray(model.weights)
@@ -384,12 +387,20 @@ def shift_amount(scenario: Scenario) -> float:
         else:
             shrink = math.sqrt((1.0 - model.alpha) / (1.0 + model.alpha))
             eff = Normal(base.mean, base.sd * shrink)
-        return eff.inverse_survival(p ** (-r))
-    # ExponentiatedMA: pooled empirical quantile over the realized exponents
-    # and offsets, so the pooled survival matches (1/p) sum_k P(X_k > a).
-    q = p ** (-r)
-    draws = int(min(2_000_000, max(200_000, math.ceil(50.0 / q))))
-    return float(np.quantile(_calibration_sample(scenario.seed, p, model, draws), 1.0 - q))
+        amount = eff.inverse_survival(p ** (-r))
+    else:
+        # ExponentiatedMA: pooled empirical quantile over the realized exponents
+        # and offsets, so the pooled survival matches (1/p) sum_k P(X_k > a).
+        q = p ** (-r)
+        draws = int(min(2_000_000, max(200_000, math.ceil(50.0 / q))))
+        amount = float(np.quantile(_calibration_sample(scenario.seed, p, model, draws), 1.0 - q))
+    if amount <= 0:
+        raise DegenerateScenarioError(
+            f"calibrated shift amount {amount!r} is not positive; "
+            "this (p, r, marginal) combination carries no upward signal"
+        )
+    shift_count(p, scenario.beta)
+    return amount
 
 
 @lru_cache(maxsize=4)
@@ -421,20 +432,6 @@ def _calibration_sample(seed: int, p: int, model: ExponentiatedMA, draws: int) -
         values += rng.choice(offsets, size=draws)
     values.setflags(write=False)
     return values
-
-
-def checked_shift_amount(scenario: Scenario) -> float:
-    """The calibrated shift amount, or DegenerateScenarioError when the
-    scenario has no contrast: a non-positive shift, or a shift count outside
-    [1, p - 1]."""
-    amount = shift_amount(scenario)
-    if amount <= 0:
-        raise DegenerateScenarioError(
-            f"calibrated shift amount {amount!r} is not positive; "
-            "this (p, r, marginal) combination carries no upward signal"
-        )
-    shift_count(scenario.p, scenario.beta)
-    return amount
 
 
 def innovations_needed(model: DependenceModel, p: int) -> int:
@@ -555,7 +552,7 @@ def generate(
         raise ParameterError(f"z_from must be 'X' or 'Y', got {z_from!r}")
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
-    amount = checked_shift_amount(scenario)
+    amount = shift_amount(scenario)
     indices = place_shifts(
         scenario.p,
         scenario.beta,

@@ -12,9 +12,10 @@ the two conditional accuracies, and the reported standard error is the
 binomial sqrt(rate * (1 - rate) / trials).
 
 ``_run_cells`` is the one engine for the trials of every study: it checks and
-calibrates every cell in this process first, then scores all the trials with
-the study's per-trial function, serially or on a single process pool whose
-forked workers inherit the calibration.  A study's ``workers`` argument is
+calibrates every cell in this process first (``datagen.shift_amount``, looked
+up at each call), then scores all the trials with the study's per-trial
+function, serially or on a single process pool whose forked workers inherit
+the calibration.  A study's ``workers`` argument is
 its one source of worker processes: None (the default) is serial, 0 is one
 per CPU.  Results are reproducible bit-for-bit and independent of execution
 order, so parallel runs equal serial ones.
@@ -31,7 +32,7 @@ Provided studies:
   threshold grid (selection bypassed) or over the critical-value slope c,
   sharing one dataset per trial across the whole grid and overlaying the
   standard nearest-neighbor rate measured on the same trials.
-* ``apriori_optimal_threshold`` / ``apriori_success_rate`` - predicted success
+* ``apriori_optimal_threshold`` - predicted success over a threshold grid
   of the fixed-threshold rule at m = n = 1 with iid components: each adds an
   independent term (I - J)(1 - 2K) in {-1, 0, +1} to T, so T's exact mean and
   variance give P(T <= 0 | X) and P(T > 0 | Y) by a continuity-corrected
@@ -64,8 +65,9 @@ from .classifier import (
     threshold_scan,
     zp_value,
 )
+from . import datagen  # shift_amount is looked up at each call, so a replacement sees it
 from .datagen import DegenerateScenarioError, GeneratedData, Independent, Scenario
-from .datagen import _calibration_sample, checked_shift_amount, generate, shift_amount, shift_count
+from .datagen import _calibration_sample, generate, shift_count
 from .errors import ConfigurationError, ParameterError, UnsupportedSettingError
 from .seeds import derive_seed
 
@@ -80,9 +82,7 @@ __all__ = [
     "threshold_distribution",
     "success_vs_threshold",
     "success_vs_c",
-    "SuccessEstimate",
     "AprioriCurve",
-    "apriori_success_rate",
     "apriori_optimal_threshold",
     "write_rates_csv",
     "write_dominance_csv",
@@ -105,25 +105,19 @@ def _trial_plan(trials: int, base_seed: int, key: tuple[int, ...]) -> list[tuple
     return [(derive_seed(base_seed, *key, j), "X" if j % 2 == 0 else "Y") for j in range(trials)]
 
 
-def _draw(scenario: Scenario, seed: int, z_from: str | None) -> GeneratedData:
-    """The dataset of one trial; a None label is a fair coin from the trial's stream."""
-    rng = np.random.default_rng(seed)
-    if z_from is None:
-        z_from = "X" if rng.random() < 0.5 else "Y"
-    return generate(scenario, z_from, rng)
+def _draw(scenario: Scenario, seed: int, z_from: str) -> GeneratedData:
+    """The dataset of one trial, its test vector drawn from population ``z_from``."""
+    return generate(scenario, z_from, np.random.default_rng(seed))
 
 
 def run_trial(
-    scenario: Scenario,
-    methods: Sequence[MethodSpec],
-    seed: int,
-    z_from: str | None = None,
+    scenario: Scenario, methods: Sequence[MethodSpec], seed: int, z_from: str
 ) -> np.ndarray:
-    """Draw one dataset from ``seed`` and score every method on it.
+    """Draw one dataset from ``seed``, its test vector from ``z_from``, and
+    score every method on it.
 
     Returns one float row ``(correct, defaulted, theta)`` per method, in order,
-    NaN where a method has no threshold.  ``z_from`` forces the test-vector
-    label; when None it is a fair coin from the trial's own stream.
+    NaN where a method has no threshold.
     """
     data = _draw(scenario, seed, z_from)
     rows = []
@@ -164,7 +158,7 @@ def _run_cells(
     """
     count = _worker_count(trials, workers)
     for scenario, _ in cells:
-        checked_shift_amount(scenario)
+        datagen.shift_amount(scenario)
     _calibration_sample.cache_clear()  # workers inherit the amounts, not the sample
     tasks = [
         (scenario, arg, seed, z_from)
@@ -249,7 +243,7 @@ def grid_study(
     for k, values in enumerate(cells):
         scenario = replace(template, **dict(zip(fields, values, strict=True)))
         try:
-            checked_shift_amount(scenario)
+            datagen.shift_amount(scenario)
             live[k] = (scenario, (k,))
         except DegenerateScenarioError as exc:
             errors.append(exc)
@@ -306,7 +300,7 @@ def threshold_distribution(
     if bins < 1:
         raise ParameterError(f"bins must be positive, got {bins}")
     per_trial = _run_cells([(scenario, (0,))], run_trial, [method], trials, base_seed, workers)[0]
-    shift = shift_amount(scenario)
+    shift = datagen.shift_amount(scenario)
     _, defaulted, theta = np.concatenate(per_trial).T
     thetas = theta[defaulted == 0] / shift
     if thetas.size:
@@ -396,7 +390,7 @@ def success_vs_threshold(
     are scored on the same per-trial datasets.
     """
     props = _fixed_thresholds(t_grid, trials, workers)
-    ts = props * shift_amount(scenario)
+    ts = props * datagen.shift_amount(scenario)
     return _success_curve(
         scenario, _t_curve_trial, ts, props, "t_over_shift", trials, base_seed, workers
     )
@@ -431,14 +425,6 @@ def success_vs_c(
         raise ParameterError("c_grid must be nonempty")
     z_ps = np.array([zp_value(rule, scenario.p, c) for c in cs])
     return _success_curve(scenario, _c_grid_trial, z_ps, cs, "c", trials, base_seed, workers)
-
-
-@dataclass(frozen=True)
-class SuccessEstimate:
-    """A success probability with its Monte Carlo standard error (0 if exact)."""
-
-    value: float
-    se: float
 
 
 @dataclass(frozen=True)
@@ -482,7 +468,7 @@ def _check_apriori_scenario(scenario: Scenario) -> None:
 
 def _normal_approx_success(scenario: Scenario, t: float) -> float:
     survival = scenario.marginal.survival
-    q_x, q_y = survival(t), survival(t - shift_amount(scenario))
+    q_x, q_y = survival(t), survival(t - datagen.shift_amount(scenario))
     shifted = shift_count(scenario.p, scenario.beta)
     plain = scenario.p - shifted
     mean_u, var_u = _term_moments(q_x, q_x, q_x)
@@ -496,30 +482,6 @@ def _normal_approx_success(scenario: Scenario, t: float) -> float:
     return 0.5 * correct
 
 
-def apriori_success_rate(
-    scenario: Scenario,
-    t: float,
-    method: str = "normal_approx",
-    *,
-    trials: int = 2000,
-    base_seed: int = 0,
-    workers: int | None = None,
-) -> SuccessEstimate:
-    """Predicted balanced success of the fixed-threshold classifier.
-
-    Requires m = n = 1, independent components, and a single marginal family.
-    ``normal_approx`` is exact-moment normal approximation; ``monte_carlo``
-    simulates ``trials`` full datasets (balanced labels) and reports the
-    binomial standard error.  This is the one-point ``apriori_optimal_threshold``.
-    """
-    curve = apriori_optimal_threshold(
-        scenario, [t], method, trials=trials, base_seed=base_seed, workers=workers
-    )
-    value = float(curve.values[0])
-    se = _binomial_se(value, trials) if method == "monte_carlo" else 0.0
-    return SuccessEstimate(value=value, se=se)
-
-
 def apriori_optimal_threshold(
     scenario: Scenario,
     t_grid,
@@ -529,7 +491,10 @@ def apriori_optimal_threshold(
     base_seed: int = 0,
     workers: int | None = None,
 ) -> AprioriCurve:
-    """Evaluate the a priori success over a threshold grid; best = smallest argmax."""
+    """Predicted balanced success of the fixed-threshold rule over a threshold
+    grid, best = smallest argmax, at m = n = 1 with iid components of one family:
+    ``normal_approx`` is the exact-moment normal approximation, ``monte_carlo``
+    the success over ``trials`` simulated datasets with balanced labels."""
     ts = _fixed_thresholds(t_grid, trials, workers)  # on both paths, so both check workers
     _check_apriori_scenario(scenario)
     if method == "normal_approx":

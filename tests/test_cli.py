@@ -421,6 +421,26 @@ def test_non_finite_fixed_t_fails_a_sweep_before_calibration(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("methods = robust\nfixed_t = nan", "fixed_threshold threshold t must be finite, got nan"),
+        ("methods = nn\nrobust_c = -3", "robust slope c must be finite and nonnegative, got -3.0"),
+    ],
+    ids=["fixed_t_with_robust", "robust_c_with_nn"],
+)
+def test_setting_no_listed_method_reads_fails_a_sweep_before_calibration(
+    tmp_path, capsys, setting, message
+):
+    cfg = write_cfg(tmp_path, STUDIES_200 + f"[methods]\n{setting}\n")
+    shift_amount.cache_clear()
+    assert dispatch(["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
+
+
 @pytest.mark.parametrize("rule, slope", [("independent", DEFAULT_C), ("dependent", DEFAULT_XI)])
 def test_config_and_flags_build_the_same_robust_method(tmp_path, monkeypatch, rule, slope):
     # Without robust_c or --c, both front ends take the rule's default slope.
@@ -825,6 +845,24 @@ def test_all_degenerate_sweep_and_sample_size_print_one_error_line(tmp_path, cap
         errors.append(captured.err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: calibrated shift amount -")
+
+
+@pytest.mark.parametrize("method", ["normal_approx", "monte_carlo"])
+def test_apriori_on_a_degenerate_scenario_is_one_error_line(tmp_path, capsys, method):
+    # At p = 200 the calibrated shift for r = 0.1 is negative.
+    cfg = write_cfg(
+        tmp_path,
+        "[scenario]\np = 200\nbeta = 0.6\nr = 0.1\n"
+        f"[apriori]\nt_grid = 0, 0.5\nmethod = {method}\ntrials = 4\n",
+    )
+    assert dispatch(["apriori", "--config", cfg, "--out", str(tmp_path / "ap.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: calibrated shift amount -0.22421249328297663 is not positive; "
+        "this (p, r, marginal) combination carries no upward signal\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
 
 
 def test_config_that_is_not_utf8_is_an_error_line(tmp_path, capsys):

@@ -12,6 +12,7 @@ from robustnn import (
     Independent,
     MovingAverage,
     Normal,
+    ParameterError,
     Pareto,
     RobustMethod,
     Scenario,
@@ -326,6 +327,22 @@ def test_methods_from_config_errors(tmp_path):
     path.write_text("[methods]\nmethods = fixed_threshold\n")
     with pytest.raises(ConfigurationError):
         methods_from_config(load_config(path))  # fixed_t missing
+
+
+def test_methods_from_config_checks_settings_no_listed_method_reads(tmp_path):
+    path = tmp_path / "m.ini"
+    path.write_text("[methods]\nmethods = nn\nrobust_c = 0.3\ntruncated_t = 1\nfixed_t = 2\n")
+    assert methods_from_config(load_config(path)) == [StandardNNMethod()]  # checked, not listed
+    for setting, message in [
+        ("robust_c = -3", "robust slope c must be finite and nonnegative, got -3.0"),
+        ("robust_rule = bogus", "unknown rule 'bogus'; expected one of "),
+        ("truncated_t = inf", "nn_trunc threshold t must be finite, got inf"),
+        ("fixed_t = nan", "fixed_threshold threshold t must be finite, got nan"),
+    ]:
+        path.write_text(f"[methods]\nmethods = extrema\n{setting}\n")
+        with pytest.raises(ParameterError) as info:
+            methods_from_config(load_config(path))
+        assert str(info.value).startswith(message)
 
 
 def test_parse_mn_pairs():

@@ -118,6 +118,25 @@ def test_shift_amount_ar1_closed_form():
     )
 
 
+def test_shift_amount_rejects_a_scenario_without_contrast():
+    # At p = 200 the calibrated shift for r = 0.1 is negative.
+    negative = Scenario(p=200, m=1, n=1, beta=0.6, r=0.1, marginal=Normal())
+    with pytest.raises(DegenerateScenarioError) as info:
+        shift_amount(negative)
+    assert str(info.value) == (
+        "calibrated shift amount -0.22421249328297663 is not positive; "
+        "this (p, r, marginal) combination carries no upward signal"
+    )
+    everywhere = Scenario(p=10, m=1, n=1, beta=0.02, r=0.5, marginal=Normal())
+    with pytest.raises(DegenerateScenarioError) as info:
+        shift_amount(everywhere)  # round(10^0.98) = 10 shifts
+    assert str(info.value) == "shift count round(p^(1-beta)) = 10 leaves no contrast at p = 10"
+    live = replace(negative, r=0.7)
+    amount = shift_amount(live)
+    assert type(amount) is float and amount > 0
+    assert shift_amount(live) is amount  # cached per scenario
+
+
 def test_shift_amount_exp_ma_matches_empirical_tail():
     model = ExponentiatedMA(decay=0.5)
     sc = Scenario(p=500, m=1, n=1, beta=0.7, r=0.5,

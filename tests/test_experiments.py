@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import robustnn.classifier as classifier
+import robustnn.datagen as datagen
 import robustnn.dataset as dataset
 import robustnn.experiments as experiments
 from robustnn import (
@@ -24,7 +25,6 @@ from robustnn import (
     StandardNNMethod,
     StudentT,
     apriori_optimal_threshold,
-    apriori_success_rate,
     classify_robust,
     dataset_from_generated,
     derive_seed,
@@ -70,21 +70,9 @@ def test_run_trial_structure_and_pairing():
 
 
 def test_run_trial_deterministic():
-    a = run_trial(SMALL, METHODS, seed=5)
-    b = run_trial(SMALL, METHODS, seed=5)
+    a = run_trial(SMALL, METHODS, seed=5, z_from="X")
+    b = run_trial(SMALL, METHODS, seed=5, z_from="X")
     np.testing.assert_array_equal(a, b)
-
-
-def test_run_trial_coin_flip_label():
-    labels = set()
-    for s in range(30):
-        data = experiments._draw(SMALL, s, None)
-        labels.add(data.z_label)
-        np.testing.assert_array_equal(
-            run_trial(SMALL, [StandardNNMethod()], seed=s),
-            np.array(verdicts(data, [StandardNNMethod()]), dtype=float),
-        )
-    assert labels == {"X", "Y"}
 
 
 def test_estimate_success_rate_replays_exactly():
@@ -126,7 +114,7 @@ def test_studies_reject_an_empty_method_list_before_any_calibration(monkeypatch,
     def no_calibration(*args):
         raise AssertionError("a cell was calibrated")
 
-    monkeypatch.setattr(experiments, "checked_shift_amount", no_calibration)
+    monkeypatch.setattr(datagen, "shift_amount", no_calibration)
     monkeypatch.setattr(experiments, "_run_cells", no_calibration)
     run = {
         "estimate": lambda: estimate_success_rate(SMALL, [], 4, 0),
@@ -200,7 +188,7 @@ def _studies(workers):
         lambda: apriori_optimal_threshold(
             SMALL, [0.5, 1.0], "monte_carlo", trials=8, workers=workers
         ),
-        lambda: apriori_success_rate(SMALL, 0.5, "monte_carlo", trials=8, workers=workers),
+        lambda: apriori_optimal_threshold(SMALL, [0.5], "monte_carlo", trials=8, workers=workers),
     ]
 
 
@@ -354,11 +342,36 @@ def test_grid_study_rejects_bad_arguments_before_any_calibration(monkeypatch):
     def no_calibration(*args):
         raise AssertionError("a cell was calibrated")
 
-    monkeypatch.setattr(experiments, "checked_shift_amount", no_calibration)
+    monkeypatch.setattr(datagen, "shift_amount", no_calibration)
     for cells, trials, message in [([(0.7,)], 0, "trials must be positive"),
                                    ([], 4, "at least one cell")]:
         with pytest.raises(ParameterError, match=message):
             grid_study(SMALL, ("r",), cells, METHODS, trials, 0)
+
+
+def test_grid_study_calibrates_through_datagen_before_any_trial(monkeypatch):
+    """A stand-in for ``datagen.shift_amount`` (as a tracer installs) sees every
+    cell calibrated in the calling process before the first trial, then each
+    trial's ``generate`` reaches it."""
+    events = []
+    calibrate, draw = datagen.shift_amount, experiments.generate
+
+    def counting_shift_amount(scenario):
+        events.append(("calibrate", scenario.r))
+        return calibrate(scenario)
+
+    def counting_generate(scenario, z_from, rng):
+        events.append(("trial", scenario.r))
+        return draw(scenario, z_from, rng)
+
+    monkeypatch.setattr(datagen, "shift_amount", counting_shift_amount)
+    monkeypatch.setattr(experiments, "generate", counting_generate)
+    grid_study(SMALL, ("r",), [(0.5,), (0.7,)], METHODS, 2, 0)
+    first_trial = events.index(("trial", 0.5))
+    assert set(events[:first_trial]) == {("calibrate", 0.5), ("calibrate", 0.7)}
+    assert events[first_trial:] == [
+        (kind, r) for r in (0.5, 0.5, 0.7, 0.7) for kind in ("trial", "calibrate")
+    ]
 
 
 def test_threshold_distribution():

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import robustnn.experiments as experiments
 from robustnn import (
+    DegenerateScenarioError,
     Independent,
     Normal,
     SampleSizeError,
@@ -21,7 +22,6 @@ from robustnn import (
     StudentT,
     UnsupportedSettingError,
     apriori_optimal_threshold,
-    apriori_success_rate,
     cv_error,
     select_threshold_cv,
     shift_amount,
@@ -351,17 +351,16 @@ def test_cv_non_finite_inputs_are_rejected_with_their_position(call):
 
 def test_apriori_above_support_is_half():
     sc = Scenario(p=1000, m=1, n=1, beta=0.7, r=0.5, marginal=Normal())
-    est = apriori_success_rate(sc, 1e9)
-    assert est.value == 0.5  # degenerate T = 0 sends every vector to X
-    assert est.se == 0.0
+    curve = apriori_optimal_threshold(sc, [1e9])
+    assert curve.values.tolist() == [0.5]  # degenerate T = 0 sends every vector to X
 
 
 def test_apriori_normal_approx_close_to_monte_carlo():
     sc = Scenario(p=10000, m=1, n=1, beta=0.7, r=0.9, marginal=Normal(), seed=0)
     t = shift_amount(sc) / 2.0
-    approx = apriori_success_rate(sc, t)
-    mc = apriori_success_rate(sc, t, "monte_carlo", trials=2000, base_seed=41)
-    assert abs(approx.value - mc.value) <= 3.0 * max(mc.se, 1e-3)
+    approx = apriori_optimal_threshold(sc, [t]).values[0]
+    mc = apriori_optimal_threshold(sc, [t], "monte_carlo", trials=2000, base_seed=41).values[0]
+    assert abs(approx - mc) <= 3.0 * max(math.sqrt(mc * (1 - mc) / 2000), 1e-3)
 
 
 def test_apriori_monte_carlo_close_on_random_scenarios():
@@ -377,23 +376,25 @@ def test_apriori_monte_carlo_close_on_random_scenarios():
             seed=k,
         )
         t = shift_amount(sc) * float(rng.uniform(0.4, 0.8))
-        approx = apriori_success_rate(sc, t)
-        mc = apriori_success_rate(sc, t, "monte_carlo", trials=800, base_seed=50 + k)
-        assert abs(approx.value - mc.value) <= 3.0 * max(mc.se, 1e-3)
+        approx = apriori_optimal_threshold(sc, [t]).values[0]
+        mc = apriori_optimal_threshold(
+            sc, [t], "monte_carlo", trials=800, base_seed=50 + k
+        ).values[0]
+        assert abs(approx - mc) <= 3.0 * max(math.sqrt(mc * (1 - mc) / 800), 1e-3)
 
 
 def test_apriori_requires_simple_setting():
     with pytest.raises(UnsupportedSettingError):
-        apriori_success_rate(
-            Scenario(p=100, m=2, n=1, beta=0.5, r=0.5, marginal=Normal()), 1.0
+        apriori_optimal_threshold(
+            Scenario(p=100, m=2, n=1, beta=0.5, r=0.5, marginal=Normal()), [1.0]
         )
     from robustnn import MovingAverage
 
     with pytest.raises(UnsupportedSettingError):
-        apriori_success_rate(
+        apriori_optimal_threshold(
             Scenario(p=100, m=1, n=1, beta=0.5, r=0.5, marginal=Normal(),
                      dependence=MovingAverage.equal(3)),
-            1.0,
+            [1.0],
         )
     blocked = Scenario(
         p=100, m=1, n=1, beta=0.5, r=0.5, marginal=((Normal(), 40), (StudentT(4.0), 60))
@@ -402,9 +403,9 @@ def test_apriori_requires_simple_setting():
         apriori_optimal_threshold(blocked, [1.0])
     assert str(info.value) == "a priori analysis requires identically distributed components"
     with pytest.raises(ParameterError):
-        apriori_success_rate(
+        apriori_optimal_threshold(
             Scenario(p=100, m=1, n=1, beta=0.5, r=0.5, marginal=Normal()),
-            1.0,
+            [1.0],
             "bootstrap",
         )
 
@@ -442,8 +443,8 @@ def test_apriori_monte_carlo_curve_is_its_points(monkeypatch):
     curve = apriori_optimal_threshold(sc, ts, "monte_carlo", trials=30, base_seed=12)
     assert calls == [experiments._t_grid_trial]
     for k, t in enumerate(ts):
-        point = apriori_success_rate(sc, t, "monte_carlo", trials=30, base_seed=12)
-        assert curve.values[k] == point.value
+        point = apriori_optimal_threshold(sc, [t], "monte_carlo", trials=30, base_seed=12)
+        assert curve.values[k] == point.values[0]
 
 
 def test_apriori_success_rate_values_are_pinned():
@@ -451,13 +452,14 @@ def test_apriori_success_rate_values_are_pinned():
     # Values and SEs as the per-point studies computed them before the grid
     # became one study.
     mc = [
-        apriori_success_rate(sc, t, "monte_carlo", trials=40, base_seed=11) for t in (0.8, 1.6)
+        apriori_optimal_threshold(sc, [t], "monte_carlo", trials=40, base_seed=11).values[0]
+        for t in (0.8, 1.6)
     ]
-    assert [(e.value, e.se) for e in mc] == [
+    assert [(v, math.sqrt(v * (1 - v) / 40)) for v in mc] == [
         (0.65, 0.07541551564499178),
         (0.7, 0.07245688373094719),
     ]
-    assert apriori_success_rate(sc, 0.8).value == 0.6799120216832418
+    assert apriori_optimal_threshold(sc, [0.8]).values.tolist() == [0.6799120216832418]
 
 
 def test_normal_approximation_matches_scipy_norm_cdf():
@@ -474,6 +476,14 @@ def test_normal_approximation_matches_scipy_norm_cdf():
 def test_apriori_rejects_nan_thresholds(method):
     sc = Scenario(p=500, m=1, n=1, beta=0.6, r=0.7, marginal=Normal())
     with pytest.raises(ParameterError, match="free of NaN"):
-        apriori_success_rate(sc, float("nan"), method, trials=4)
+        apriori_optimal_threshold(sc, [float("nan")], method, trials=4)
     with pytest.raises(ParameterError, match=r"free of NaN, got \[0.5, nan\]"):
         apriori_optimal_threshold(sc, [0.5, float("nan")], method, trials=4)
+
+
+@pytest.mark.parametrize("method", ["normal_approx", "monte_carlo"])
+def test_apriori_rejects_a_degenerate_scenario(method):
+    # At p = 200 the calibrated shift for r = 0.1 is negative.
+    sc = Scenario(p=200, m=1, n=1, beta=0.6, r=0.1, marginal=Normal())
+    with pytest.raises(DegenerateScenarioError, match=r"shift amount -0\.224\d* is not positive"):
+        apriori_optimal_threshold(sc, [0.0, 0.5], method, trials=4)
