@@ -4,16 +4,16 @@ Two tables define the CLI: ``_FLAGS`` holds each option's argparse keywords
 once, and ``_COMMANDS`` one row per subcommand, with its ``_cmd_*`` handler,
 help, options and default ``--out``.  Rows hold handlers only, so a handler
 finds the library functions it calls as module attributes at call time.
-Scenario and study settings come from a config file
-(``--config``; see ``robustnn --print-config`` for the annotated template),
-with a few common flags as overrides.  ``dispatch`` names and checks every
-file a command writes before it runs.  Each ``_cmd_*`` handler writes its
-outputs to the paths it is given and returns ``(config, seed, message)``;
-``dispatch`` then prints the message and writes the one
-``<output stem>.manifest.json``, recording the resolved configuration, the
-seed, the package version, the outputs and the argv needed to reproduce the
-run.  Outputs contain no timestamps, so re-running an identical command
-yields byte-identical files.
+Scenario, method and study settings come from a config file (``--config``;
+see ``robustnn --print-config`` for the annotated template), with a few
+common flags as overrides; a command that reads it builds and checks every
+[methods] setting first.  ``dispatch`` names and checks every file a command
+writes before it runs.  Each ``_cmd_*`` handler writes its outputs to the
+paths it is given and returns ``(config, seed, message)``; ``dispatch`` then
+prints the message and writes the one ``<output stem>.manifest.json``,
+recording the resolved configuration, the seed, the package version, the
+outputs and the argv needed to reproduce the run.  Outputs contain no
+timestamps, so re-running an identical command yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,15 +25,16 @@ import math
 import os
 import sys
 from configparser import ConfigParser
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
-from .classifier import METHODS, RULES, evaluate_method, make_method
+from .classifier import METHODS, RULES, MethodSpec, evaluate_method, make_method
 from .config import (
     default_config,
     get_setting,
     load_config,
+    method_from_config,
     methods_from_config,
     parse_mn_pairs,
     parse_number_list,
@@ -94,11 +95,11 @@ def _check_out(path) -> None:
     raise OSError(code, os.strerror(code), str(path))
 
 
-def _load_scenario(args) -> tuple[ConfigParser | None, Scenario]:
-    """The parsed config file (None without --config) and its scenario."""
+def _load_scenario(args) -> tuple[ConfigParser | None, Scenario, list[MethodSpec]]:
+    """The config file (None without --config), its scenario and its checked methods."""
     parser = load_config(args.config) if args.config else None
     seed = None if args.seed is None else str(args.seed)
-    return parser, scenario_from_config(parser, seed=seed)
+    return parser, scenario_from_config(parser, seed=seed), methods_from_config(parser)
 
 
 def _trials(args, parser: ConfigParser | None, section: str) -> int:
@@ -180,7 +181,7 @@ def _cmd_loo(args, out):
 
 
 def _cmd_gen(args, out):
-    _, scenario = _load_scenario(args)
+    _, scenario, _ = _load_scenario(args)
     data = generate(scenario, args.z_from)
     save_dataset(dataset_from_generated(data), out)
     config = {"scenario": scenario_fields(scenario), "z_from": args.z_from}
@@ -191,11 +192,10 @@ def _cmd_gen(args, out):
 
 
 def _cmd_sweep(args, out, dominance_path):
-    parser, scenario = _load_scenario(args)
+    parser, scenario, methods = _load_scenario(args)
     beta_grid = get_setting(parser, "sweep", "beta_grid", parse_number_list)
     r_grid = get_setting(parser, "sweep", "r_grid", parse_number_list)
     trials = _trials(args, parser, "sweep")
-    methods = methods_from_config(parser)
     rates = sweep_beta_r(
         beta_grid, r_grid, scenario, methods, trials, scenario.seed, workers=args.workers
     )
@@ -215,13 +215,12 @@ def _cmd_sweep(args, out, dominance_path):
 
 
 def _cmd_threshold_dist(args, out):
-    parser, scenario = _load_scenario(args)
+    parser, scenario, _ = _load_scenario(args)
     trials = _trials(args, parser, "threshold_dist")
     bins = get_setting(parser, "threshold_dist", "bins", int)
-    c = args.c
-    if c is None:
-        c = get_setting(parser, "threshold_dist", "c", float, optional=True)
-    method = make_method("robust", get_setting(parser, "methods", "robust_rule"), c)
+    method = method_from_config(parser, "robust")
+    if args.c is not None:
+        method = replace(method, xi_or_c=args.c)
     dist = threshold_distribution(
         scenario, trials, method, scenario.seed, bins=bins, workers=args.workers
     )
@@ -245,14 +244,14 @@ def _cmd_threshold_dist(args, out):
 def _cmd_curves(args, out, details_path):
     if details_path == out:
         raise ConfigurationError(f"--out {args.out} ends in .json, the details file's suffix")
-    parser, scenario = _load_scenario(args)
+    parser, scenario, _ = _load_scenario(args)
     trials = _trials(args, parser, "curves")
     if args.kind == "threshold":
         grid = get_setting(parser, "curves", "t_grid", parse_number_list)
         curve = success_vs_threshold(scenario, grid, trials, scenario.seed, workers=args.workers)
     else:
         grid = get_setting(parser, "curves", "c_grid", parse_number_list)
-        rule = get_setting(parser, "methods", "robust_rule")
+        rule = method_from_config(parser, "robust").rule
         curve = success_vs_c(
             scenario, grid, trials, scenario.seed, rule=rule, workers=args.workers
         )
@@ -283,7 +282,7 @@ def _cmd_curves(args, out, details_path):
 
 
 def _cmd_apriori(args, out):
-    parser, scenario = _load_scenario(args)
+    parser, scenario, _ = _load_scenario(args)
     grid = get_setting(parser, "apriori", "t_grid", parse_number_list)
     method = get_setting(parser, "apriori", "method").strip()
     trials = _trials(args, parser, "apriori")
@@ -304,10 +303,9 @@ def _cmd_apriori(args, out):
 
 
 def _cmd_sample_size(args, out):
-    parser, scenario = _load_scenario(args)
+    parser, scenario, methods = _load_scenario(args)
     pairs = get_setting(parser, "sample_size", "pairs", parse_mn_pairs)
     trials = _trials(args, parser, "sample_size")
-    methods = methods_from_config(parser)
     rates = grid_study(
         scenario, ("m", "n"), pairs, methods, trials, scenario.seed, workers=args.workers
     )

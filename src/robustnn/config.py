@@ -24,6 +24,7 @@ compound values:
 ``default_config()`` returns a complete annotated template; every key it
 shows is optional in user files and defaults to the value shown.  A section
 or key it does not show, set or commented out, is an error in ``load_config``.
+``method_from_config`` reads [methods] for every method a command builds.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "format_blocked_marginal",
     "load_config",
     "scenario_from_config",
+    "method_from_config",
     "methods_from_config",
     "scenario_fields",
     "default_config",
@@ -168,15 +170,15 @@ dependence = independent
 shift_placement = uniform_random
 seed = 0
 
-# Methods scored in estimates and sweeps.
+# Methods scored in estimates and sweeps; every command given a file checks them.
 [methods]
 # comma list from: {", ".join(METHODS)}
 methods = robust, nn
 # critical-value rule for the robust method, the c curve and threshold_dist:
 # independent | dependent
 robust_rule = independent
-# slope of the critical value: c for the independent rule (default {DEFAULT_C}),
-# xi for the dependent rule (default {DEFAULT_XI})
+# slope of the critical value, threshold_dist's too (its --c overrides it): c for
+# the independent rule (default {DEFAULT_C}), xi for the dependent rule (default {DEFAULT_XI})
 # robust_c = {DEFAULT_C}
 # fixed t for nn_trunc / fixed_threshold (required if those methods appear)
 # truncated_t = 0.0
@@ -196,8 +198,6 @@ trials = 200
 
 [threshold_dist]
 trials = 400
-# slope of the critical value; defaults by [methods] robust_rule, as robust_c does
-# c = {DEFAULT_C}
 bins = 20
 
 [apriori]
@@ -245,7 +245,7 @@ def load_config(path) -> configparser.ConfigParser:
 _DEFAULTS = configparser.ConfigParser(inline_comment_prefixes=("#",))
 _DEFAULTS.read_string(_DEFAULT_CONFIG_TEMPLATE)
 # The optional keys the template shows commented out; a file may set these too.
-_COMMENTED_KEYS = {"methods": ("robust_c", "truncated_t", "fixed_t"), "threshold_dist": ("c",)}
+_COMMENTED_KEYS = {"methods": ("robust_c", "truncated_t", "fixed_t")}
 
 
 def _section(parser: configparser.ConfigParser | None, name: str) -> dict[str, str]:
@@ -314,24 +314,25 @@ def scenario_fields(scenario: Scenario) -> dict:
 _THRESHOLD_KEYS = {"nn_trunc": "truncated_t", "fixed_threshold": "fixed_t"}
 
 
+def method_from_config(parser: configparser.ConfigParser | None, name: str) -> MethodSpec:
+    """Method ``name`` with the settings [methods] gives it, checked by its spec."""
+    c = get_setting(parser, "methods", "robust_c", float, optional=True)
+    t = get_setting(parser, "methods", _THRESHOLD_KEYS.get(name), float, optional=True)
+    return make_method(name, get_setting(parser, "methods", "robust_rule"), c, t)
+
+
 def methods_from_config(parser: configparser.ConfigParser | None) -> list[MethodSpec]:
     """Build the method list from the [methods] section.  A setting that no
     listed method reads is still checked, by building the spec it names."""
-    values = _section(parser, "methods")
-    names = [name.strip().lower() for name in values["methods"].split(",")]
+    names = [name.strip().lower() for name in _section(parser, "methods")["methods"].split(",")]
     names = [name for name in names if name]
     if not names:
         raise ConfigurationError("methods list is empty")
-
-    def number(key: str | None) -> float | None:
-        return get_setting(parser, "methods", key, float, optional=True)
-
-    rule, c = values["robust_rule"], number("robust_c")
-    methods = [make_method(name, rule, c, number(_THRESHOLD_KEYS.get(name))) for name in names]
-    make_method("robust", rule, c)
+    methods = [method_from_config(parser, name) for name in names]
+    method_from_config(parser, "robust")
     for name, key in _THRESHOLD_KEYS.items():
-        if (t := number(key)) is not None:
-            make_method(name, t=t)
+        if get_setting(parser, "methods", key, optional=True) is not None:
+            method_from_config(parser, name)
     return methods
 
 

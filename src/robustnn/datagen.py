@@ -239,6 +239,8 @@ class Scenario:
             raise ParameterError(
                 f"shift_placement must be one of {PLACEMENTS}, got {self.shift_placement!r}"
             )
+        if not isinstance(self.dependence, tuple(DEPENDENCE.values())):
+            raise ConfigurationError(f"unknown dependence model {self.dependence!r}")
         if isinstance(self.marginal, (list, tuple)):
             blocks = tuple((spec, int(count)) for spec, count in self.marginal)
             object.__setattr__(self, "marginal", blocks)
@@ -250,6 +252,10 @@ class Scenario:
                 raise ConfigurationError(
                     "block marginal layouts are only supported with Independent dependence"
                 )
+        blocks = self.marginal if isinstance(self.marginal, tuple) else ((self.marginal, self.p),)
+        for spec, _ in blocks:
+            if not isinstance(spec, get_args(MarginalSpec)):
+                raise ConfigurationError(f"unknown marginal {spec!r}")
         if isinstance(self.dependence, (MovingAverage, AR1)) and not isinstance(
             self.marginal, Normal
         ):

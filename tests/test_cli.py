@@ -311,7 +311,7 @@ def test_apriori_curve(tmp_path, capsys):
 def test_threshold_dist(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
-        SCENARIO_200 + "[threshold_dist]\ntrials = 5\nc = 0.5\nbins = 4\n",
+        SCENARIO_200 + "[methods]\nrobust_c = 0.5\n[threshold_dist]\ntrials = 5\nbins = 4\n",
     )
     out = tmp_path / "hist.csv"
     assert dispatch(["threshold-dist", "--config", cfg, "--out", str(out)]) == 0
@@ -324,15 +324,25 @@ def test_threshold_dist(tmp_path, capsys):
     assert 0.0 <= manifest["config"]["defaulted_fraction"] <= 1.0
 
 
-@pytest.mark.parametrize("rule, slope", [("dependent", 0.16), ("independent", 0.5)])
-def test_threshold_dist_slope_defaults_by_rule(tmp_path, capsys, rule, slope):
-    # Without --c or [threshold_dist] c, the rule's default slope is the only default.
+@pytest.mark.parametrize(
+    "rule, setting, flag, slope",
+    [
+        pytest.param("dependent", "", [], 0.16, id="dependent-0.16"),
+        pytest.param("independent", "", [], 0.5, id="independent-0.5"),
+        pytest.param("dependent", "robust_c = 0.3\n", [], 0.3, id="dependent-robust_c"),
+        pytest.param("independent", "robust_c = 0.3\n", [], 0.3, id="independent-robust_c"),
+        pytest.param("dependent", "robust_c = 0.3\n", ["--c", "0.2"], 0.2, id="dependent-flag"),
+        pytest.param("independent", "robust_c = 0.3\n", ["--c", "0.2"], 0.2, id="independent-flag"),
+    ],
+)
+def test_threshold_dist_slope_defaults_by_rule(tmp_path, capsys, rule, setting, flag, slope):
+    # The slope is --c, then [methods] robust_c, then the rule's default, as in every command.
     cfg = write_cfg(
         tmp_path,
-        SCENARIO_200 + f"[methods]\nrobust_rule = {rule}\n[threshold_dist]\ntrials = 4\n",
+        SCENARIO_200 + f"[methods]\nrobust_rule = {rule}\n{setting}[threshold_dist]\ntrials = 4\n",
     )
     out = tmp_path / "hist.csv"
-    assert dispatch(["threshold-dist", "--config", cfg, "--out", str(out)]) == 0
+    assert dispatch(["threshold-dist", "--config", cfg, *flag, "--out", str(out)]) == 0
     capsys.readouterr()
     manifest = json.loads((tmp_path / "hist.manifest.json").read_text())
     assert manifest["config"]["c"] == slope
@@ -421,20 +431,39 @@ def test_non_finite_fixed_t_fails_a_sweep_before_calibration(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
 
 
+UNREAD_SETTINGS = {  # id: ([methods] lines, the error they give)
+    "fixed_t_with_robust": (
+        "methods = robust\nfixed_t = nan", "fixed_threshold threshold t must be finite, got nan"
+    ),
+    "robust_c_with_nn": (
+        "methods = nn\nrobust_c = -3", "robust slope c must be finite and nonnegative, got -3.0"
+    ),
+}
+CONFIG_COMMANDS = {  # id prefix: the command; sweep's cases keep the bare ids
+    "": ["sweep"],
+    "gen-": ["gen"],
+    "threshold_dist-": ["threshold-dist"],
+    "curves_c-": ["curves", "--kind", "c"],
+    "curves_threshold-": ["curves", "--kind", "threshold"],
+    "apriori-": ["apriori"],
+}
+
+
 @pytest.mark.parametrize(
-    "setting, message",
+    "command, setting, message",
     [
-        ("methods = robust\nfixed_t = nan", "fixed_threshold threshold t must be finite, got nan"),
-        ("methods = nn\nrobust_c = -3", "robust slope c must be finite and nonnegative, got -3.0"),
+        pytest.param(command, *case, id=prefix + name)
+        for prefix, command in CONFIG_COMMANDS.items()
+        for name, case in UNREAD_SETTINGS.items()
     ],
-    ids=["fixed_t_with_robust", "robust_c_with_nn"],
 )
 def test_setting_no_listed_method_reads_fails_a_sweep_before_calibration(
-    tmp_path, capsys, setting, message
+    tmp_path, capsys, command, setting, message
 ):
+    # Every command that reads a config file checks all of [methods], as sweep does.
     cfg = write_cfg(tmp_path, STUDIES_200 + f"[methods]\n{setting}\n")
     shift_amount.cache_clear()
-    assert dispatch(["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+    assert dispatch([*command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
     assert shift_amount.cache_info().currsize == 0  # no cell was calibrated
@@ -499,7 +528,7 @@ def test_unknown_robust_rule_is_an_error_line_before_calibration(
     "argv, setting",
     [
         (["--c", "nan"], ""),
-        ([], "[threshold_dist]\nc = -1\n"),
+        ([], "[methods]\nrobust_c = -1\n"),
         ([], "[methods]\nrobust_rule = x\n"),
         ([], "[methods]\nrobust_rule = independent_sqrt_logp\n"),
         ([], "[threshold_dist]\nbins = 0\n"),
@@ -672,11 +701,12 @@ def test_sweep_range_with_too_many_points_is_an_error_line(tmp_path, capsys, gri
 def test_studies_read_the_configured_robust_rule(tmp_path, capsys, kind):
     text = (
         "[curves]\nc_grid = 0.16, 0.3\ntrials = 6\n"
-        "[threshold_dist]\ntrials = 6\nc = 0.3\n"
+        "[threshold_dist]\ntrials = 6\n"
     )
     outputs = {}
     for rule in ("independent", "dependent"):
-        cfg = write_cfg(tmp_path, SCENARIO_200 + text + f"[methods]\nrobust_rule = {rule}\n")
+        methods = f"[methods]\nrobust_rule = {rule}\nrobust_c = 0.3\n"
+        cfg = write_cfg(tmp_path, SCENARIO_200 + text + methods)
         out = tmp_path / f"{rule}.csv"
         assert dispatch([kind, "--config", cfg, "--out", str(out)]) == 0
         outputs[rule] = out.read_text()

@@ -239,12 +239,13 @@ def test_load_config_missing_file(tmp_path):
         ("[sweeep]\ntrials = 2\n", "section [sweeep]"),
         ("[Sweep]\ntrials = 2\n", "section [Sweep]"),  # section names are not
         ("[sweeep]\n[scenario]\nbta = 0.9\n", "section [sweeep]"),  # the first in the file
-        ("[threshold_dist]\nc = 0.4\nrobust_c = 0.4\n", "key [threshold_dist] robust_c"),
+        ("[threshold_dist]\nrobust_c = 0.4\n", "key [threshold_dist] robust_c"),
+        ("[threshold_dist]\nc = 0.4\n", "key [threshold_dist] c"),  # robust_c or --c sets it
         # A [DEFAULT] key would reach only the sections the file names.
         ("[DEFAULT]\ntrials = 5\n[sweep]\n", "section [DEFAULT]"),
     ],
     ids=["key", "upper_key", "study_key", "section", "upper_section", "first", "other_optional",
-         "default"],
+         "slope_key", "default"],
 )
 def test_load_config_names_the_first_unknown_section_or_key(tmp_path, text, entry):
     path = tmp_path / "run.ini"
@@ -256,13 +257,12 @@ def test_load_config_names_the_first_unknown_section_or_key(tmp_path, text, entr
 
 def test_load_config_knows_the_template_and_its_commented_keys(tmp_path):
     text = default_config()
-    for key in ("robust_c", "truncated_t", "fixed_t", "c"):
+    for key in ("robust_c", "truncated_t", "fixed_t"):
         text = text.replace(f"# {key} = ", f"{key} = ")
     path = tmp_path / "full.ini"
     path.write_text("[DEFAULT]\n" + text)  # an empty [DEFAULT] sets nothing
     parser = load_config(path)
     assert parser.defaults() == {}
-    assert get_setting(parser, "threshold_dist", "c", float) == 0.5
     assert [m.name for m in methods_from_config(parser)] == ["robust", "nn"]
     assert get_setting(parser, "methods", "fixed_t", float) == 0.0
 

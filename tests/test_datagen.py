@@ -401,6 +401,24 @@ def test_scenario_validation():
                         dependence=AR1(0.5)))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(marginal="normal"), "unknown marginal 'normal'"),
+        (dict(marginal=((Normal(), 50), ("normal", 50))), "unknown marginal 'normal'"),
+        (dict(dependence="ar1"), "unknown dependence model 'ar1'"),
+        (dict(dependence=None), "unknown dependence model None"),
+    ],
+    ids=["marginal_text", "block_text", "dependence_text", "dependence_none"],
+)
+def test_scenario_rejects_a_model_that_is_not_a_spec(fields, message):
+    # Each would otherwise reach shift_amount and fail there with an AttributeError.
+    ok = dict(p=100, m=1, n=1, beta=0.5, r=0.5, marginal=Normal())
+    with pytest.raises(ConfigurationError) as exc:
+        Scenario(**dict(ok, **fields))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("name", ["p", "m", "n", "seed"])
 def test_scenario_integer_fields_reject_a_float_and_store_an_int(name):
     ok = dict(p=200, m=2, n=2, beta=0.6, r=0.5, marginal=Normal(), seed=3)

@@ -38,7 +38,6 @@ c_grid = 0.3, 0.6
 trials = 6
 [threshold_dist]
 trials = 8
-c = 0.4
 bins = 4
 [apriori]
 t_grid = 0.0:2.0:0.5
@@ -94,7 +93,7 @@ COMMANDS = {
         ["em.csv", "em_dominance.csv", "em.manifest.json"],
     ),
     "threshold_dist": (
-        ["threshold-dist", "--config", "study.ini", "--out", "hist.csv"],
+        ["threshold-dist", "--config", "study.ini", "--c", "0.4", "--out", "hist.csv"],
         ["hist.csv", "hist.manifest.json"],
     ),
     "curves_c": (
@@ -126,7 +125,7 @@ GOLDEN = {
     "loo": "004e38f97e35192297800a2e9ae6b84304691128318974aa2f9f0de2e49fa6fb",
     "sweep": "d7f477c51123d372930dd9ca39edfd43a0f04b8e0610f120e863f382bbe6fc24",
     "sweep_expma_w2": "78a9f0219b2ce115ab55bc78d2907da04755e078261152138cb051032289cc56",
-    "threshold_dist": "bb731798f49f511ebd06bc6dedfa4fdfbb21c723620d33a33c28724f1db1e150",
+    "threshold_dist": "b99b985c37d63112e0662482b3f95a00a39ceeba2b174e070d7ec72e4e32d693",
     "curves_c": "8cec12934721d47d334cec15144551ba43c8f014760eba18b8aeb16b96c36dda",
     "curves_threshold": "90e4e95291385d1bb963f4addea3b389c404f313783f4fcebf07708f3848ce8f",
     "apriori_monte_carlo": "abc7cff718d283040ea1a45e92cbad2e253ba2332e0822a0a74298870772229b",
